@@ -4,7 +4,7 @@ A population starts at mass one; given the current generation mass x
 the next one is Gamma(2x, p).  The package evaluates the exact density
 of the total mass ever alive, its tail asymptote, moments, extinction
 probabilities, an atomized negative-binomial pmf that converges to the
-density, and three Monte Carlo engines that sample the same law.
+density, and Monte Carlo engines that sample the same law.
 """
 
 from .errors import (
@@ -59,13 +59,8 @@ from .simulate import (
     HIST_LO,
     SimConfig,
     SimSummary,
-    gamma_sample,
-    nb_sample,
     rng_stream,
     run_campaign,
-    run_continuous_trial,
-    run_discrete_trial,
-    run_walk_trial,
 )
 
 __version__ = "0.1.0"
@@ -114,12 +109,7 @@ __all__ = [
     "HIST_LO",
     "SimConfig",
     "SimSummary",
-    "gamma_sample",
-    "nb_sample",
     "rng_stream",
     "run_campaign",
-    "run_continuous_trial",
-    "run_discrete_trial",
-    "run_walk_trial",
     "__version__",
 ]

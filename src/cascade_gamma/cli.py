@@ -401,7 +401,9 @@ _COMMANDS: dict[str, dict] = {
         "handler": _cmd_simulate,
         "options": [
             _Option("mode", "--mode", _choice("continuous", "discrete", "walk"),
-                    required=True, help="engine"),
+                    required=True,
+                    help="engine; walk and discrete share one kernel (Dwass identity), "
+                         "so equal seeds give equal numbers"),
             _opt_p(),
             _Option("trials", "--trials", _integer, required=True, help="number of trials"),
             _Option("seed", "--seed", _integer, required=True, help="64-bit campaign seed"),
@@ -409,7 +411,7 @@ _COMMANDS: dict[str, dict] = {
             _Option("cap", "--cap", _real, default=1e6, help="censoring cap on total mass"),
             _Option("epsilon", "--epsilon", _real, default=1e-9,
                     help="continuous stopping threshold"),
-            _Option("workers", "--workers", _integer, default=1, help="process count"),
+            _Option("workers", "--workers", _integer, default=1, help="worker thread count"),
             _opt_format("json"),
             _opt_out(),
             _Option("hist_out", "--hist-out", str, help="also write the histogram CSV here"),

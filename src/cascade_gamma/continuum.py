@@ -291,24 +291,26 @@ def verify_normalization(params: ModelParams, abs_tol: float = 1e-8) -> Normaliz
         raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
     target = extinction(params).prob_finite
     log_c, a = _tail_constants(params)
-    c = math.exp(log_c)
 
     if a == 0.0:
         # Critical case: density ~ C x^(-3/2).  The tail integral is
         # 2 C / sqrt(X) and its own error ~ C X^(-3/2) / 36 from the
         # next asymptotic correction, which fixes the cutoff.
+        c = math.exp(log_c)
         x_max = max(10_000.0, 5.0 * (10.0 * c / (36.0 * abs_tol)) ** (2.0 / 3.0))
         tail = 2.0 * c / math.sqrt(x_max)
     else:
+        # C overflows a float for p below ~1.4e-3, so C e^{-aX} is formed
+        # in log space.
         x_max = 32.0
-        while c * math.exp(-a * x_max) / (a * x_max**1.5) > abs_tol / 10.0:
+        while math.exp(log_c - a * x_max) / (a * x_max**1.5) > abs_tol / 10.0:
             x_max *= 2.0
             if x_max > 1.1e7:
                 raise ToleranceError(
                     f"tail bound not attainable at abs_tol = {abs_tol!r} for "
                     f"near-critical p = {params.p!r}"
                 )
-        tail = c * math.exp(-a * x_max) / (a * x_max**1.5)
+        tail = math.exp(log_c - a * x_max) / (a * x_max**1.5)
 
     quadrature = numerics.integrate_adaptive(
         lambda x: density(params, x), Interval(1.0, x_max), abs_tol=abs_tol * 0.5

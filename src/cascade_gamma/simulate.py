@@ -1,17 +1,22 @@
 """Monte Carlo engines for the cascade-size distribution.
 
-Three independent samplers of the same object:
+Two chunk kernels sample the same object:
 
 - continuous: iterate X_{n+1} ~ Gamma(2 X_n, p) from X_0 = 1 and add
   the generations up; once a generation falls below epsilon the
   subcritical remainder x 2p/(1 - 2p) is added in expectation, which
   keeps the estimator exactly unbiased;
 - discrete: atoms of mass delta = 1/m reproduce as NB(r*, q*) counts,
-  a whole generation per draw through negative-binomial additivity;
-- walk: first passage to zero of S_t = m + sum_{i<=t} (V_i - 1) with
-  V_i ~ NB(r*, q*) i.i.d.; the hitting time is the total atom count.
+  a whole generation per draw through negative-binomial additivity.
 
-All three censor a trial on the same event, total mass above cap, and
+The walk mode, the first passage to zero of S_t = m + sum_{i<=t} (V_i - 1)
+with V_i ~ NB(r*, q*) i.i.d., runs on the discrete kernel.  By the Dwass
+(1969) hitting-time identity its first-passage time is the total atom
+count, and from position k a stride of k steps is exactly one
+NB(k r*, q*) generation draw.  Walk and discrete campaigns with equal
+seeds therefore give equal numbers.
+
+Both kernels censor a trial on the same event, total mass above cap, and
 censored trials never enter the sums or the histogram.
 
 Reproducibility contract: trials are processed in fixed chunks of
@@ -23,7 +28,7 @@ count, and byte-identical once serialized.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,11 +47,6 @@ __all__ = [
     "SimConfig",
     "SimSummary",
     "rng_stream",
-    "gamma_sample",
-    "nb_sample",
-    "run_continuous_trial",
-    "run_discrete_trial",
-    "run_walk_trial",
     "run_campaign",
 ]
 
@@ -136,105 +136,6 @@ def rng_stream(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(sequence))
 
 
-def gamma_sample(stream: np.random.Generator, shape: float, scale: float) -> float:
-    """One Gamma(shape, scale) draw."""
-    shape, scale = float(shape), float(scale)
-    if not (math.isfinite(shape) and shape > 0.0):
-        raise DomainError(f"shape must be positive, got {shape!r}")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise DomainError(f"scale must be positive, got {scale!r}")
-    return float(stream.gamma(shape, scale))
-
-
-def nb_sample(stream: np.random.Generator, r: float, q: float) -> int:
-    """One NB(r, q) draw via the gamma-mixed Poisson construction.
-
-    N ~ Poisson(L) with L ~ Gamma(r, q / (1 - q)) has exactly the
-    negative binomial pmf b(n; r, q); two stream draws per sample.
-    """
-    r, q = float(r), float(q)
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"r must be positive, got {r!r}")
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q!r}")
-    rate = stream.gamma(r, q / (1.0 - q))
-    return int(stream.poisson(rate))
-
-
-def run_continuous_trial(
-    stream: np.random.Generator,
-    p: float,
-    cap: float = 1e6,
-    epsilon: float = 1e-9,
-) -> tuple[float, bool]:
-    """One continuum cascade; returns (total mass z, censored).
-
-    Censors as soon as the accumulated mass exceeds cap, which for a
-    monotone running total is the event {Z > cap} itself.
-    """
-    p = ModelParams(p).p
-    x = 1.0
-    z = 1.0
-    while x > epsilon:
-        x = float(stream.gamma(2.0 * x, p))
-        z += x
-        if z > cap:
-            return z, True
-    if p < 0.5:
-        z += x * 2.0 * p / (1.0 - 2.0 * p)
-    return z, False
-
-
-def run_discrete_trial(
-    stream: np.random.Generator,
-    params: DiscretizationParams,
-    cap: float = 1e6,
-) -> tuple[int, bool]:
-    """One atomized cascade, a generation per draw; returns (atom count, censored).
-
-    The alive atoms' offspring pool is a single NB(alive r*, q*) count
-    by additivity.  Censoring on total atoms > cap m matches the other
-    engines' event {total mass > cap}.
-    """
-    scale = params.q_star / (1.0 - params.q_star)
-    cap_atoms = cap * params.m
-    alive = params.m
-    total = params.m
-    while alive > 0:
-        rate = stream.gamma(alive * params.r_star, scale)
-        alive = int(stream.poisson(rate))
-        total += alive
-        if total > cap_atoms:
-            return total, True
-    return total, False
-
-
-def run_walk_trial(
-    stream: np.random.Generator,
-    params: DiscretizationParams,
-    cap: float = 1e6,
-) -> tuple[int, bool]:
-    """First-passage walk for the same atom count; returns (steps, censored).
-
-    Each step retires one atom and adds its NB(r*, q*) offspring, so
-    the first hit of zero happens exactly at the total atom count.
-    Steps change the position by at least -1, hence steps + position >
-    cap m already implies the total will exceed cap m: censoring there
-    is exact and agrees with the other engines.
-    """
-    scale = params.q_star / (1.0 - params.q_star)
-    cap_atoms = cap * params.m
-    position = params.m
-    steps = 0
-    while position > 0:
-        if steps + position > cap_atoms:
-            return steps, True
-        rate = stream.gamma(params.r_star, scale)
-        position += int(stream.poisson(rate)) - 1
-        steps += 1
-    return steps, False
-
-
 def _continuous_chunk(gen, count, p, cap, epsilon):
     x = np.ones(count)
     z = np.ones(count)
@@ -275,31 +176,6 @@ def _discrete_chunk(gen, count, params, cap):
         censored[idx[over]] = True
         active[idx] = ~over & (born > 0)
     return total, censored
-
-
-def _walk_chunk(gen, count, params, cap):
-    scale = params.q_star / (1.0 - params.q_star)
-    cap_atoms = cap * params.m
-    position = np.full(count, params.m, dtype=np.int64)
-    steps = np.zeros(count, dtype=np.int64)
-    censored = np.zeros(count, dtype=bool)
-    active = np.ones(count, dtype=bool)
-    while True:
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        doomed = (steps[idx] + position[idx]).astype(np.float64) > cap_atoms
-        if doomed.any():
-            censored[idx[doomed]] = True
-            active[idx[doomed]] = False
-            idx = idx[~doomed]
-            if idx.size == 0:
-                continue
-        births = gen.poisson(gen.gamma(params.r_star, scale, size=idx.size)).astype(np.int64)
-        position[idx] += births - 1
-        steps[idx] += 1
-        active[idx] = position[idx] > 0
-    return steps, censored
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,10 +322,7 @@ def _run_chunk(task: tuple[SimConfig, int, int]) -> SimSummary:
         z_finite = z[~censored]
     else:
         params = config.discretization()
-        if config.mode == "discrete":
-            atoms, censored = _discrete_chunk(gen, size, params, config.cap)
-        else:
-            atoms, censored = _walk_chunk(gen, size, params, config.cap)
+        atoms, censored = _discrete_chunk(gen, size, params, config.cap)
         z_finite = atoms[~censored].astype(np.float64) * params.delta
     return _summarize_chunk(config, size, z_finite, int(np.count_nonzero(censored)))
 
@@ -473,7 +346,10 @@ def run_campaign(config: SimConfig) -> SimSummary:
     if config.workers == 1 or len(tasks) == 1:
         parts = [_run_chunk(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
+        # The kernels spend their time in numpy's samplers, which release
+        # the interpreter lock, so threads overlap chunks without the fork,
+        # pickling and teardown that a worker process costs per campaign.
+        with ThreadPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             parts = list(pool.map(_run_chunk, tasks))
     summary = parts[0]
     for part in parts[1:]:

@@ -216,6 +216,16 @@ def test_verify_unreachable_tolerance_is_a_numerical_failure(capsys):
     assert payload["integral"] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("p", ["0.001", "0.0005", "0.0001"])
+def test_verify_tiny_p_reports_instead_of_overflowing(capsys, p):
+    # The asymptote's constant C = e^{1/p - ...} overflows a float here;
+    # the tail bound must still come out as a reported verdict.
+    code, out, err = run_cli(capsys, "verify", "--p", p)
+    assert code == 3
+    assert json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- simulate
 
 

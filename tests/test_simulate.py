@@ -2,10 +2,16 @@
 
 Statistical assertions use fixed seeds and 4-standard-error bands, so
 they are deterministic reruns of draws that were checked to land well
-inside the bands.
+inside the bands; each test notes where its draw landed.
+
+The walk mode runs on the generation kernel (Dwass identity), so its
+statistical reference is the per-step walk below, which retires one
+atom per step and lives only in this file.
 """
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -18,31 +24,66 @@ from cascade_gamma import (
     ModelParams,
     SimConfig,
     SimSummary,
-    extinction,
-    gamma_sample,
     moments,
     nb_log_pmf,
-    nb_sample,
     rng_stream,
     run_campaign,
-    run_continuous_trial,
-    run_discrete_trial,
-    run_walk_trial,
 )
-from cascade_gamma.simulate import HIST_BINS
+from cascade_gamma import simulate
+from cascade_gamma.simulate import HIST_BINS, HIST_EDGES, HIST_HI, _continuous_chunk, _discrete_chunk
 
 P_FINITE_06 = 0.49243218436184857  # exp(-decay gap) at p = 0.6, bisection oracle
 
 
 class _NoOffspring:
-    """Stream stub whose every brood is empty."""
+    """Generator stub whose every brood is empty."""
 
-    def gamma(self, shape, scale):
-        return 0.0
+    def gamma(self, shape, scale, size=None):
+        return np.zeros(np.shape(shape) if size is None else size)
 
     def poisson(self, rate):
-        assert rate == 0.0
-        return 0
+        assert not np.any(rate)
+        return np.zeros(np.shape(rate), dtype=np.int64)
+
+
+def _nb_sample(gen, r, q, size):
+    """NB(r, q) draws as Poisson(L), L ~ Gamma(r, q / (1 - q))."""
+    return gen.poisson(gen.gamma(r, q / (1.0 - q), size=size)).astype(np.int64)
+
+
+def _per_step_walk(gen, count, params, cap):
+    """Reference walk: one atom retired per step; returns (steps, censored).
+
+    S_t = m + sum_{i<=t} (V_i - 1) with V_i ~ NB(r*, q*) i.i.d. first
+    hits zero at the total atom count.  Each step moves the position by
+    at least -1, so steps + position > cap m already implies a total
+    above cap m: the censoring event is the generation kernel's.
+    """
+    cap_atoms = cap * params.m
+    position = np.full(count, params.m, dtype=np.int64)
+    steps = np.zeros(count, dtype=np.int64)
+    censored = np.zeros(count, dtype=bool)
+    active = np.ones(count, dtype=bool)
+    while True:
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        doomed = (steps[idx] + position[idx]).astype(np.float64) > cap_atoms
+        censored[idx[doomed]] = True
+        active[idx[doomed]] = False
+        idx = idx[~doomed]
+        births = _nb_sample(gen, params.r_star, params.q_star, idx.size)
+        position[idx] += births - 1
+        steps[idx] += 1
+        active[idx] = position[idx] > 0
+    return steps, censored
+
+
+def _binned(steps, censored, params):
+    """Histogram counts plus overflow of the finite trials, as in a summary."""
+    z = steps[~censored] * params.delta
+    counts = np.histogram(z[z <= HIST_HI], bins=HIST_EDGES)[0]
+    return np.append(counts, np.count_nonzero(z > HIST_HI))
 
 
 # -------------------------------------------------------------- rng streams
@@ -67,65 +108,33 @@ def test_rng_stream_validation():
         rng_stream(1.5, 0)
 
 
-# ------------------------------------------------------------ base samplers
-
-
-def test_gamma_sample_exponential_mean():
-    stream = rng_stream(101, 0)
-    n = 100_000
-    total = sum(gamma_sample(stream, 1.0, 1.0) for _ in range(n))
-    assert abs(total / n - 1.0) <= 4.0 / math.sqrt(n)
-
-
-def test_gamma_sample_offspring_moments():
-    stream = rng_stream(102, 0)
-    n = 100_000
-    draws = np.array([gamma_sample(stream, 2.0, 0.4) for _ in range(n)])
-    se_mean = math.sqrt(0.32 / n)
-    assert abs(draws.mean() - 0.8) <= 4.0 * se_mean
-    se_var = 0.32 * math.sqrt(5.0 / n)  # Var(s^2) ~ sigma^4 (kappa - 1)/n, kappa = 6
-    assert abs(draws.var(ddof=1) - 0.32) <= 4.0 * se_var
-
-
-def test_gamma_sample_tiny_shape():
-    stream = rng_stream(103, 0)
-    n = 100_000
-    total = sum(gamma_sample(stream, 0.01, 1.0) for _ in range(n))
-    assert abs(total / n - 0.01) <= 4.0 * math.sqrt(0.01 / n)
-
-
-def test_gamma_sample_validation():
-    stream = rng_stream(0, 0)
-    with pytest.raises(DomainError):
-        gamma_sample(stream, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        gamma_sample(stream, 1.0, -1.0)
+# ------------------------------------------------ reference walk step law
 
 
 def test_nb_sample_geometric_atom():
-    stream = rng_stream(104, 0)
+    # Landed at z = +0.02.
     n = 50_000
-    zeros = sum(1 for _ in range(n) if nb_sample(stream, 1.0, 0.5) == 0)
-    assert abs(zeros / n - 0.5) <= 4.0 * math.sqrt(0.25 / n)
+    zeros = np.count_nonzero(_nb_sample(rng_stream(104, 0), 1.0, 0.5, n) == 0) / n
+    assert abs(zeros - 0.5) <= 4.0 * math.sqrt(0.25 / n)
 
 
 def test_nb_sample_atomic_count_mean():
+    # Landed at z = +1.68.
     params = DiscretizationParams(0.3, 100)
-    stream = rng_stream(105, 0)
     n = 100_000
-    counts = np.array([nb_sample(stream, params.r_star, params.q_star) for _ in range(n)])
+    counts = _nb_sample(rng_stream(105, 0), params.r_star, params.q_star, n)
     variance = params.r_star * params.q_star / (1.0 - params.q_star) ** 2
     assert abs(counts.mean() - 0.6) <= 4.0 * math.sqrt(variance / n)
 
 
 def test_nb_sample_pmf_chi_square():
     # Empirical counts against the analytic pmf over n <= 30, cells with
-    # expected count < 10 pooled into the tail.
+    # expected count < 10 pooled into the tail.  Landed at 30.1 on 31
+    # df, z = (X - df)/sqrt(2 df) = -0.12; the 0.999 quantile is 61.1.
     params = DiscretizationParams(0.3, 100)
     r, q = params.r_star, params.q_star
-    stream = rng_stream(106, 0)
     n_draws = 100_000
-    draws = np.array([nb_sample(stream, r, q) for _ in range(n_draws)])
+    draws = _nb_sample(rng_stream(106, 0), r, q, n_draws)
 
     pmf = np.exp(nb_log_pmf(np.arange(0, 31), r, q))
     expected = np.append(pmf, 1.0 - pmf.sum()) * n_draws
@@ -141,56 +150,46 @@ def test_nb_sample_pmf_chi_square():
     assert statistic <= critical
 
 
-def test_nb_sample_validation():
-    stream = rng_stream(0, 0)
-    with pytest.raises(DomainError):
-        nb_sample(stream, 0.0, 0.5)
-    with pytest.raises(DomainError):
-        nb_sample(stream, 1.0, 1.0)
-
-
-# ------------------------------------------------------------ scalar trials
+# --------------------------------------------------------- chunk kernels
 
 
 def test_continuous_trial_is_deterministic():
-    first = run_continuous_trial(rng_stream(7, 0), 0.3)
-    again = run_continuous_trial(rng_stream(7, 0), 0.3)
-    assert first == again
-    assert first[0] > 1.0 and first[1] is False
+    first = _continuous_chunk(rng_stream(7, 0), 64, 0.3, 1e6, 1e-9)
+    again = _continuous_chunk(rng_stream(7, 0), 64, 0.3, 1e6, 1e-9)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    z, censored = first
+    assert (z > 1.0).all() and not censored.any()
 
 
 def test_continuous_trial_subcritical_mean():
-    stream = rng_stream(107, 0)
-    n = 5000
-    zs = np.array([run_continuous_trial(stream, 0.3)[0] for _ in range(n)])
-    censored = [run_continuous_trial(stream, 0.3)[1] for _ in range(200)]
-    assert not any(censored)
-    se = zs.std(ddof=1) / math.sqrt(n)
-    assert abs(zs.mean() - moments(ModelParams(0.3)).mean) <= 4.0 * se
+    # Landed at z = +1.25.
+    summary = run_campaign(SimConfig(mode="continuous", p=0.3, trials=20_000, seed=107))
+    assert summary.n_censored == 0
+    assert abs(summary.mean - moments(ModelParams(0.3)).mean) <= 4.0 * summary.se_mean
 
 
 def test_continuous_trial_supercritical_censoring():
-    stream = rng_stream(108, 0)
-    n = 2000
-    censored = sum(run_continuous_trial(stream, 0.6, cap=1e4)[1] for _ in range(n)) / n
-    assert abs(censored - (1.0 - P_FINITE_06)) <= 0.05
+    # Every censored trial at cap 1e4 is an infinite cascade up to
+    # e^{-300}.  Landed at z = +0.01.
+    n = 20_000
+    summary = run_campaign(SimConfig(mode="continuous", p=0.6, trials=n, seed=108, cap=1e4))
+    se = math.sqrt(P_FINITE_06 * (1.0 - P_FINITE_06) / n)
+    assert abs(summary.n_censored / n - (1.0 - P_FINITE_06)) <= 4.0 * se
 
 
 def test_discrete_trial_mean():
-    params = DiscretizationParams(0.25, 20)
-    stream = rng_stream(109, 0)
-    n = 5000
-    totals = np.array([run_discrete_trial(stream, params)[0] for _ in range(n)])
-    zs = totals * params.delta
-    se = zs.std(ddof=1) / math.sqrt(n)
-    assert abs(zs.mean() - 2.0) <= 4.0 * se
+    # Landed at z = -1.26.
+    summary = run_campaign(SimConfig(mode="discrete", p=0.25, m=20, trials=20_000, seed=109))
+    assert abs(summary.mean - 2.0) <= 4.0 * summary.se_mean
 
 
 def test_walk_trial_mean_matches_discrete_law():
+    # The reference walk against the exact mean 1/(1 - 2p).  Landed at
+    # z = +0.12.
     params = DiscretizationParams(0.25, 20)
-    stream = rng_stream(110, 0)
-    n = 5000
-    steps = np.array([run_walk_trial(stream, params)[0] for _ in range(n)])
+    n = 20_000
+    steps, censored = _per_step_walk(rng_stream(110, 0), n, params, 1e6)
+    assert not censored.any()
     zs = steps * params.delta
     se = zs.std(ddof=1) / math.sqrt(n)
     assert abs(zs.mean() - 2.0) <= 4.0 * se
@@ -198,31 +197,56 @@ def test_walk_trial_mean_matches_discrete_law():
 
 def test_walk_trial_no_offspring_stops_at_founder_count():
     params = DiscretizationParams(0.3, 10)
-    assert run_walk_trial(_NoOffspring(), params) == (10, False)
-    assert run_discrete_trial(_NoOffspring(), params) == (10, False)
+    for kernel in (_per_step_walk, _discrete_chunk):
+        atoms, censored = kernel(_NoOffspring(), 5, params, 1e6)
+        assert atoms.tolist() == [10] * 5
+        assert not censored.any()
+
+
+def test_walk_law_matches_reference_walk():
+    # Two-sample chi-square on the binned law at p = 0.3, m = 10, cells
+    # with a pooled expected count < 10 merged.  Landed at 108.4 on 100
+    # df, z = (X - df)/sqrt(2 df) = +0.60; the 0.999 quantile is 149.4.
+    params = DiscretizationParams(0.3, 10)
+    n = 50_000
+    reference = _binned(*_per_step_walk(rng_stream(115, 0), n, params, 1e6), params)
+    walk = run_campaign(SimConfig(mode="walk", p=0.3, m=10, trials=n, seed=116))
+    campaign = np.append(walk.bin_counts, walk.overflow)
+    pooled = reference + campaign
+    keep = pooled >= 20
+    a = np.append(reference[keep], reference[~keep].sum()).astype(float)
+    b = np.append(campaign[keep], campaign[~keep].sum()).astype(float)
+    statistic = float(((a - b) ** 2 / (a + b)).sum())
+    critical = stats.chi2.ppf(0.999, df=len(a) - 1)
+    assert statistic <= critical
 
 
 def test_boundary_atom_frequency():
     # P{T = m} = (delta/p)^(2p/(p - delta)) -- 1/27 here.  It never tends
     # to one in any p -> 0 regime: with delta = p/2 it tends to 1/16.
+    # T = m is mass exactly 1, the first histogram bin.  Reference walk
+    # landed at z = -0.11, the walk campaign at z = -1.63.
     params = DiscretizationParams(0.3, 10)
     want = (params.delta / params.p) ** (2.0 * params.p / (params.p - params.delta))
     assert want == pytest.approx(1.0 / 27.0, rel=1e-13)
-    stream = rng_stream(111, 0)
-    n = 5000
-    hits = sum(run_walk_trial(stream, params)[0] == 10 for _ in range(n)) / n
-    assert abs(hits - want) <= 4.0 * math.sqrt(want * (1.0 - want) / n)
+    n = 50_000
+    se = math.sqrt(want * (1.0 - want) / n)
+    steps, _ = _per_step_walk(rng_stream(111, 0), n, params, 1e6)
+    assert abs(np.count_nonzero(steps == 10) / n - want) <= 4.0 * se
+    walk = run_campaign(SimConfig(mode="walk", p=0.3, m=10, trials=n, seed=117))
+    assert abs(walk.bin_counts[0] / n - want) <= 4.0 * se
 
 
 def test_censoring_event_agrees_across_engines():
-    # Both discrete engines censor exactly on {total atoms > cap m}.
+    # The reference walk and the walk campaign both censor exactly on
+    # {total atoms > cap m}.  Landed at z = -1.34.
     params = DiscretizationParams(0.6, 10)
-    n = 2000
-    stream = rng_stream(112, 0)
-    walk = sum(run_walk_trial(stream, params, cap=20.0)[1] for _ in range(n)) / n
-    stream = rng_stream(113, 0)
-    branch = sum(run_discrete_trial(stream, params, cap=20.0)[1] for _ in range(n)) / n
-    assert abs(walk - branch) <= 4.0 * math.sqrt(2.0 * 0.25 / n)
+    n = 20_000
+    _, censored = _per_step_walk(rng_stream(112, 0), n, params, 20.0)
+    walk = run_campaign(SimConfig(mode="walk", p=0.6, m=10, trials=n, seed=113, cap=20.0))
+    reference, campaign = censored.mean(), walk.n_censored / n
+    pooled = 0.5 * (reference + campaign)
+    assert abs(reference - campaign) <= 4.0 * math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
 
 
 # ------------------------------------------------------------------ config
@@ -361,18 +385,44 @@ def test_campaign_workers_do_not_change_the_result():
     assert a == b
 
 
-def test_campaign_engines_statistically_agree():
-    # The discrete and walk engines draw the same law; compare their
-    # binned distributions at modest size.
-    base = dict(p=0.3, trials=20_000, m=10, seed=424242)
-    branch = run_campaign(SimConfig(mode="discrete", **base))
-    walk = run_campaign(SimConfig(mode="walk", **base))
-    n = base["trials"]
-    tv = 0.5 * (
-        np.abs(branch.bin_counts - walk.bin_counts).sum()
-        + abs(branch.overflow - walk.overflow)
-    ) / n
-    assert tv <= 0.05
+def test_campaign_threads_share_chunks_and_end_with_the_call():
+    # Three chunks on two threads, one of which runs two, with the
+    # interpreter switching threads as often as it can.
+    base = dict(mode="continuous", p=0.3, trials=40_000, seed=2718)
+    serial = run_campaign(SimConfig(workers=1, **base))
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run_campaign(SimConfig(workers=2, **base))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert _summaries_equal(serial, parallel)
+
+
+def test_campaign_raises_a_worker_failure(monkeypatch):
+    def failing(task):
+        if task[1] == 1:
+            raise DomainError("chunk 1 failed")
+        return real(task)
+
+    real = simulate._run_chunk
+    monkeypatch.setattr(simulate, "_run_chunk", failing)
+    config = SimConfig(mode="continuous", p=0.3, trials=2 * 16384, seed=5, workers=2)
+    with pytest.raises(DomainError, match="chunk 1 failed"):
+        run_campaign(config)
+
+
+def test_walk_and_discrete_campaigns_are_identical():
+    # One kernel serves both modes, so equal seeds give equal summaries.
+    for extra in (dict(p=0.3), dict(p=0.6, cap=20.0)):
+        base = dict(trials=20_000, m=10, seed=424242, **extra)
+        branch = run_campaign(SimConfig(mode="discrete", **base)).to_json_dict()
+        walk = run_campaign(SimConfig(mode="walk", **base)).to_json_dict()
+        assert branch["config"].pop("mode") == "discrete"
+        assert walk["config"].pop("mode") == "walk"
+        assert walk == branch
 
 
 def test_campaign_supercritical_finite_fraction():
