@@ -35,7 +35,7 @@ from cascade_gamma import (
 
 def density_gaps(p: float, ladder: list[int], grid: np.ndarray) -> list[dict]:
     params = ModelParams(p)
-    exact = np.array([density(params, float(x)) for x in grid])
+    exact = density(params, grid)
     rows = []
     for m in ladder:
         lattice = DiscretizationParams(p, m)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -430,6 +431,9 @@ _COMMANDS: dict[str, dict] = {
 }
 
 
+# Built once per process: parsing leaves the parser unchanged, and building
+# its ~40 actions would cost a few milliseconds on every main() call.
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, _Option]]]:
     parser = argparse.ArgumentParser(
         prog="cascade-gamma",

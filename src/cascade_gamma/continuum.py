@@ -141,26 +141,42 @@ class DensityTable:
                 raise DomainError("density columns must be finite and nonnegative")
 
 
-def log_density(params: ModelParams, x: float) -> float:
-    """ln g(x) for x >= 1; returns -inf at x = 1 where the density vanishes."""
-    x = float(x)
-    if not math.isfinite(x) or x < 1.0:
-        raise DomainError(f"density is supported on x >= 1, got {x!r}")
-    if x == 1.0:
-        return -math.inf
+def _on_support(x, message: str) -> np.ndarray:
+    """x as a float64 array; DomainError names the first element off [1, inf)."""
+    xs = np.asarray(x, dtype=np.float64)
+    inside = np.isfinite(xs) & (xs >= 1.0)
+    if not inside.all():
+        raise DomainError(f"{message} x >= 1, got {float(xs[~inside][0])!r}")
+    return xs
+
+
+def _like(out, x):
+    """out as a float for a scalar x, else as the array of x's shape."""
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def log_density(params: ModelParams, x):
+    """ln g(x) for x >= 1; -inf at x = 1 where the density vanishes.
+
+    Accepts a scalar, which gives a float, or an array, which gives an
+    array of the same shape computed elementwise by the same formula.
+    """
+    xs = _on_support(x, "density is supported on")
     p = params.p
-    return (
-        (2.0 * x - 1.0) * math.log(x - 1.0)
-        - (1.0 / p + 2.0 * math.log(p)) * x
-        + 1.0 / p
-        - math.log(x)
-        - numerics.log_gamma(2.0 * x)
-    )
+    with np.errstate(divide="ignore"):  # ln(x - 1) = -inf at x = 1
+        out = (
+            (2.0 * xs - 1.0) * np.log(xs - 1.0)
+            - (1.0 / p + 2.0 * math.log(p)) * xs
+            + 1.0 / p
+            - np.log(xs)
+            - numerics.log_gamma(2.0 * xs)
+        )
+    return _like(out, x)
 
 
-def density(params: ModelParams, x: float) -> float:
-    lg = log_density(params, x)
-    return 0.0 if lg == -math.inf else math.exp(lg)
+def density(params: ModelParams, x):
+    """g(x) for x >= 1, as exp(log_density); a scalar or an array, like log_density."""
+    return _like(np.exp(log_density(params, x)), x)
 
 
 def _tail_constants(params: ModelParams) -> tuple[float, float]:
@@ -171,18 +187,16 @@ def _tail_constants(params: ModelParams) -> tuple[float, float]:
     return log_c, a
 
 
-def asymptotic_log_density(params: ModelParams, x: float) -> float:
-    """Large-x approximation ln C - a x - (3/2) ln x.
+def asymptotic_log_density(params: ModelParams, x):
+    """Large-x approximation ln C - a x - (3/2) ln x; a scalar or an array.
 
     The decay rate a = (1 - 2p)/p + 2 ln(2p) is strictly positive away
     from criticality and vanishes exactly at p = 1/2, where the density
     degenerates to the pure power law C x^(-3/2).
     """
-    x = float(x)
-    if not math.isfinite(x) or x < 1.0:
-        raise DomainError(f"asymptote is evaluated on x >= 1, got {x!r}")
+    xs = _on_support(x, "asymptote is evaluated on")
     log_c, a = _tail_constants(params)
-    return log_c - a * x - 1.5 * math.log(x)
+    return _like(log_c - a * xs - 1.5 * np.log(xs), x)
 
 
 def moments(params: ModelParams) -> Moments:
@@ -339,6 +353,9 @@ def density_table(
     if steps < 2:
         raise DomainError(f"steps must be >= 2, got {steps!r}")
     grid = np.linspace(x_min, x_max, steps)
-    dens = np.array([density(params, x) for x in grid])
-    asym = np.array([math.exp(asymptotic_log_density(params, x)) for x in grid])
-    return DensityTable(params=params, x=grid, density=dens, asymptotic=asym)
+    return DensityTable(
+        params=params,
+        x=grid,
+        density=density(params, grid),
+        asymptotic=np.exp(asymptotic_log_density(params, grid)),
+    )

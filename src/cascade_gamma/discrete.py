@@ -373,22 +373,24 @@ def martingale_alpha(params: DiscretizationParams, tol: float = 1e-13) -> float:
     alpha = ((1 - q*) / (1 - q* alpha))^{r*} is the extinction
     probability of a single atom's line.  At or below criticality the
     only root is 1; above it the interior root is found by a bracketed
-    solve of r*(log(1 - q*) - log(1 - q* alpha)) = log alpha.
+    solve for beta = 1 - alpha of
+
+        -r* log1p(odds beta) - log1p(-beta) = 0,   odds = q*/(1 - q*) = (p - delta)/delta.
+
+    Near criticality beta falls far below delta (8e-10 at p = 0.5000001,
+    m = 1000); the bracket [1e-300, 1 - 1e-16] still holds it, and
+    log1p avoids the cancellation in 1 - q* alpha.
     """
     if params.p <= 0.5:
         return 1.0
-    r, q = params.r_star, params.q_star
+    r = params.r_star
+    odds = (params.p - params.delta) / params.delta
 
-    def fixed_point_gap(alpha: float) -> float:
-        return r * (math.log1p(-q) - math.log1p(-q * alpha)) - math.log(alpha)
+    def fixed_point_gap(beta: float) -> float:
+        return -r * math.log1p(odds * beta) - math.log1p(-beta)
 
-    lo = params.delta * 1e-6
-    hi = 1.0 - params.delta * 1e-6
-    if fixed_point_gap(hi) >= 0.0:
-        raise CriticalityError(
-            f"no interior fixed point bracketed for p = {params.p!r}, m = {params.m}"
-        )
-    return numerics.solve_bracketed(fixed_point_gap, Interval(lo, hi), tol=tol)
+    beta = numerics.solve_bracketed(fixed_point_gap, Interval(1e-300, 1.0 - 1e-16), tol=tol)
+    return 1.0 - beta
 
 
 def rescaled_density_estimate(params: DiscretizationParams, x: float) -> float:

@@ -1,10 +1,15 @@
-"""Special functions and scalar numerical routines used across the package.
+"""Special functions and numerical routines used across the package.
 
 Everything here is self-contained and deterministic: a Stirling-series
 log-gamma, the lower real branch of the Lambert W function, a bracketed
 Brent root solver, and an adaptive Gauss-Kronrod quadrature.  These are
 the only numerical kernels the analytical modules rely on, so their
 accuracy contracts are tested directly (see tests/test_numerics.py).
+
+log_gamma and the quadrature work on arrays: log_gamma maps an ndarray
+elementwise, and integrate_adaptive calls its integrand once per panel
+with the panel's 15 nodes as one float64 array.  The root solvers stay
+scalar, since each of their steps depends on the one before.
 """
 
 from __future__ import annotations
@@ -257,7 +262,7 @@ def solve_bracketed(
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1]; positive abscissae only,
 # ordered outermost first with the centre node last.  Odd indices are the
-# embedded 7-point Gauss nodes.
+# embedded 7-point Gauss nodes, so the Gauss weights are zero at even ones.
 _GK_NODES = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
@@ -278,33 +283,42 @@ _GK_WEIGHTS_K = (
 )
 _GK_WEIGHT_K_CENTRE = 0.209482141084727828012999174891714
 _GK_WEIGHTS_G = (
+    0.0,
     0.129484966168869693270611432679082,
+    0.0,
     0.279705391489276667901467771423780,
+    0.0,
     0.381830050505118944950369775488975,
+    0.0,
 )
 _GK_WEIGHT_G_CENTRE = 0.417959183673469387755102040816327
+
+
+def _symmetric_weights(outer, centre) -> np.ndarray:
+    """Weights aligned with _GK_ABSCISSAE from the outermost-first half table."""
+    return np.array(outer + (centre,) + outer[::-1], dtype=np.float64)
+
+
+# The 15 nodes in ascending order.  The node at -v is placed as
+# centre + half * (-v), which rounds exactly as centre - half * v.
+_GK_ABSCISSAE = np.array(tuple(-v for v in _GK_NODES) + (0.0,) + _GK_NODES[::-1])
+_GK_KRONROD = _symmetric_weights(_GK_WEIGHTS_K, _GK_WEIGHT_K_CENTRE)
+_GK_GAUSS = _symmetric_weights(_GK_WEIGHTS_G, _GK_WEIGHT_G_CENTRE)
 _EPS = 2.220446049250313e-16
 
 
-def _gk15(f: Callable[[float], float], lo: float, hi: float):
-    """One 15-point Kronrod panel; returns (value, error_estimate)."""
+def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
+    """One 15-point Kronrod panel from one call of f; returns (value, error_estimate)."""
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fc = float(f(centre))
-    if not math.isfinite(fc):
-        raise DomainError(f"integrand returned {fc!r} at x = {centre!r}")
-    res_k = _GK_WEIGHT_K_CENTRE * fc
-    res_g = _GK_WEIGHT_G_CENTRE * fc
-    for j, node in enumerate(_GK_NODES):
-        dx = half * node
-        f_lo = float(f(centre - dx))
-        f_hi = float(f(centre + dx))
-        if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-            raise DomainError(f"integrand returned a non-finite value near x = {centre!r}")
-        pair = f_lo + f_hi
-        res_k += _GK_WEIGHTS_K[j] * pair
-        if j % 2 == 1:
-            res_g += _GK_WEIGHTS_G[j // 2] * pair
+    nodes = centre + half * _GK_ABSCISSAE
+    values = np.broadcast_to(np.asarray(f(nodes), dtype=np.float64), nodes.shape)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DomainError(f"integrand returned {values[bad]!r} at x = {nodes[bad]!r}")
+    res_k = float(_GK_KRONROD @ values)
+    res_g = float(_GK_GAUSS @ values)
     value = res_k * half
     err = abs((res_k - res_g) * half)
     # Honest floor: a panel can never certify better than a few ulps.
@@ -312,12 +326,18 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float):
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     interval: Interval,
     abs_tol: float = DEFAULT_QUAD_ABS_TOL,
     max_panels: int = 10_000,
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod (7, 15) quadrature over a finite interval.
+
+    The integrand takes a float64 array of abscissae and returns an
+    array of the same shape (a constant may be returned as a scalar):
+    each panel calls it once with its 15 nodes, so the cost is
+    evaluations / 15 calls.  Every value must be finite, or DomainError
+    is raised.
 
     Splits the panel with the largest error estimate until the summed
     estimate drops below abs_tol.  Raises ToleranceError (carrying the

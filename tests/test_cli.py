@@ -16,7 +16,7 @@ from cascade_gamma import (
     density,
     extinction,
 )
-from cascade_gamma.cli import main
+from cascade_gamma.cli import _build_parser, main
 
 DECAY_GAP_06 = 0.7083985245782692
 
@@ -334,6 +334,28 @@ def test_repeat_invocations_are_deterministic(capsys):
     _, first, _ = run_cli(capsys, "density", "--p", "0.3", "--steps", "50")
     _, second, _ = run_cli(capsys, "density", "--p", "0.3", "--steps", "50")
     assert first == second
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # main() reuses one parser per process; every call must read as if it
+    # had built its own.  The last call would pass if the config's p leaked.
+    config = tmp_path / "run.cfg"
+    config.write_text("p = 0.3\nx-max = 5\nsteps = 7\nformat = json\n")
+    calls = [
+        ("verify", "--p", "0.3"),
+        ("verify", "--p"),
+        ("density", "--config", str(config)),
+        ("verify", "--p", "0.7", "--format", "csv"),
+        ("density",),
+    ]
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2]
+    assert len(json.loads(shared[2][1])["x"]) == 7
 
 
 def test_verify_csv_format(capsys):

@@ -112,6 +112,27 @@ def test_density_domain_errors():
             log_density(params, bad)
 
 
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7, 3.0])
+@pytest.mark.parametrize("fn", [log_density, density, asymptotic_log_density])
+def test_array_calls_equal_scalar_calls_bit_for_bit(fn, p):
+    params = ModelParams(p)
+    grid = np.concatenate([[1.0, 1.0 + 1e-12], np.geomspace(1.001, 1e7, 37), [1e7]]).reshape(4, 10)
+    got = fn(params, grid)
+    assert isinstance(got, np.ndarray) and got.shape == grid.shape and got.dtype == np.float64
+    scalar = [fn(params, float(x)) for x in grid.ravel()]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(got.ravel(), np.array(scalar))
+
+
+@pytest.mark.parametrize("fn", [log_density, density, asymptotic_log_density])
+@pytest.mark.parametrize("bad", [0.999, -3.0, math.nan, math.inf, -math.inf])
+def test_array_domain_error_on_any_bad_element(fn, bad):
+    grid = np.array([[1.0, 2.0], [5.0, 1e7]])
+    grid[1, 0] = bad
+    with pytest.raises(DomainError, match="x >= 1"):
+        fn(ModelParams(0.4), grid)
+
+
 def test_density_tail_is_monotone_subcritical():
     params = ModelParams(0.25)
     values = [density(params, x) for x in np.linspace(3.0, 60.0, 200)]
@@ -292,7 +313,9 @@ def test_density_table_shape_and_columns():
     assert table.density[0] == 0.0
     for x, d, a in zip(table.x, table.density, table.asymptotic):
         assert d == density(params, float(x))
-        assert a == math.exp(asymptotic_log_density(params, float(x)))
+        assert a == np.exp(asymptotic_log_density(params, float(x)))
+    assert np.array_equal(table.density, density(params, table.x))
+    assert np.array_equal(table.asymptotic, np.exp(asymptotic_log_density(params, table.x)))
 
 
 def test_density_table_validation():

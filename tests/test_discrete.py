@@ -312,6 +312,39 @@ def test_martingale_gap_converges_to_decay_gap():
     assert errors[-1] <= 1e-2
 
 
+def _mp_martingale_alpha(p: float, m: int) -> float:
+    """Root of r*(log(1 - q*) - log(1 - q* alpha)) = log alpha by 50-digit bisection."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        p_, delta = mpmath.mpf(p), mpmath.mpf(1) / m
+        r, q = 2 * delta * p_ / (p_ - delta), (p_ - delta) / p_
+
+        def gap(alpha):
+            return r * (mpmath.log(1 - q) - mpmath.log(1 - q * alpha)) - mpmath.log(alpha)
+
+        lo, hi = mpmath.mpf("1e-30"), 1 - mpmath.mpf("1e-45")  # gap(lo) > 0 > gap(hi)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if gap(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
+@pytest.mark.parametrize("m", [10, 1000])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_martingale_alpha_near_criticality(k, m):
+    # At p = 1/2 + 1e-7, m = 1000 the root sits 8e-10 below one, which a
+    # bracket on alpha ending at 1 - 1e-6 delta used to cut off.  The bound
+    # is the solver's default tolerance; the largest error seen is 1.8e-14.
+    p = 0.5 + 10.0**-k
+    alpha = martingale_alpha(DiscretizationParams(p, m))
+    assert 0.0 < alpha < 1.0
+    assert abs(alpha - _mp_martingale_alpha(p, m)) <= 1e-13
+
+
 def test_martingale_subcritical_has_only_trivial_root():
     assert martingale_alpha(DiscretizationParams(0.3, 10)) == 1.0
     assert martingale_alpha(DiscretizationParams(0.5, 10)) == 1.0

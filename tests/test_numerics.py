@@ -221,7 +221,7 @@ def test_integrate_constant():
 
 
 def test_integrate_exponential():
-    result = integrate_adaptive(lambda x: math.exp(-x), Interval(0.0, 50.0), abs_tol=1e-10)
+    result = integrate_adaptive(lambda x: np.exp(-x), Interval(0.0, 50.0), abs_tol=1e-10)
     exact = 1.0 - math.exp(-50.0)
     assert abs(result.value - exact) <= 1e-10
     assert result.abs_error_estimate <= 1e-10
@@ -260,7 +260,7 @@ def test_integrate_matches_simpson_oracle():
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=0.05, max_value=2.95))
 def test_integrate_split_additivity(cut):
-    f = lambda x: math.exp(-x) * math.cos(3.0 * x)  # noqa: E731
+    f = lambda x: np.exp(-x) * np.cos(3.0 * x)  # noqa: E731
     whole = integrate_adaptive(f, Interval(0.0, 3.0), abs_tol=1e-11)
     left = integrate_adaptive(f, Interval(0.0, cut), abs_tol=1e-11)
     right = integrate_adaptive(f, Interval(cut, 3.0), abs_tol=1e-11)
@@ -272,11 +272,61 @@ def test_integrate_unattainable_tolerance_carries_best_estimate():
     # Below the rounding floor of the panel values no refinement can help;
     # the failure must still surface the best running estimate.
     with pytest.raises(ToleranceError) as info:
-        integrate_adaptive(lambda x: math.exp(-x), Interval(0.0, 50.0), abs_tol=1e-18)
+        integrate_adaptive(lambda x: np.exp(-x), Interval(0.0, 50.0), abs_tol=1e-18)
     partial = info.value.result
     assert partial is not None
     assert abs(partial.value - (1.0 - math.exp(-50.0))) <= 1e-9
     assert partial.abs_error_estimate > 1e-18
+
+
+def _poly_integral(coeffs, lo, hi):
+    """Exact integral of sum c_k x^k over [lo, hi], in rationals."""
+    from fractions import Fraction
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    return float(sum(Fraction(c) * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+                     for k, c in enumerate(coeffs)))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 5, 13, 22])
+def test_gk15_panel_is_exact_to_degree_22(degree):
+    # Kronrod 15 integrates degree 3*7 + 1 = 22 exactly and its embedded
+    # Gauss 7 degree 13, so up to 13 the two sums agree to rounding and
+    # the error estimate sits at the 50-ulp floor.
+    from cascade_gamma.numerics import _EPS, _gk15
+
+    coeffs = [1.0 + 0.25 * k for k in range(degree + 1)]
+    lo, hi = 0.3, 1.7
+    value, err = _gk15(lambda x: np.polynomial.polynomial.polyval(x, coeffs), lo, hi)
+    exact = _poly_integral(coeffs, lo, hi)
+    assert abs(value - exact) <= 1e-14 * abs(exact)
+    if degree <= 13:
+        assert err == 50.0 * _EPS * abs(value)
+
+
+def test_integrand_is_called_once_per_panel_with_its_nodes():
+    calls = []
+
+    def f(x):
+        calls.append((type(x), x.shape, x.dtype))
+        return np.exp(-x)
+
+    result = integrate_adaptive(f, Interval(0.0, 50.0), abs_tol=1e-10)
+    assert result.evaluations > 15
+    assert len(calls) == result.evaluations // 15
+    assert set(calls) == {(np.ndarray, (15,), np.dtype(np.float64))}
+
+
+def test_gk15_nodes_are_centre_plus_minus_half_node():
+    from cascade_gamma.numerics import _GK_NODES, _gk15
+
+    seen = []
+    lo, hi = 1.0, 1.0 + 2.0 ** -20 * 3.0
+    _gk15(lambda x: seen.append(x.copy()) or np.zeros_like(x), lo, hi)
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    expected = sorted([centre] + [centre - half * v for v in _GK_NODES]
+                      + [centre + half * v for v in _GK_NODES])
+    assert seen[0].tolist() == expected
 
 
 def test_integrate_rejects_non_finite_integrand():
