@@ -328,7 +328,6 @@ def _cmd_verify(ns) -> int:
         return 3
     payload["integral"] = check.integral
     payload["x_max"] = check.x_max
-    payload["tail_estimate"] = check.tail_estimate
     payload["quadrature_error"] = check.quadrature.abs_error_estimate
     payload["quadrature_evaluations"] = check.quadrature.evaluations
     residual_lambert = abs(check.integral - lambert_report.prob_finite)

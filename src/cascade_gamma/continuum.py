@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import CriticalityError, DomainError, ToleranceError
+from .errors import CriticalityError, DomainError
 from .numerics import Interval, QuadratureResult
 
 __all__ = [
@@ -114,13 +114,17 @@ class ExtinctionReport:
 
 @dataclass(frozen=True)
 class NormalizationCheck:
-    """Outcome of integrating the density against its target mass."""
+    """Outcome of integrating the density against its target mass.
+
+    integral is the quadrature over the whole support [1, inf); no
+    cutoff or tail term enters it.  x_max is the largest abscissa at
+    which that quadrature evaluated the density.
+    """
 
     integral: float
     target: float
     residual: float
     x_max: float
-    tail_estimate: float
     quadrature: QuadratureResult
 
 
@@ -249,13 +253,49 @@ def extinction_gap_root(params: ModelParams, tol: float = numerics.DEFAULT_ROOT_
     return numerics.solve_bracketed(gap_balance, Interval(lo, hi), tol=tol)
 
 
+def _support_x(params: ModelParams, v):
+    """x = 1 + s (v^-2 - 1) with s = min(p, 1/2): maps v in (0, 1] onto [1, inf)."""
+    return 1.0 + min(params.p, _CRITICAL_P) * (1.0 / (v * v) - 1.0)
+
+
+def _support_integrand(params: ModelParams, k: int, v: np.ndarray) -> np.ndarray:
+    """x^k g(x) |dx/dv| at x = _support_x(v), where |dx/dv| = 2 s v^-3.
+
+    The x^(-3/2) tail becomes a bounded integrand in v, about
+    2 C s^(-1/2) exp(-a s / v^2) near v = 0 for every p, and the peak
+    near x = 1 + p sits at v of order one however small p is.  The
+    factors are summed as logs and exponentiated once, so a density that
+    underflows never meets a v^-3 that overflows (no 0 * inf = nan).
+    """
+    log_jacobian = math.log(2.0 * min(params.p, _CRITICAL_P)) - 3.0 * np.log(v)
+    x = _support_x(params, v)
+    return np.exp(k * np.log(x) + log_density(params, x) + log_jacobian)
+
+
+def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[QuadratureResult, float]:
+    """The integral of x^k g(x) over [1, inf), as one quadrature on v in (0, 1].
+
+    Also returns the largest x at which the quadrature evaluated g,
+    finite because no Kronrod node sits on v = 0.
+    """
+    smallest_v = 1.0
+
+    def integrand(v: np.ndarray) -> np.ndarray:
+        nonlocal smallest_v
+        smallest_v = min(smallest_v, float(v.min()))
+        return _support_integrand(params, k, v)
+
+    quadrature = numerics.integrate_adaptive(integrand, Interval(0.0, 1.0), abs_tol=abs_tol)
+    return quadrature, _support_x(params, smallest_v)
+
+
 def numeric_moments(params: ModelParams, abs_tol: float = 1e-8) -> Moments:
     """Mean and variance by integrating the density; subcritical only.
 
     A quadrature cross-check for the closed forms in moments(): the
-    first and second moments are integrated on [1, X] with X chosen so
-    the asymptotic tail beyond it is below abs_tol / 10, then the tail
-    is added back from the asymptote.
+    first and second moments are each integrated over the whole support
+    [1, inf) to abs_tol / 4 (see _support_integrand), with no cutoff
+    and no tail term.
     """
     if not params.subcritical:
         raise CriticalityError(
@@ -263,79 +303,31 @@ def numeric_moments(params: ModelParams, abs_tol: float = 1e-8) -> Moments:
         )
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
-    log_c, a = _tail_constants(params)
-    c = math.exp(log_c)
-
-    x_max = 32.0
-    # Tail of the second-moment integrand: int_X x^2 C e^{-ax} x^{-3/2} dx
-    # <= 2 C e^{-aX} sqrt(X) / a once a X >= 1.
-    while 2.0 * c * math.exp(-a * x_max) * math.sqrt(x_max) / a > abs_tol / 10.0:
-        x_max *= 2.0
-        if x_max > 1.1e7:
-            raise ToleranceError(
-                f"second-moment tail bound not attainable at abs_tol = {abs_tol!r} "
-                f"for near-critical p = {params.p!r}"
-            )
-
-    span = Interval(1.0, x_max)
-    first = numerics.integrate_adaptive(
-        lambda x: x * density(params, x), span, abs_tol=abs_tol * 0.25
-    )
-    second = numerics.integrate_adaptive(
-        lambda x: x * x * density(params, x), span, abs_tol=abs_tol * 0.25
-    )
-    tail_first = c * math.exp(-a * x_max) / (a * math.sqrt(x_max))
-    tail_second = c * math.exp(-a * x_max) * math.sqrt(x_max) / a
-    mean = first.value + tail_first
-    second_moment = second.value + tail_second
-    return Moments(mean=mean, variance=second_moment - mean * mean)
+    first, _ = _support_moment(params, 1, abs_tol * 0.25)
+    second, _ = _support_moment(params, 2, abs_tol * 0.25)
+    mean = first.value
+    return Moments(mean=mean, variance=second.value - mean * mean)
 
 
 def verify_normalization(params: ModelParams, abs_tol: float = 1e-8) -> NormalizationCheck:
     """Integrate the density and compare against the finite-cascade mass.
 
-    Subcritically the density integrates to one; supercritically to
-    exp(-decay_gap).  The integral runs over [1, X] with X chosen so
-    the asymptotic tail bound is below abs_tol / 10, and the tail is
-    added back in closed form.  At p = 1/2 the decay rate vanishes and
-    the pure power-law tail 2 C / sqrt(X) is used instead.  Quadrature
-    failures propagate as ToleranceError.
+    Subcritically and at p = 1/2 the density integrates to one;
+    supercritically to exp(-decay_gap).  One quadrature covers the whole
+    support [1, inf) for every p, the critical power-law tail included
+    (see _support_integrand): there is no cutoff and no tail term.
+    x_max is the largest abscissa at which the density was evaluated.
+    Quadrature failures propagate as ToleranceError.
     """
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
     target = extinction(params).prob_finite
-    log_c, a = _tail_constants(params)
-
-    if a == 0.0:
-        # Critical case: density ~ C x^(-3/2).  The tail integral is
-        # 2 C / sqrt(X) and its own error ~ C X^(-3/2) / 36 from the
-        # next asymptotic correction, which fixes the cutoff.
-        c = math.exp(log_c)
-        x_max = max(10_000.0, 5.0 * (10.0 * c / (36.0 * abs_tol)) ** (2.0 / 3.0))
-        tail = 2.0 * c / math.sqrt(x_max)
-    else:
-        # C overflows a float for p below ~1.4e-3, so C e^{-aX} is formed
-        # in log space.
-        x_max = 32.0
-        while math.exp(log_c - a * x_max) / (a * x_max**1.5) > abs_tol / 10.0:
-            x_max *= 2.0
-            if x_max > 1.1e7:
-                raise ToleranceError(
-                    f"tail bound not attainable at abs_tol = {abs_tol!r} for "
-                    f"near-critical p = {params.p!r}"
-                )
-        tail = math.exp(log_c - a * x_max) / (a * x_max**1.5)
-
-    quadrature = numerics.integrate_adaptive(
-        lambda x: density(params, x), Interval(1.0, x_max), abs_tol=abs_tol * 0.5
-    )
-    integral = quadrature.value + tail
+    quadrature, x_max = _support_moment(params, 0, abs_tol * 0.5)
     return NormalizationCheck(
-        integral=integral,
+        integral=quadrature.value,
         target=target,
-        residual=abs(integral - target),
+        residual=abs(quadrature.value - target),
         x_max=x_max,
-        tail_estimate=tail,
         quadrature=quadrature,
     )
 

@@ -373,24 +373,24 @@ def martingale_alpha(params: DiscretizationParams, tol: float = 1e-13) -> float:
     alpha = ((1 - q*) / (1 - q* alpha))^{r*} is the extinction
     probability of a single atom's line.  At or below criticality the
     only root is 1; above it the interior root is found by a bracketed
-    solve for beta = 1 - alpha of
+    solve for t = ln alpha of
 
-        -r* log1p(odds beta) - log1p(-beta) = 0,   odds = q*/(1 - q*) = (p - delta)/delta.
+        t + r* log1p(-odds expm1(t)) = 0,   odds = q*/(1 - q*) = (p - delta)/delta,
 
-    Near criticality beta falls far below delta (8e-10 at p = 0.5000001,
-    m = 1000); the bracket [1e-300, 1 - 1e-16] still holds it, and
-    log1p avoids the cancellation in 1 - q* alpha.
+    on [-745, -1e-300]: alpha = exp(t) keeps its relative precision both
+    near criticality (t = -8e-10 at p = 0.5000001, m = 1000) and far above
+    it (alpha = 1e-16 at p = 1e8, m = 1).
     """
     if params.p <= 0.5:
         return 1.0
     r = params.r_star
     odds = (params.p - params.delta) / params.delta
 
-    def fixed_point_gap(beta: float) -> float:
-        return -r * math.log1p(odds * beta) - math.log1p(-beta)
+    def fixed_point_gap(t: float) -> float:
+        return t + r * math.log1p(-odds * math.expm1(t))
 
-    beta = numerics.solve_bracketed(fixed_point_gap, Interval(1e-300, 1.0 - 1e-16), tol=tol)
-    return 1.0 - beta
+    t = numerics.solve_bracketed(fixed_point_gap, Interval(-745.0, -1e-300), tol=tol)
+    return math.exp(t)
 
 
 def rescaled_density_estimate(params: DiscretizationParams, x: float) -> float:

@@ -182,8 +182,12 @@ def _discrete_chunk(gen, count, params, cap):
 class SimSummary:
     """Mergeable campaign statistics over the finite (uncensored) trials.
 
-    Sums are held as Fractions of the chunk-level float sums, so merge
-    is exact and associative; the histogram counts atoms of mass in
+    Sums are held as Fractions of the chunk-level float sums, so merging
+    and the variance's sum_z_sq - sum_z^2 / n are exact.  run_campaign
+    merges in chunk order anyway, so order-independence is not why: in
+    floats that difference cancels once mean^2 >> variance, as at small
+    p, where the variance is 2 p^2 / (1 - 2p)^3 against a mean near one.
+    The histogram counts atoms of mass in
     0.05-wide bins on [1, 50] with a single overflow bucket.  Invariant:
     trials == n_finite + n_censored and the histogram plus overflow
     accounts for every finite trial.

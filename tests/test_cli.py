@@ -4,10 +4,14 @@ Each test drives cli.main() in-process and inspects the exit code and
 emitted text; file outputs go to pytest tmp_path.
 """
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_gamma import (
     DiscretizationParams,
@@ -218,12 +222,37 @@ def test_verify_unreachable_tolerance_is_a_numerical_failure(capsys):
 
 @pytest.mark.parametrize("p", ["0.001", "0.0005", "0.0001"])
 def test_verify_tiny_p_reports_instead_of_overflowing(capsys, p):
-    # The asymptote's constant C = e^{1/p - ...} overflows a float here;
-    # the tail bound must still come out as a reported verdict.
+    # The asymptote's constant C = e^{1/p - ...} overflows a float here,
+    # and the density is a spike of width ~p just above x = 1.
     code, out, err = run_cli(capsys, "verify", "--p", p)
-    assert code == 3
-    assert json.loads(out)["passed"] is False
+    assert code == 0
+    assert json.loads(out)["passed"] is True
     assert "Traceback" not in err
+
+
+_ANY_P = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0**e),
+    st.builds(lambda k, sign: 0.5 + sign * 10.0**-k, st.integers(1, 12), st.sampled_from([1, -1])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_ANY_P, m=st.integers(1, 1000))
+def test_every_command_ends_in_a_verdict(p, m):
+    # Any finite p > 0 ends in success (0), a usage or domain error (2)
+    # or a numerical failure (3); nothing escapes main().
+    commands = [
+        ["verify"],
+        ["extinction"],
+        ["moments"],
+        ["moments", "--m", str(m)],
+        ["density", "--steps", "50"],
+        ["pmf", "--m", str(m), "--n-max", str(m + 50)],
+    ]
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*command, "--p", repr(p)])
+        assert code in (0, 2, 3), (command, p)
 
 
 # ---------------------------------------------------------------- simulate

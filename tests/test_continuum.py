@@ -29,6 +29,7 @@ from cascade_gamma import (
     numeric_moments,
     verify_normalization,
 )
+from cascade_gamma.continuum import _support_integrand
 
 # ln g(2) at p = 0.4, mpmath evaluation of the exact formula.
 LOG_G_2_P04 = -1.3197437222913800
@@ -219,6 +220,17 @@ def test_numeric_moments_match_closed_forms(p):
     assert abs(quad.variance - closed.variance) <= 1e-4 * closed.variance
 
 
+@pytest.mark.parametrize("p", [1e-4, 1e-3, 1e-2, 0.45])
+def test_numeric_moments_over_the_whole_support(p):
+    # At tiny p the density is a spike of width ~p just above x = 1 and
+    # its tail constant C = e^{1/p - ...} overflows a float.
+    params = ModelParams(p)
+    closed = moments(params)
+    quad = numeric_moments(params)
+    assert abs(quad.mean - closed.mean) <= 1e-9 * closed.mean
+    assert abs(quad.variance - closed.variance) <= 1e-7
+
+
 def test_numeric_moments_reject_supercritical():
     with pytest.raises(CriticalityError):
         numeric_moments(ModelParams(0.6))
@@ -294,12 +306,38 @@ def test_verify_normalization(p, target):
 
 
 def test_verify_normalization_critical_power_tail():
-    # At p = 1/2 the tail is a pure power law; the closed-form tail mass
-    # 2C/sqrt(X) replaces the exponential bound.
+    # At p = 1/2 the tail is a pure power law C x^(-3/2), which the change
+    # of variable turns into a bounded integrand near v = 0.
     check = verify_normalization(ModelParams(0.5), abs_tol=1e-7)
     assert check.target == 1.0
     assert check.residual <= 1e-6
-    assert check.tail_estimate > 0.0
+
+
+# Tiny p (narrow peak, overflowing tail constant), both sides of
+# criticality, and 1/2 +- 10^-k up to k = 5; closer to 1/2 the e^{-ax}
+# cutoff is too far out to resolve.
+NORMALIZATION_GRID = [
+    1e-4, 2e-4, 5e-4, 1e-3, 3e-3, 1e-2, 0.05, 0.1, 0.3, 0.45, 0.49, 0.5, 0.6,
+    1.0, 3.0, 10.0, 100.0, 1e3, 1e4,
+] + [0.5 + sign * 10.0**-k for k in range(1, 6) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("abs_tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("p", NORMALIZATION_GRID)
+def test_verify_normalization_over_the_whole_support(p, abs_tol):
+    params = ModelParams(p)
+    check = verify_normalization(params, abs_tol=abs_tol)
+    assert abs(check.integral - extinction(params).prob_finite) <= abs_tol
+    assert math.isfinite(check.x_max) and check.x_max > 1.0
+
+
+def test_support_integrand_is_finite_down_to_tiny_v():
+    # Deep in the tail the density underflows to 0 while v^-3 overflows;
+    # the product must come out 0, not nan.
+    v = np.logspace(-100.0, 0.0, 401)
+    values = _support_integrand(ModelParams(0.3), 2, v)
+    assert np.all(np.isfinite(values))
+    assert values[0] == 0.0
 
 
 # ------------------------------------------------------------ density table

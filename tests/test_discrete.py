@@ -345,6 +345,15 @@ def test_martingale_alpha_near_criticality(k, m):
     assert abs(alpha - _mp_martingale_alpha(p, m)) <= 1e-13
 
 
+@pytest.mark.parametrize("p", [1e5, 1e8])
+def test_martingale_alpha_far_above_criticality(p):
+    # alpha is 1e-10 at p = 1e5 and 1e-16 at p = 1e8 (m = 1): tiny roots
+    # keep their relative precision.
+    alpha = martingale_alpha(DiscretizationParams(p, 1))
+    expected = _mp_martingale_alpha(p, 1)
+    assert abs(alpha - expected) <= 1e-12 * expected
+
+
 def test_martingale_subcritical_has_only_trivial_root():
     assert martingale_alpha(DiscretizationParams(0.3, 10)) == 1.0
     assert martingale_alpha(DiscretizationParams(0.5, 10)) == 1.0
