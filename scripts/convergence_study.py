@@ -39,8 +39,7 @@ def density_gaps(p: float, ladder: list[int], grid: np.ndarray) -> list[dict]:
     rows = []
     for m in ladder:
         lattice = DiscretizationParams(p, m)
-        approx = np.array([rescaled_density_estimate(lattice, float(x)) for x in grid])
-        gaps = np.abs(approx - exact)
+        gaps = np.abs(rescaled_density_estimate(lattice, grid) - exact)
         rows.append({
             "m": m,
             "delta": lattice.delta,

@@ -4,9 +4,13 @@ Subcommands mirror the library surface: density, pmf, moments,
 extinction, simulate, verify.  Exit codes: 0 success, 2 usage or
 domain errors, 3 numerical failures (tolerance not met, convergence
 lost, verification residual above tolerance).  CSV payloads carry '#'
-comment lines echoing the parameters, a fixed header, floats with 17
-significant digits and LF line endings; JSON payloads use sorted keys.
-Outputs are byte-reproducible for identical invocations.
+comment lines echoing the parameters, a fixed header, floats written
+as '%.17g' (17 significant digits, 'inf' and 'nan' spelled so) and LF
+line endings.  JSON payloads use sorted keys and an indent of 2, with
+floats written as their shortest round-trip repr ('Infinity' and 'NaN'
+for the non-finite ones).  Tables are formatted in blocks of rows and
+streamed to the output.  Outputs are byte-reproducible for identical
+invocations.
 
 Every option may instead be given in a --config file of `key = value`
 lines (keys match the long option names without the leading dashes);
@@ -16,15 +20,15 @@ setting the same option in both places is an error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from . import continuum, discrete, simulate
 from .errors import (
@@ -91,29 +95,69 @@ def _opt_format(default: str) -> _Option:
     )
 
 
-def _float_cell(value) -> str:
-    return format(float(value), ".17g")
+# Rows formatted by one % operation: enough that the per-block cost
+# vanishes, few enough that a block's Python objects and text stay under 1 MB.
+_BLOCK_ROWS = 4096
+
+# Cell format by numpy dtype kind.
+_CELL = {"i": "%d", "f": "%.17g"}
+
+# json.dumps separators that put each array item on its own line, as
+# indent=2 does for an array under a top-level key.
+_ITEMS = (",\n    ", ": ")
 
 
-def _csv_text(comments: list[str], header: list[str], rows) -> str:
-    buffer = io.StringIO()
-    for line in comments:
-        buffer.write(f"# {line}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _csv_text(comments: list[str], header: list[str], columns,
+              trailer: Iterable[str] = ()) -> Iterator[str]:
+    """A CSV table in pieces: '#' comments, header, rows, '#' trailer lines.
+
+    columns[j][i] is the cell in row i, column j.  Integer columns are
+    written with '%d', float columns with '%.17g' (equal to
+    format(v, '.17g') for every float) and any other column as text;
+    no cell needs CSV quoting.
+    """
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join(_CELL.get(column.dtype.kind, "%s") for column in columns) + "\n"
+    width = len(columns)
+    yield "".join(f"# {line}\n" for line in comments) + ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [column[start:start + _BLOCK_ROWS].tolist() for column in columns]
+        rows = len(block[0])
+        flat = [None] * (width * rows)
+        for j, cells in enumerate(block):
+            flat[j::width] = cells
+        yield row * rows % tuple(flat)
+    yield "".join(f"# {line}\n" for line in trailer)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_text(payload: dict, arrays: dict[str, np.ndarray] | None = None) -> Iterator[str]:
+    """payload plus the float arrays as sorted-key, indent-2 JSON, in pieces.
+
+    The scalars go through json.dumps(indent=2), which any indent keeps
+    on the pure-Python encoder.  Each non-empty array is written block
+    by block by the C encoder, with the item separator indent 2 would
+    use, and spliced in at its key, so the bytes equal one json.dumps
+    of the whole dict.
+    """
+    arrays = arrays or {}
+    text = json.dumps({**payload, **dict.fromkeys(arrays, [])}, indent=2, sort_keys=True)
+    for key in sorted(key for key, values in arrays.items() if len(values)):
+        head, text = text.split(f'\n  "{key}": []', 1)
+        yield head + f'\n  "{key}": [\n    '
+        values = arrays[key]
+        for start in range(0, len(values), _BLOCK_ROWS):
+            items = json.dumps(values[start:start + _BLOCK_ROWS].tolist(), separators=_ITEMS)
+            yield items[1:-1] if start == 0 else _ITEMS[0] + items[1:-1]
+        yield "\n  ]"
+    yield text + "\n"
 
 
-def _emit(text: str, out: str) -> None:
+def _emit(pieces: Iterable[str], out: str) -> None:
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        with open(out, "w", encoding="utf-8", newline="") as stream:
+            stream.writelines(pieces)
 
 
 def _cmd_density(ns) -> int:
@@ -127,22 +171,12 @@ def _cmd_density(ns) -> int:
             f"x-max = {ns.x_max!r}",
             f"steps = {ns.steps!r}",
         ]
-        rows = [
-            [_float_cell(x), _float_cell(d), _float_cell(a)]
-            for x, d, a in zip(table.x, table.density, table.asymptotic)
-        ]
-        text = _csv_text(comments, ["x", "density", "asymptotic"], rows)
+        text = _csv_text(comments, ["x", "density", "asymptotic"],
+                         [table.x, table.density, table.asymptotic])
     else:
         text = _json_text(
-            {
-                "p": params.p,
-                "x_min": ns.x_min,
-                "x_max": ns.x_max,
-                "steps": ns.steps,
-                "x": [float(v) for v in table.x],
-                "density": [float(v) for v in table.density],
-                "asymptotic": [float(v) for v in table.asymptotic],
-            }
+            {"p": params.p, "x_min": ns.x_min, "x_max": ns.x_max, "steps": ns.steps},
+            {"x": table.x, "density": table.density, "asymptotic": table.asymptotic},
         )
     _emit(text, ns.out)
     return 0
@@ -151,7 +185,7 @@ def _cmd_density(ns) -> int:
 def _cmd_pmf(ns) -> int:
     params = discrete.DiscretizationParams(ns.p, ns.m)
     table = discrete.cascade_pmf_table(params, params.m, n_max=ns.n_max)
-    rescaled = [params.m * float(prob) for prob in table.probabilities]
+    rescaled = params.m * table.probabilities
     if ns.format == "csv":
         comments = [
             "cascade-gamma pmf",
@@ -163,12 +197,9 @@ def _cmd_pmf(ns) -> int:
             f"tail-bound = {table.tail_bound!r}",
             f"truncated = {str(table.truncated).lower()}",
         ]
-        rows = [
-            [str(int(n)), _float_cell(prob), _float_cell(scaled)]
-            for n, prob, scaled in zip(table.n_values, table.probabilities, rescaled)
-        ]
-        text = _csv_text(comments, ["n", "pmf", "rescaled_density"], rows)
-        text += f"# cumulative-mass = {table.total_mass!r}\n"
+        text = _csv_text(comments, ["n", "pmf", "rescaled_density"],
+                         [table.n_values, table.probabilities, rescaled],
+                         [f"cumulative-mass = {table.total_mass!r}"])
     else:
         text = _json_text(
             {
@@ -178,12 +209,11 @@ def _cmd_pmf(ns) -> int:
                 "r_star": params.r_star,
                 "q_star": params.q_star,
                 "n_start": params.m,
-                "pmf": [float(v) for v in table.probabilities],
-                "rescaled_density": rescaled,
                 "cumulative_mass": table.total_mass,
                 "tail_bound": table.tail_bound,
                 "truncated": table.truncated,
-            }
+            },
+            {"pmf": table.probabilities, "rescaled_density": rescaled},
         )
     _emit(text, ns.out)
     return 0
@@ -194,7 +224,7 @@ def _cmd_moments(ns) -> int:
     result = continuum.moments(params)
     payload = {"p": params.p, "mean": result.mean, "variance": result.variance}
     header = ["p", "mean", "variance"]
-    row = [_float_cell(params.p), _float_cell(result.mean), _float_cell(result.variance)]
+    row = [params.p, result.mean, result.variance]
     if ns.m is not None:
         dparams = discrete.DiscretizationParams(ns.p, ns.m)
         dmoments = discrete.discrete_moments(dparams)
@@ -210,15 +240,15 @@ def _cmd_moments(ns) -> int:
         }
         header += ["m", "delta", "per_atom_mean", "per_atom_variance", "total_mean", "total_variance"]
         row += [
-            str(dparams.m),
-            _float_cell(dparams.delta),
-            _float_cell(dmoments.per_atom.mean),
-            _float_cell(dmoments.per_atom.variance),
-            _float_cell(dmoments.total.mean),
-            _float_cell(dmoments.total.variance),
+            dparams.m,
+            dparams.delta,
+            dmoments.per_atom.mean,
+            dmoments.per_atom.variance,
+            dmoments.total.mean,
+            dmoments.total.variance,
         ]
     if ns.format == "csv":
-        text = _csv_text(["cascade-gamma moments"], header, [row])
+        text = _csv_text(["cascade-gamma moments"], header, [[cell] for cell in row])
     else:
         text = _json_text(payload)
     _emit(text, ns.out)
@@ -238,16 +268,15 @@ def _cmd_extinction(ns) -> int:
         "route_gap": abs(report.decay_gap - fixed_point),
     }
     if ns.format == "csv":
-        header = list(payload)
-        row = [_float_cell(payload[key]) for key in header]
-        text = _csv_text(["cascade-gamma extinction"], header, [row])
+        text = _csv_text(["cascade-gamma extinction"], list(payload),
+                         [[float(value)] for value in payload.values()])
     else:
         text = _json_text(payload)
     _emit(text, ns.out)
     return 0
 
 
-def _histogram_csv(summary: simulate.SimSummary) -> str:
+def _histogram_csv(summary: simulate.SimSummary) -> Iterator[str]:
     config = summary.config
     comments = [
         "cascade-gamma simulate histogram",
@@ -264,13 +293,14 @@ def _histogram_csv(summary: simulate.SimSummary) -> str:
         f"mean = {summary.mean!r}",
         f"variance = {summary.variance!r}",
     ]
+    # The last row is the overflow bucket [HIST_HI, inf).
     edges = simulate.HIST_EDGES
-    rows = [
-        [_float_cell(edges[i]), _float_cell(edges[i + 1]), str(int(count))]
-        for i, count in enumerate(summary.bin_counts)
+    columns = [
+        np.append(edges[:-1], simulate.HIST_HI),
+        np.append(edges[1:], math.inf),
+        np.append(summary.bin_counts, summary.overflow),
     ]
-    rows.append([_float_cell(simulate.HIST_HI), "inf", str(summary.overflow)])
-    return _csv_text(comments, ["bin_lo", "bin_hi", "count"], rows)
+    return _csv_text(comments, ["bin_lo", "bin_hi", "count"], columns)
 
 
 def _cmd_simulate(ns) -> int:
@@ -342,11 +372,8 @@ def _cmd_verify(ns) -> int:
     payload["passed"] = passed
     if ns.format == "csv":
         header = sorted(k for k in payload if k != "passed") + ["passed"]
-        row = [
-            str(payload[key]).lower() if isinstance(payload[key], bool) else _float_cell(payload[key])
-            for key in header
-        ]
-        text = _csv_text(["cascade-gamma verify"], header, [row])
+        columns = [[float(payload[key])] for key in header[:-1]] + [[str(passed).lower()]]
+        text = _csv_text(["cascade-gamma verify"], header, columns)
     else:
         text = _json_text(payload)
     _emit(text, ns.out)

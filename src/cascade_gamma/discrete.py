@@ -393,17 +393,24 @@ def martingale_alpha(params: DiscretizationParams, tol: float = 1e-13) -> float:
     return math.exp(t)
 
 
-def rescaled_density_estimate(params: DiscretizationParams, x: float) -> float:
+def rescaled_density_estimate(params: DiscretizationParams, x):
     """delta^{-1} P{T = floor(x/delta)} from a mass-one start.
 
     Converges to the continuum density at x as delta -> 0; the floor
     is nudged so grid points that are exact multiples of delta land on
-    their own atom.
+    their own atom, and x below 1, the founders' mass, gives 0.  A
+    scalar x gives a float and an array an array of its shape, through
+    one cascade_log_pmf call.
     """
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"x must be positive, got {x!r}")
-    n = int(math.floor(x * params.m + _GRID_NUDGE))
-    if n < params.m:
-        return 0.0
-    return params.m * math.exp(cascade_log_pmf(params, params.m, n))
+    xs = np.asarray(x, dtype=np.float64)
+    bad = ~((xs > 0.0) & (xs * params.m < 2.0**62))  # counts stay in int64
+    if bad.any():
+        raise DomainError(f"x must lie in (0, 2**62 delta), got {float(xs[bad][0])!r}")
+    n = np.floor(xs * params.m + _GRID_NUDGE).astype(np.int64)
+    logs = np.asarray(cascade_log_pmf(params, params.m, n))
+    # libm's exp per element: every value equals m * math.exp(log P{T = n}),
+    # the scalar formula, bit for bit.  np.exp differs from libm in the
+    # last ulp on a few percent of arguments.
+    probs = np.fromiter(map(math.exp, logs.ravel().tolist()), np.float64, logs.size)
+    out = params.m * probs.reshape(logs.shape)
+    return float(out) if np.ndim(x) == 0 else out

@@ -5,10 +5,13 @@ emitted text; file outputs go to pytest tmp_path.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,8 @@ from cascade_gamma import (
     density,
     extinction,
 )
-from cascade_gamma.cli import _build_parser, main
+from cascade_gamma import cli
+from cascade_gamma.cli import _build_parser, _csv_text, _json_text, main
 
 DECAY_GAP_06 = 0.7083985245782692
 
@@ -236,23 +240,183 @@ _ANY_P = st.one_of(
 )
 
 
+_TABLE_COLUMNS = {"density": ("x", "density", "asymptotic"), "pmf": ("pmf", "rescaled_density")}
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=_ANY_P, m=st.integers(1, 1000))
 def test_every_command_ends_in_a_verdict(p, m):
     # Any finite p > 0 ends in success (0), a usage or domain error (2)
-    # or a numerical failure (3); nothing escapes main().
+    # or a numerical failure (3); nothing escapes main().  A table that
+    # succeeds parses in either format and has every row it asked for,
+    # whatever zeros or subnormals its columns hold.
     commands = [
-        ["verify"],
-        ["extinction"],
-        ["moments"],
-        ["moments", "--m", str(m)],
-        ["density", "--steps", "50"],
-        ["pmf", "--m", str(m), "--n-max", str(m + 50)],
+        (["verify"], None),
+        (["extinction"], None),
+        (["moments"], None),
+        (["moments", "--m", str(m)], None),
     ]
-    for command in commands:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for fmt in ("csv", "json"):
+        commands.append((["density", "--steps", "50", "--format", fmt], 50))
+        commands.append((["pmf", "--m", str(m), "--n-max", str(m + 50), "--format", fmt], 51))
+    for command, rows in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main([*command, "--p", repr(p)])
         assert code in (0, 2, 3), (command, p)
+        if code != 0 or rows is None:
+            continue
+        if command[-1] == "csv":
+            _, header, cells, _ = parse_csv(out.getvalue())
+            assert len(cells) == rows, (command, p)
+            assert all(len(row) == len(header) for row in cells)
+            assert all(math.isfinite(float(cell)) for row in cells for cell in row)
+        else:
+            payload = json.loads(out.getvalue())
+            for column in _TABLE_COLUMNS[command[0]]:
+                assert len(payload[column]) == rows, (command, column, p)
+
+
+# ------------------------------------------------------------ table writer
+#
+# The writer formats blocks of rows with one % operation and splices float
+# arrays written by json's C encoder into the indent-2 layout.  The
+# reference below writes cell by cell: csv.writer over format(v, ".17g")
+# cells, and json.dumps(indent=2) over float lists.
+
+
+def _reference_csv(comments, header, rows, trailer=()):
+    buffer = io.StringIO()
+    for line in comments:
+        buffer.write(f"# {line}\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    for line in trailer:
+        buffer.write(f"# {line}\n")
+    return buffer.getvalue()
+
+
+def _reference_cell(value) -> str:
+    return format(float(value), ".17g")
+
+
+def _reference_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                1.7976931348623157e308, math.inf, math.nan]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+_KEYS = st.text(alphabet="abxyz_", min_size=1, max_size=6)
+# The writer's block size and tiny ones, so that short (cheap) tables
+# also cross block edges; the bytes must not depend on it.
+_BLOCKS = st.sampled_from([cli._BLOCK_ROWS, 1, 2, 3])
+
+
+def _column(pool, rows, dtype):
+    """rows values cycled from pool, as a numpy column."""
+    return np.resize(np.array(pool, dtype=dtype), rows)
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    # Reports the first differing line: pytest's own diff of two tables
+    # of thousands of rows would take minutes.
+    if got != want:
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        pairs = zip(got_lines, want_lines)
+        line = next((i for i, (g, w) in enumerate(pairs) if g != w), None)
+        if line is None:
+            pytest.fail(f"{len(got_lines)} lines written, {len(want_lines)} expected")
+        pytest.fail(f"line {line}: wrote {got_lines[line]!r}, expected {want_lines[line]!r}")
+
+
+def _assert_csv_matches(comments, n, a, b, flag=None):
+    header, columns = ["n", "a", "b"], [n, a, b]
+    cells = [[str(int(k)), _reference_cell(u), _reference_cell(v)]
+             for k, u, v in zip(n.tolist(), a.tolist(), b.tolist())]
+    if flag is not None:
+        header.append("flag")
+        columns.append(flag)
+        cells = [row + [str(f)] for row, f in zip(cells, flag.tolist())]
+    trailer = ["mass = 0.5"]
+    got = "".join(_csv_text(comments, header, columns, trailer))
+    _assert_same_text(got, _reference_csv(comments, header, cells, trailer))
+
+
+def _assert_json_matches(scalars, arrays):
+    got = "".join(_json_text(scalars, arrays))
+    lists = {key: [float(v) for v in values] for key, values in arrays.items()}
+    _assert_same_text(got, _reference_json({**scalars, **lists}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    block=_BLOCKS,
+    rows=st.integers(1, 40),
+    counts=st.lists(st.integers(0, 2**53), min_size=1, max_size=20),
+    floats=st.lists(_FLOATS, min_size=1, max_size=20),
+    flags=st.lists(st.sampled_from(["true", "false"]), min_size=1, max_size=3),
+    comments=st.lists(st.text(alphabet="abc =.-0123456789", max_size=12), max_size=3),
+    with_flag=st.booleans(),
+)
+def test_csv_writer_matches_the_per_cell_writer(block, rows, counts, floats, flags, comments,
+                                                with_flag):
+    flag = _column(flags, rows, str) if with_flag else None
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        _assert_csv_matches(comments, _column(counts, rows, np.int64),
+                            _column(floats, rows, np.float64),
+                            _column(floats[::-1], rows, np.float64), flag)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scalars=st.dictionaries(
+        _KEYS,
+        st.one_of(_FLOATS, st.integers(-(2**53), 2**53), st.booleans(),
+                  st.dictionaries(_KEYS, _FLOATS, max_size=2)),
+        max_size=5,
+    ),
+    arrays=st.dictionaries(_KEYS, st.lists(_FLOATS, max_size=30), max_size=3),
+    block=_BLOCKS,
+)
+def test_json_writer_matches_the_indent_encoder(scalars, arrays, block):
+    # Empty arrays included; array keys may share a prefix with scalar keys.
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        _assert_json_matches(scalars, {
+            key: np.array(values, dtype=np.float64)
+            for key, values in arrays.items()
+            if key not in scalars
+        })
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
+def test_writer_matches_the_reference_at_block_edges(rows):
+    # Real block size.  The named extremes plus random bit patterns, which
+    # spread over the whole exponent range; counts run up to 2**53.
+    rng = np.random.default_rng(rows)
+    bits = rng.integers(0, 2**64, 500, dtype=np.uint64, endpoint=False).view(np.float64)
+    floats = np.concatenate([_EDGE_FLOATS, bits])
+    counts = np.concatenate([[0, 1, 2**53 - 1, 2**53], rng.integers(0, 2**53, 100)])
+    a = _column(floats, rows, np.float64)
+    b = np.roll(a, 3)
+    _assert_csv_matches(["cascade-gamma pmf"], _column(counts, rows, np.int64), a, b)
+    _assert_json_matches({"p": 0.5, "truncated": True}, {"pmf": a, "rescaled_density": b,
+                                                          "x": a[:0]})
+
+
+def test_writer_edge_values_by_name():
+    # The named extremes in one table, read back exactly.
+    values = np.array(_EDGE_FLOATS)
+    counts = np.array([0, 1, 2**31, 2**32 + 1, 2**52, 2**53 - 1, 2**53, 7], dtype=np.int64)
+    text = "".join(_csv_text([], ["n", "v"], [counts, values]))
+    _, _, rows, _ = parse_csv(text)
+    assert [int(row[0]) for row in rows] == counts.tolist()
+    assert [row[1] for row in rows] == ["0", "-0", "4.9406564584124654e-324",
+                                        "2.2250738585072014e-308", "1e-300",
+                                        "1.7976931348623157e+308", "inf", "nan"]
+    blob = "".join(_json_text({"p": 0.5}, {"v": values, "w": values[:0]}))
+    assert '"w": []' in blob and "Infinity" in blob and "NaN" in blob
 
 
 # ---------------------------------------------------------------- simulate

@@ -240,6 +240,46 @@ def test_pmf_table_rescaled_matches_density():
     assert rescaled_density_estimate(params, 0.5) == 0.0
 
 
+def _rescaled_density_loop(params, grid):
+    """Reference: the per-point scalar formula, one cascade_log_pmf call per x."""
+    values = []
+    for x in grid:
+        n = int(math.floor(x * params.m + 1e-9))
+        if n < params.m:
+            values.append(0.0)
+        else:
+            values.append(params.m * math.exp(cascade_log_pmf(params, params.m, n)))
+    return values
+
+
+@pytest.mark.parametrize("p, m", [(0.3, 10), (0.3, 640), (0.6, 1000), (0.5, 20)])
+def test_rescaled_density_estimate_takes_arrays(monkeypatch, p, m):
+    # One array call equals the per-point loop bit for bit, keeps the
+    # grid's shape, and a scalar call gives a float.  The lattice route
+    # stays independent of the continuum density.
+    import cascade_gamma.continuum as continuum
+
+    def forbidden(*args):
+        raise AssertionError("the lattice route must not call log_density")
+
+    monkeypatch.setattr(continuum, "log_density", forbidden)
+    params = DiscretizationParams(p, m)
+    grid = np.concatenate([[0.5, 1.0, 1.0 + 1.0 / m], np.linspace(1.05, 30.0, 997)])
+    got = rescaled_density_estimate(params, grid)
+    assert isinstance(got, np.ndarray) and got.shape == grid.shape
+    assert got.tolist() == _rescaled_density_loop(params, grid.tolist())
+    square = rescaled_density_estimate(params, grid[:4].reshape(2, 2))
+    assert square.shape == (2, 2) and square.ravel().tolist() == got[:4].tolist()
+    scalar = rescaled_density_estimate(params, float(grid[3]))
+    assert type(scalar) is float and scalar == got[3]
+    assert got[0] == 0.0
+    with pytest.raises(DomainError, match="-1.0"):
+        rescaled_density_estimate(params, np.array([1.0, -1.0]))
+    for x in (math.nan, math.inf, 1e30):
+        with pytest.raises(DomainError):
+            rescaled_density_estimate(params, x)
+
+
 def test_cascade_pmf_type_validation():
     params = DiscretizationParams(0.3, 10)
     with pytest.raises(DomainError):
