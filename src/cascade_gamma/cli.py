@@ -353,31 +353,50 @@ def _cmd_verify(ns) -> int:
         if exc.result is not None:
             payload["integral"] = exc.result.value
             payload["quadrature_error"] = exc.result.abs_error_estimate
-        payload["passed"] = False
-        _emit(_json_text(payload), ns.out)
-        return 3
-    payload["integral"] = check.integral
-    payload["x_max"] = check.x_max
-    payload["quadrature_error"] = check.quadrature.abs_error_estimate
-    payload["quadrature_evaluations"] = check.quadrature.evaluations
-    residual_lambert = abs(check.integral - lambert_report.prob_finite)
-    residual_root = abs(check.integral - root_target)
-    payload["residual_vs_lambert"] = residual_lambert
-    payload["residual_vs_root"] = residual_root
-    passed = (
-        residual_lambert <= ns.abs_tol
-        and residual_root <= ns.abs_tol
-        and payload["route_gap"] <= _ROUTE_GAP_TOL
-    )
+        passed = False
+    else:
+        payload["integral"] = check.integral
+        payload["x_max"] = check.x_max
+        payload["quadrature_error"] = check.quadrature.abs_error_estimate
+        payload["quadrature_evaluations"] = check.quadrature.evaluations
+        residual_lambert = abs(check.integral - lambert_report.prob_finite)
+        residual_root = abs(check.integral - root_target)
+        payload["residual_vs_lambert"] = residual_lambert
+        payload["residual_vs_root"] = residual_root
+        passed = (
+            residual_lambert <= ns.abs_tol
+            and residual_root <= ns.abs_tol
+            and payload["route_gap"] <= _ROUTE_GAP_TOL
+        )
     payload["passed"] = passed
     if ns.format == "csv":
-        header = sorted(k for k in payload if k != "passed") + ["passed"]
-        columns = [[float(payload[key])] for key in header[:-1]] + [[str(passed).lower()]]
-        text = _csv_text(["cascade-gamma verify"], header, columns)
+        text = _csv_text(["cascade-gamma verify"], *_verify_columns(payload))
     else:
         text = _json_text(payload)
     _emit(text, ns.out)
     return 0 if passed else 3
+
+
+# The columns of a verify run that ends its quadrature; one that stops
+# short of the tolerance writes nan where it has no value, plus its error.
+_VERIFY_FLOATS = (
+    "abs_tol", "integral", "lambert_target", "p", "quadrature_error", "quadrature_evaluations",
+    "residual_vs_lambert", "residual_vs_root", "root_target", "route_gap", "x_max",
+)
+
+
+def _verify_columns(payload: dict) -> tuple[list[str], list]:
+    """Sorted header and one-row columns of a verify payload, "passed" last.
+
+    The error message is the one text cell; it is quoted, since it can
+    hold commas.
+    """
+    cells = {key: [float(payload.get(key, math.nan))] for key in _VERIFY_FLOATS}
+    if "error" in payload:
+        cells["error"] = ['"%s"' % payload["error"].replace('"', '""')]
+    header = sorted(cells) + ["passed"]
+    cells["passed"] = [str(payload["passed"]).lower()]
+    return header, [cells[key] for key in header]
 
 
 _COMMANDS: dict[str, dict] = {

@@ -1,15 +1,31 @@
 """Special functions and numerical routines used across the package.
 
 Everything here is self-contained and deterministic: a Stirling-series
-log-gamma, the lower real branch of the Lambert W function, a bracketed
-Brent root solver, and an adaptive Gauss-Kronrod quadrature.  These are
-the only numerical kernels the analytical modules rely on, so their
-accuracy contracts are tested directly (see tests/test_numerics.py).
+log-gamma and its remainder, the lower real branch of the Lambert W
+function, a bracketed Brent root solver, and an adaptive Gauss-Kronrod
+quadrature.  These are the only numerical kernels the analytical
+modules rely on, so their accuracy contracts are tested directly (see
+tests/test_numerics.py).
 
-log_gamma and the quadrature work on arrays: log_gamma maps an ndarray
-elementwise, and integrate_adaptive calls its integrand once per panel
-with the panel's 15 nodes as one float64 array.  The root solvers stay
-scalar, since each of their steps depends on the one before.
+Both gamma kernels rest on the Stirling remainder
+
+    S(z) = ln G(z) - (z - 1/2) ln z + z - ln(2 pi)/2,
+
+summed from its series for z >= 8.  The elements below 8 are lifted
+once by ln G(z) = ln G(z + 8) - ln(z (z+1) ... (z+7)), so the cost is a
+fixed number of numpy calls plus work on that subset only.  Contracts:
+stirling_remainder to 1e-15 absolute for z >= 8 (1e-14 of max(1, |S|)
+below), log_gamma to 1e-13 of max(1, |ln G|) for every positive double
+up to 1e8.  Callers that need ln G(z) only inside a difference of
+terms of size z ln z, as the cascade density does, use S and cancel
+those terms analytically (Loader 2000, "Fast and Accurate Computation
+of Binomial Probabilities").
+
+log_gamma, stirling_remainder and the quadrature work on arrays: the
+gamma kernels map an ndarray elementwise, and integrate_adaptive calls
+its integrand once per panel with the panel's 15 nodes as one float64
+array.  The root solvers stay scalar, since each of their steps depends
+on the one before.
 """
 
 from __future__ import annotations
@@ -27,6 +43,7 @@ __all__ = [
     "Interval",
     "QuadratureResult",
     "log_gamma",
+    "stirling_remainder",
     "lambert_w_m1",
     "solve_bracketed",
     "integrate_adaptive",
@@ -80,9 +97,9 @@ class QuadratureResult:
             raise DomainError(f"evaluations must be >= 1, got {self.evaluations!r}")
 
 
-# Stirling series coefficients: B_{2k} / (2k (2k-1)), k = 1..7.  With the
-# argument shifted to >= 8 the first omitted term is below 1e-15 relative,
-# which keeps the overall error within the 1e-13 contract.
+# Stirling series coefficients: B_{2k} / (2k (2k-1)), k = 1..7.  Above 8
+# the first omitted term is below 1e-15, which keeps the overall error
+# within the 1e-13 contract.
 _STIRLING = (
     1.0 / 12.0,
     -1.0 / 360.0,
@@ -96,40 +113,79 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _STIRLING_SHIFT = 8.0
 
 
+def _positive(z, name: str) -> np.ndarray:
+    """z flattened to float64; DomainError names the first element not finite and > 0."""
+    work = np.asarray(z, dtype=np.float64).reshape(-1)
+    if work.size and not (work.min() > 0.0 and work.max() < math.inf):
+        bad = work[~((work > 0.0) & (work < math.inf))][0]
+        raise DomainError(f"{name} requires z > 0 and finite, got {bad!r}")
+    return work
+
+
+def _shaped(out: np.ndarray, z):
+    """out as a float for a scalar z, else in the shape of z."""
+    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
+
+
+def _stirling_series(w: np.ndarray) -> np.ndarray:
+    """The Stirling remainder S(w) from its series, accurate for w >= 8."""
+    inv = 1.0 / w
+    inv_sq = inv * inv
+    series = _STIRLING[-1] * inv_sq + _STIRLING[-2]
+    for c in _STIRLING[-3::-1]:
+        series = series * inv_sq + c
+    return series * inv
+
+
+def _remainder(z: np.ndarray) -> np.ndarray:
+    """S(z) on a flat array of positive finite doubles.
+
+    The elements below 8 are gathered once, lifted to w = z + 8 and
+    scattered back, so the series runs once on the whole array; from
+    ln G(z) = ln G(w) - ln(z (z+1) ... (z+7)) they then take
+    S(z) = S(w) + (w - 1/2) ln w - (z - 1/2) ln z - 8 - ln(z (z+1) ... (z+7)).
+    The product is u (u+6) (u+10) (u+12) with u = z (z+7).  The number
+    of numpy calls is fixed, and the extra work covers only that subset.
+    """
+    low = np.flatnonzero(z < _STIRLING_SHIFT)
+    if not low.size:
+        return _stirling_series(z)
+    zl = z[low]
+    wl = zl + _STIRLING_SHIFT
+    w = z.copy()
+    w[low] = wl
+    out = _stirling_series(w)
+    u = zl * (zl + 7.0)
+    log_rising = np.log(u * (u + 6.0) * (u + 10.0) * (u + 12.0))
+    out[low] += (wl - 0.5) * np.log(wl) - (zl - 0.5) * np.log(zl) - log_rising - _STIRLING_SHIFT
+    return out
+
+
+def stirling_remainder(z):
+    """S(z) = ln G(z) - (z - 1/2) ln z + z - ln(2 pi)/2 for real z > 0.
+
+    Accepts a scalar or an ndarray and returns the matching shape.  For
+    z >= 8 S is its series, about 1/(12 z), with no term of size z ln z
+    to cancel: absolute error below 1e-15.  Below 8 it comes through the
+    lift described in _remainder, with absolute error below 1e-14 times
+    max(1, |S(z)|).
+    """
+    return _shaped(_remainder(_positive(z, "stirling_remainder")), z)
+
+
 def log_gamma(z):
     """Natural log of the gamma function for real z > 0.
 
     Accepts a scalar or an ndarray and returns the matching shape.
-    Uses the recurrence ln G(z) = ln G(z + n) - sum ln(z + j) to lift the
-    argument above 8, then the Stirling asymptotic series.  Relative
-    error stays below 1e-13 (against max(1, |ln G|)) across [1e-6, 1e8].
+    Computed as (z - 1/2) ln z - z + ln(2 pi)/2 + S(z) with the Stirling
+    remainder S of stirling_remainder: one array pass with a fixed
+    number of numpy calls, whatever the size of z or how many of its
+    elements lie below 8.  Error stays below 1e-13 relative to
+    max(1, |ln G|) for every positive double from 5e-324 up to 1e8, and
+    beyond while the result is finite.
     """
-    arr = np.asarray(z, dtype=np.float64)
-    scalar = arr.ndim == 0
-    work = np.atleast_1d(arr).copy()
-    if work.size and (not np.all(np.isfinite(work)) or np.any(work <= 0.0)):
-        bad = work[~(np.isfinite(work) & (work > 0.0))][0]
-        raise DomainError(f"log_gamma requires z > 0 and finite, got {bad!r}")
-
-    shifted_log = np.zeros_like(work)
-    for _ in range(int(_STIRLING_SHIFT)):
-        low = work < _STIRLING_SHIFT
-        if not low.any():
-            break
-        shifted_log[low] += np.log(work[low])
-        work[low] += 1.0
-
-    inv = 1.0 / work
-    inv_sq = inv * inv
-    series = _STIRLING[-1] * np.ones_like(work)
-    for c in _STIRLING[-2::-1]:
-        series = c + series * inv_sq
-    series *= inv
-
-    out = (work - 0.5) * np.log(work) - work + _HALF_LOG_TWO_PI + series - shifted_log
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    work = _positive(z, "log_gamma")
+    return _shaped((work - 0.5) * np.log(work) - work + _HALF_LOG_TWO_PI + _remainder(work), z)
 
 
 _BRANCH_SERIES_CUT = 0.05  # on t = 1 + e x; well inside the series radius
@@ -312,12 +368,18 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = centre + half * _GK_ABSCISSAE
-    values = np.broadcast_to(np.asarray(f(nodes), dtype=np.float64), nodes.shape)
-    finite = np.isfinite(values)
-    if not finite.all():
+    values = np.asarray(f(nodes), dtype=np.float64)
+    if values.shape != nodes.shape:
+        values = np.broadcast_to(values, nodes.shape)
+    res_k = float(_GK_KRONROD @ values)
+    # Every Kronrod weight is positive, so a value that is not finite
+    # makes res_k not finite; the elementwise check runs only then.
+    if not math.isfinite(res_k):
+        finite = np.isfinite(values)
+        if finite.all():
+            raise DomainError(f"integrand sum overflows on [{lo!r}, {hi!r}]")
         bad = int(np.argmin(finite))
         raise DomainError(f"integrand returned {values[bad]!r} at x = {nodes[bad]!r}")
-    res_k = float(_GK_KRONROD @ values)
     res_g = float(_GK_GAUSS @ values)
     value = res_k * half
     err = abs((res_k - res_g) * half)

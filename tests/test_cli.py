@@ -557,3 +557,28 @@ def test_verify_csv_format(capsys):
     _, header, rows, _ = parse_csv(out)
     assert header[-1] == "passed"
     assert rows[0][-1] == "true"
+
+
+def test_verify_csv_format_when_the_tolerance_is_not_met(capsys):
+    # Exit 3 still writes CSV: the passing run's sorted header plus the
+    # quoted error text, with nan where the run has no value.
+    code, out, _ = run_cli(capsys, "verify", "--p", "0.6", "--format", "csv")
+    assert code == 0
+    passing_header = parse_csv(out)[1]
+    code, out, _ = run_cli(capsys, "verify", "--p", "0.3", "--abs-tol", "1e-16", "--format", "csv")
+    assert code == 3
+    comments = [line for line in out.splitlines() if line.startswith("#")]
+    assert comments == ["# cascade-gamma verify"]
+    header, row = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+    assert header == sorted(passing_header[:-1] + ["error"]) + ["passed"]
+    cells = dict(zip(header, row))
+    assert cells["passed"] == "false"
+    assert "exceeds abs_tol" in cells["error"]
+    assert float(cells["integral"]) == pytest.approx(1.0, abs=1e-6)
+    assert math.isnan(float(cells["x_max"]))
+    # A message with commas and quotes survives as one cell.
+    message = 'panel [0.25, 0.5] cannot be split further ("tolerance")'
+    columns = cli._verify_columns({"p": 0.3, "error": message, "passed": False})
+    text = "".join(_csv_text(["x"], *columns))
+    header, row = list(csv.reader(text.splitlines()[1:]))
+    assert len(row) == len(header) and dict(zip(header, row))["error"] == message

@@ -29,7 +29,7 @@ from cascade_gamma import (
     numeric_moments,
     verify_normalization,
 )
-from cascade_gamma.continuum import _support_integrand
+from cascade_gamma.continuum import _support_integrand, _tail_constants
 
 # ln g(2) at p = 0.4, mpmath evaluation of the exact formula.
 LOG_G_2_P04 = -1.3197437222913800
@@ -139,6 +139,48 @@ def test_density_tail_is_monotone_subcritical():
     values = [density(params, x) for x in np.linspace(3.0, 60.0, 200)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-15
+
+
+_NEAR_CRITICAL = [0.5 + sign * 10.0**-k for k in range(1, 13) for sign in (1, -1)]
+
+
+def _mp_log_density(p: float, x: float):
+    """ln g(x) from the paper's formula, at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        pm, xm = mpmath.mpf(p), mpmath.mpf(x)
+        return float(
+            (2 * xm - 1) * mpmath.log(xm - 1) - (1 / pm + 2 * mpmath.log(pm)) * xm + 1 / pm
+            - mpmath.log(xm) - mpmath.loggamma(2 * xm)
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.one_of(
+        st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0**e),
+        st.sampled_from(_NEAR_CRITICAL),
+    ),
+    x=st.floats(min_value=math.log1p(1e-6), max_value=math.log(1e13)).map(math.exp),
+)
+def test_log_density_against_mpmath(p, x):
+    # The rearranged kernel has no x ln x terms to cancel, so the error
+    # stays at round-off of ln g itself, near p = 1/2 and x = 1e13 too.
+    x = max(x, 1.0 + 1e-6)
+    expected = _mp_log_density(p, x)
+    assert abs(log_density(ModelParams(p), x) - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("p", _NEAR_CRITICAL)
+def test_decay_rate_near_criticality(p):
+    # a = (1 - 2p)/p + 2 ln(2p) is of order (2p - 1)^2 = 4e-24 at k = 12.
+    import mpmath
+
+    with mpmath.workdps(50):
+        pm = mpmath.mpf(p)
+        expected = float((1 - 2 * pm) / pm + 2 * mpmath.log(2 * pm))
+    assert abs(_tail_constants(ModelParams(p))[1] - expected) <= 1e-14 * expected
 
 
 def test_log_space_identity_over_wide_range():
@@ -329,6 +371,21 @@ def test_verify_normalization_over_the_whole_support(p, abs_tol):
     check = verify_normalization(params, abs_tol=abs_tol)
     assert abs(check.integral - extinction(params).prob_finite) <= abs_tol
     assert math.isfinite(check.x_max) and check.x_max > 1.0
+
+
+@pytest.mark.parametrize("p", [0.5, 0.5 + 1e-8, 0.5 - 1e-8])
+def test_support_integrand_near_criticality_down_to_tiny_v(p):
+    # Near p = 1/2 the cutoff e^(-a x) sits at x ~ 1/a, and a quadrature
+    # panel there evaluates g at x up to s / v^2 = 5e299.  At p = 1/2 the
+    # integrand tends to 2 C / sqrt(s) as v -> 0, with a relative offset
+    # of about 1.6 v^2, below 1e-13 once v <= 1e-7.
+    v = np.logspace(-3.0, -150.0, 295)
+    values = _support_integrand(ModelParams(p), 0, v)
+    assert np.all(np.isfinite(values))
+    if p == 0.5:
+        limit = 2.0 / math.sqrt(math.pi) / math.sqrt(0.5)
+        tail = v <= 1e-7
+        assert np.all(np.abs(values[tail] / limit - 1.0) <= 1e-12)
 
 
 def test_support_integrand_is_finite_down_to_tiny_v():

@@ -25,6 +25,7 @@ from cascade_gamma import (
     log_gamma,
     solve_bracketed,
 )
+from cascade_gamma.numerics import stirling_remainder
 
 # mpmath.loggamma to 50 digits, rounded to nearest double.
 LOG_GAMMA_ORACLES = {
@@ -84,12 +85,44 @@ def test_log_gamma_oracles(z, expected):
     assert got == pytest.approx(expected, rel=1e-13)
 
 
+# Both sides of the lift at 8, its edges and the ends of the double range.
+LOG_GAMMA_EDGES = [5e-324, 1e-300, 1e-6, 7.999999999999999, 8.0, 8.000000000000002, 1e8]
+
+
+@pytest.mark.parametrize("z", LOG_GAMMA_EDGES)
+def test_log_gamma_against_mpmath(z):
+    import mpmath
+
+    with mpmath.workdps(50):
+        expected = float(mpmath.loggamma(mpmath.mpf(z)))
+    assert abs(log_gamma(z) - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
 def test_log_gamma_array_matches_scalar():
-    z = np.array([1e-6, 0.5, 1.0, 3.75, 10.5, 123.0, 1e8])
+    # Elements below 8 are lifted as a subset; each must still equal the
+    # scalar call bit for bit, whatever its neighbours.
+    z = np.array([1e-6, 0.5, 1.0, 3.75, 10.5, 123.0, 1e8] + LOG_GAMMA_EDGES)
+    z = np.stack([z, z[::-1]])
     out = log_gamma(z)
     assert out.shape == z.shape
-    for zi, oi in zip(z, out):
+    for zi, oi in zip(z.ravel(), out.ravel()):
         assert oi == log_gamma(float(zi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-300.0, max_value=13.0).map(lambda e: 10.0**e))
+def test_stirling_remainder_against_mpmath(z):
+    # S(z) = ln G(z) - (z - 1/2) ln z + z - ln(2 pi)/2: absolute 1e-15
+    # from the series at z >= 8, and 1e-14 of max(1, |S|) through the lift.
+    import mpmath
+
+    with mpmath.workdps(50):
+        zm = mpmath.mpf(z)
+        expected = float(mpmath.loggamma(zm) - (zm - 0.5) * mpmath.log(zm) + zm
+                         - mpmath.log(2 * mpmath.pi) / 2)
+    bound = 1e-15 if z >= 8.0 else 1e-14 * max(1.0, abs(expected))
+    assert abs(stirling_remainder(z) - expected) <= bound
+    assert stirling_remainder(np.array([z, 2.0]))[0] == stirling_remainder(z)
 
 
 def test_log_gamma_domain_errors():
@@ -98,6 +131,9 @@ def test_log_gamma_domain_errors():
             log_gamma(bad)
     with pytest.raises(DomainError):
         log_gamma(np.array([1.0, -2.0]))
+    for bad in (np.array([3.0, math.nan]), np.array([[9.0], [math.inf]]), 0.0):
+        with pytest.raises(DomainError):
+            stirling_remainder(bad)
 
 
 @settings(max_examples=300, deadline=None)
@@ -334,3 +370,6 @@ def test_integrate_rejects_non_finite_integrand():
         integrate_adaptive(lambda x: math.inf, Interval(0.0, 1.0), abs_tol=1e-8)
     with pytest.raises(DomainError):
         integrate_adaptive(lambda x: 1.0, Interval(0.0, 1.0), abs_tol=0.0)
+    # Finite values whose weighted sum overflows.
+    with pytest.raises(DomainError, match="overflows"), np.errstate(over="ignore"):
+        integrate_adaptive(lambda x: np.full_like(x, 1e308), Interval(0.0, 1.0), abs_tol=1e-8)
