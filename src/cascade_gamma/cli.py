@@ -102,9 +102,8 @@ _BLOCK_ROWS = 4096
 # Cell format by numpy dtype kind.
 _CELL = {"i": "%d", "f": "%.17g"}
 
-# json.dumps separators that put each array item on its own line, as
-# indent=2 does for an array under a top-level key.
-_ITEMS = (",\n    ", ": ")
+# Stands in for an array in the dumped payload until the array is spliced in.
+_ARRAY_MARK = "\0array:"
 
 
 def _csv_text(comments: list[str], header: list[str], columns,
@@ -131,24 +130,41 @@ def _csv_text(comments: list[str], header: list[str], columns,
 
 
 def _json_text(payload: dict, arrays: dict[str, np.ndarray] | None = None) -> Iterator[str]:
-    """payload plus the float arrays as sorted-key, indent-2 JSON, in pieces.
+    """payload plus the arrays as sorted-key, indent-2 JSON, in pieces.
 
-    The scalars go through json.dumps(indent=2), which any indent keeps
-    on the pure-Python encoder.  Each non-empty array is written block
-    by block by the C encoder, with the item separator indent 2 would
-    use, and spliced in at its key, so the bytes equal one json.dumps
+    An array's key is its path of payload keys joined by dots: "x" is
+    payload["x"] and "histogram.counts" is payload["histogram"]["counts"].
+    The rest goes through json.dumps(indent=2), which any indent keeps
+    on the pure-Python encoder.  Each array is written block by block by
+    the C encoder, with the item separator indent 2 would use at its
+    depth, and spliced in at its key, so the bytes equal one json.dumps
     of the whole dict.
     """
     arrays = arrays or {}
-    text = json.dumps({**payload, **dict.fromkeys(arrays, [])}, indent=2, sort_keys=True)
-    for key in sorted(key for key, values in arrays.items() if len(values)):
-        head, text = text.split(f'\n  "{key}": []', 1)
-        yield head + f'\n  "{key}": [\n    '
+    doc = dict(payload)
+    for key in arrays:
+        *parents, leaf = key.split(".")
+        node = doc
+        for name in parents:
+            inner = dict(node[name])
+            node[name] = inner
+            node = inner
+        node[leaf] = _ARRAY_MARK + key
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    # sort_keys writes the arrays in the order of their sorted key paths.
+    for key in sorted(arrays, key=lambda key: key.split(".")):
+        head, text = text.split(json.dumps(_ARRAY_MARK + key), 1)
         values = arrays[key]
+        if not len(values):
+            yield head + "[]"
+            continue
+        indent = "\n" + "  " * (key.count(".") + 1)
+        items = ("," + indent + "  ", ": ")
+        yield head + "[" + indent + "  "
         for start in range(0, len(values), _BLOCK_ROWS):
-            items = json.dumps(values[start:start + _BLOCK_ROWS].tolist(), separators=_ITEMS)
-            yield items[1:-1] if start == 0 else _ITEMS[0] + items[1:-1]
-        yield "\n  ]"
+            block = json.dumps(values[start:start + _BLOCK_ROWS].tolist(), separators=items)
+            yield block[1:-1] if start == 0 else items[0] + block[1:-1]
+        yield indent + "]"
     yield text + "\n"
 
 
@@ -320,7 +336,7 @@ def _cmd_simulate(ns) -> int:
     if ns.format == "csv":
         text = _histogram_csv(summary)
     else:
-        text = _json_text(summary.to_json_dict())
+        text = _json_text(summary.to_json_dict(), {"histogram.counts": summary.bin_counts})
     _emit(text, ns.out)
     fraction_se = math.sqrt(
         max(summary.finite_fraction * (1.0 - summary.finite_fraction), 0.0) / summary.trials

@@ -121,8 +121,10 @@ class ExtinctionReport:
     def __post_init__(self):
         if self.decay_gap < 0.0:
             raise DomainError(f"decay_gap must be >= 0, got {self.decay_gap!r}")
-        if not 0.0 < self.prob_finite <= 1.0:
-            raise DomainError(f"prob_finite must lie in (0, 1], got {self.prob_finite!r}")
+        # 0 where exp(log_prob_finite) underflows (p above about 1e153); the
+        # isclose check below rejects a 0 anywhere else.
+        if not 0.0 <= self.prob_finite <= 1.0:
+            raise DomainError(f"prob_finite must lie in [0, 1], got {self.prob_finite!r}")
         if not math.isclose(self.prob_finite, math.exp(self.log_prob_finite), rel_tol=1e-12):
             raise DomainError("prob_finite and log_prob_finite disagree")
 
@@ -263,7 +265,8 @@ def extinction(params: ModelParams) -> ExtinctionReport:
     p = params.p
     if p <= _CRITICAL_P:
         return ExtinctionReport(p=p, decay_gap=0.0, log_prob_finite=0.0, prob_finite=1.0)
-    argument = -math.exp(-1.0 / (2.0 * p)) / (2.0 * p)
+    # -exp(-1/(2p)) / (2p) without forming 2p, which overflows above 9e307.
+    argument = -0.5 * math.exp(-0.5 / p) / p
     log_prob = 2.0 * numerics.lambert_w_m1(argument) + 1.0 / p
     gap = max(-log_prob, 0.0)
     return ExtinctionReport(
@@ -325,7 +328,7 @@ def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[Quadra
 
     def integrand(v: np.ndarray) -> np.ndarray:
         nonlocal smallest_v
-        smallest_v = min(smallest_v, float(v[0]))  # GK15 nodes come in ascending order
+        smallest_v = min(smallest_v, float(v[0]))  # nodes ascend, the left half's first
         return _support_integrand(params, k, v)
 
     quadrature = numerics.integrate_adaptive(integrand, Interval(0.0, 1.0), abs_tol=abs_tol)

@@ -23,9 +23,10 @@ of Binomial Probabilities").
 
 log_gamma, stirling_remainder and the quadrature work on arrays: the
 gamma kernels map an ndarray elementwise, and integrate_adaptive calls
-its integrand once per panel with the panel's 15 nodes as one float64
-array.  The root solvers stay scalar, since each of their steps depends
-on the one before.
+its integrand with the 15 nodes of its first panel, then once per split
+with the 30 nodes of both halves, as one ascending float64 array.  The
+root solvers stay scalar, since each of their steps depends on the one
+before.
 """
 
 from __future__ import annotations
@@ -363,28 +364,38 @@ _GK_GAUSS = _symmetric_weights(_GK_WEIGHTS_G, _GK_WEIGHT_G_CENTRE)
 _EPS = 2.220446049250313e-16
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
-    """One 15-point Kronrod panel from one call of f; returns (value, error_estimate)."""
-    centre = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = centre + half * _GK_ABSCISSAE
+def _gk15(f: Callable[[np.ndarray], np.ndarray], *edges: float) -> list[tuple[float, float]]:
+    """The 15-point Kronrod panels [e0, e1], [e1, e2], ... from one call of f.
+
+    f gets the nodes of every panel concatenated in ascending order.
+    Each panel takes its own 15-entry Kronrod and Gauss dot products on
+    its slice of the values, so it gets the same bits as a call on its
+    nodes alone.  Returns [(value, error_estimate), ...], one pair per
+    panel; panels are checked left first for values that are not finite.
+    """
+    spans = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
+    nodes = np.concatenate([centre + half * _GK_ABSCISSAE for centre, half in spans])
     values = np.asarray(f(nodes), dtype=np.float64)
     if values.shape != nodes.shape:
         values = np.broadcast_to(values, nodes.shape)
-    res_k = float(_GK_KRONROD @ values)
-    # Every Kronrod weight is positive, so a value that is not finite
-    # makes res_k not finite; the elementwise check runs only then.
-    if not math.isfinite(res_k):
-        finite = np.isfinite(values)
-        if finite.all():
-            raise DomainError(f"integrand sum overflows on [{lo!r}, {hi!r}]")
-        bad = int(np.argmin(finite))
-        raise DomainError(f"integrand returned {values[bad]!r} at x = {nodes[bad]!r}")
-    res_g = float(_GK_GAUSS @ values)
-    value = res_k * half
-    err = abs((res_k - res_g) * half)
-    # Honest floor: a panel can never certify better than a few ulps.
-    return value, max(err, 50.0 * _EPS * abs(value))
+    panels = []
+    for i, (_, half) in enumerate(spans):
+        panel = values[15 * i:15 * i + 15]
+        res_k = float(_GK_KRONROD.dot(panel))
+        # Every Kronrod weight is positive, so a value that is not finite
+        # makes res_k not finite; the elementwise check runs only then.
+        if not math.isfinite(res_k):
+            finite = np.isfinite(panel)
+            if finite.all():
+                raise DomainError(f"integrand sum overflows on [{edges[i]!r}, {edges[i + 1]!r}]")
+            bad = int(np.argmin(finite))
+            raise DomainError(f"integrand returned {panel[bad]!r} at x = {nodes[15 * i + bad]!r}")
+        res_g = float(_GK_GAUSS.dot(panel))
+        value = res_k * half
+        err = abs((res_k - res_g) * half)
+        # Honest floor: a panel can never certify better than a few ulps.
+        panels.append((value, max(err, 50.0 * _EPS * abs(value))))
+    return panels
 
 
 def integrate_adaptive(
@@ -395,11 +406,13 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod (7, 15) quadrature over a finite interval.
 
-    The integrand takes a float64 array of abscissae and returns an
-    array of the same shape (a constant may be returned as a scalar):
-    each panel calls it once with its 15 nodes, so the cost is
-    evaluations / 15 calls.  Every value must be finite, or DomainError
-    is raised.
+    The integrand takes an ascending float64 array of abscissae and
+    returns an array of the same shape (a constant may be returned as a
+    scalar).  The first panel calls it with its 15 nodes and each split
+    once with the 30 nodes of both halves, so the cost is
+    (evaluations / 15 + 1) / 2 calls.  Every value must be finite, or
+    DomainError is raised; it names the first bad node of the leftmost
+    panel that has one.
 
     Splits the panel with the largest error estimate until the summed
     estimate drops below abs_tol.  Raises ToleranceError (carrying the
@@ -412,7 +425,7 @@ def integrate_adaptive(
     if max_panels < 1:
         raise DomainError(f"max_panels must be >= 1, got {max_panels!r}")
 
-    value, err = _gk15(f, interval.lo, interval.hi)
+    [(value, err)] = _gk15(f, interval.lo, interval.hi)
     evaluations = 15
     counter = 1
     # heap entries: (-err, insertion_counter, lo, hi, value, err)
@@ -436,8 +449,7 @@ def integrate_adaptive(
             raise ToleranceError(
                 f"panel [{lo!r}, {hi!r}] cannot be split further", result=result
             )
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
+        (v1, e1), (v2, e2) = _gk15(f, lo, mid, hi)
         evaluations += 30
         heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))

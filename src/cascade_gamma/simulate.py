@@ -285,7 +285,7 @@ class SimSummary:
                 "lo": HIST_LO,
                 "hi": HIST_HI,
                 "bins": HIST_BINS,
-                "counts": [int(c) for c in self.bin_counts],
+                "counts": self.bin_counts.tolist(),
                 "overflow": self.overflow,
             },
         }

@@ -234,6 +234,18 @@ def test_verify_tiny_p_reports_instead_of_overflowing(capsys, p):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("p,codes", [("1e160", {0}), ("1e300", {0}), ("1e308", {0, 3}),
+                                     ("1.7e308", {0, 3})])
+def test_huge_p_is_not_a_usage_error(capsys, p, codes):
+    # exp(-decay_gap) underflows to 0 above p = 1e153, and 2p overflows
+    # above 9e307; neither makes a valid p a usage or domain error.
+    for command, key in (("extinction", "prob_finite"), ("verify", "lambert_target")):
+        code, out, err = run_cli(capsys, command, "--p", p)
+        assert code in codes, (command, err)
+        if code == 0:
+            assert json.loads(out)[key] == 0.0
+
+
 _ANY_P = st.one_of(
     st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0**e),
     st.builds(lambda k, sign: 0.5 + sign * 10.0**-k, st.integers(1, 12), st.sampled_from([1, -1])),
@@ -390,6 +402,30 @@ def test_json_writer_matches_the_indent_encoder(scalars, arrays, block):
         })
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    scalars=st.dictionaries(_KEYS, _FLOATS, max_size=3),
+    inner=st.dictionaries(_KEYS, st.one_of(_FLOATS, st.integers(-(2**53), 2**53)), max_size=3),
+    counts=st.lists(st.integers(0, 2**53), max_size=30),
+    floats=st.lists(_FLOATS, max_size=30),
+    block=_BLOCKS,
+)
+def test_json_writer_splices_nested_arrays(scalars, inner, counts, floats, block):
+    # Arrays inside objects, at depths 1 to 3, as simulate's histogram
+    # counts; the payload handed in is left as it was.
+    payload = {**scalars, "h": {**inner, "deep": {"v": 1}}}
+    before = json.dumps(payload, sort_keys=True)
+    arrays = {"h.counts": np.array(counts, dtype=np.int64),
+              "h.deep.w": np.array(floats, dtype=np.float64),
+              "top": np.array(floats[::-1], dtype=np.float64)}
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        got = "".join(_json_text(payload, arrays))
+    want = {**scalars, "top": [float(v) for v in floats[::-1]],
+            "h": {**inner, "counts": counts, "deep": {"v": 1, "w": [float(v) for v in floats]}}}
+    _assert_same_text(got, _reference_json(want))
+    assert json.dumps(payload, sort_keys=True) == before
+
+
 @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
 def test_writer_matches_the_reference_at_block_edges(rows):
     # Real block size.  The named extremes plus random bit patterns, which
@@ -436,6 +472,17 @@ def test_simulate_json_and_stderr(tmp_path, capsys):
     assert payload["n_censored"] == 0
     assert payload["config"]["mode"] == "walk"
     assert payload["mean"] == pytest.approx(2.5, abs=0.2)
+
+
+def test_simulate_json_is_the_indent_encoder_layout(capsys):
+    # The histogram counts are spliced in at their nested key; the bytes
+    # are those of one json.dumps(indent=2, sort_keys=True) of the payload.
+    code, out, _ = run_cli(capsys, "simulate", "--mode", "discrete", "--p", "0.3", "--m", "10",
+                           "--trials", "2000", "--seed", "99")
+    assert code == 0
+    payload = json.loads(out)
+    assert sum(payload["histogram"]["counts"]) > 0
+    assert out == _reference_json(payload)
 
 
 def test_simulate_repeat_is_byte_identical(tmp_path, capsys):

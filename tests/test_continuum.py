@@ -78,6 +78,11 @@ def test_extinction_report_validation():
         ExtinctionReport(p=0.6, decay_gap=0.7, log_prob_finite=-0.7, prob_finite=0.9)
     with pytest.raises(DomainError):
         ExtinctionReport(p=0.6, decay_gap=-0.1, log_prob_finite=0.1, prob_finite=1.0)
+    # 0 stands only where exp(log_prob_finite) underflows to it.
+    ExtinctionReport(p=1e300, decay_gap=1396.0, log_prob_finite=-1396.0, prob_finite=0.0)
+    for log_prob, prob in ((-700.0, 0.0), (-0.1, -0.1), (0.1, 1.1), (-0.1, math.nan)):
+        with pytest.raises(DomainError):
+            ExtinctionReport(p=0.6, decay_gap=0.1, log_prob_finite=log_prob, prob_finite=prob)
 
 
 # ----------------------------------------------------------------- density

@@ -6,6 +6,7 @@ bisection for roots, and a dense fixed-grid Simpson rule for the
 quadrature cross-checks.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -332,37 +333,134 @@ def test_gk15_panel_is_exact_to_degree_22(degree):
     from cascade_gamma.numerics import _EPS, _gk15
 
     coeffs = [1.0 + 0.25 * k for k in range(degree + 1)]
-    lo, hi = 0.3, 1.7
-    value, err = _gk15(lambda x: np.polynomial.polynomial.polyval(x, coeffs), lo, hi)
+    f = lambda x: np.polynomial.polynomial.polyval(x, coeffs)  # noqa: E731
+    lo, mid, hi = 0.3, 1.1, 1.7
+    [(value, err)] = _gk15(f, lo, hi)
     exact = _poly_integral(coeffs, lo, hi)
     assert abs(value - exact) <= 1e-14 * abs(exact)
     if degree <= 13:
         assert err == 50.0 * _EPS * abs(value)
+    # Two panels from one call give the bits of two separate calls.
+    assert _gk15(f, lo, mid, hi) == _gk15(f, lo, mid) + _gk15(f, mid, hi)
 
 
 def test_integrand_is_called_once_per_panel_with_its_nodes():
+    # The first panel takes one call of 15 nodes, and each split one call
+    # of the 30 nodes of both halves, in ascending order.
     calls = []
 
     def f(x):
-        calls.append((type(x), x.shape, x.dtype))
+        calls.append(x.copy())
         return np.exp(-x)
 
     result = integrate_adaptive(f, Interval(0.0, 50.0), abs_tol=1e-10)
     assert result.evaluations > 15
-    assert len(calls) == result.evaluations // 15
-    assert set(calls) == {(np.ndarray, (15,), np.dtype(np.float64))}
+    assert len(calls) == (result.evaluations // 15 + 1) // 2
+    assert {(type(x), x.shape, x.dtype) for x in calls} == {
+        (np.ndarray, (15,), np.dtype(np.float64)),
+        (np.ndarray, (30,), np.dtype(np.float64)),
+    }
+    assert calls[0].shape == (15,)
+    for x in calls[1:]:
+        assert np.all(np.diff(x) > 0.0)
 
 
 def test_gk15_nodes_are_centre_plus_minus_half_node():
     from cascade_gamma.numerics import _GK_NODES, _gk15
 
-    seen = []
+    def nodes(*edges):
+        seen = []
+        panels = _gk15(lambda x: seen.append(x.copy()) or np.zeros_like(x), *edges)
+        assert panels == [(0.0, 0.0)] * (len(edges) - 1)
+        return seen[0].tolist()
+
     lo, hi = 1.0, 1.0 + 2.0 ** -20 * 3.0
-    _gk15(lambda x: seen.append(x.copy()) or np.zeros_like(x), lo, hi)
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     expected = sorted([centre] + [centre - half * v for v in _GK_NODES]
                       + [centre + half * v for v in _GK_NODES])
-    assert seen[0].tolist() == expected
+    assert nodes(lo, hi) == expected
+    # The halves of a split, bit for bit those of two separate calls.
+    mid = 0.5 * (lo + hi)
+    assert nodes(lo, mid, hi) == nodes(lo, mid) + nodes(mid, hi)
+
+
+def _one_call_per_panel(f, interval, abs_tol=1e-10, max_panels=10_000):
+    """integrate_adaptive with one call of f per panel: the reference for
+    the adaptive loop, which evaluates both halves of a split in one call.
+    """
+    from cascade_gamma.numerics import _collect, _gk15
+
+    [(value, err)] = _gk15(f, interval.lo, interval.hi)
+    evaluations = 15
+    counter = 1
+    heap = [(-err, 0, interval.lo, interval.hi, value, err)]
+    total_err = err
+    while total_err > abs_tol:
+        if len(heap) >= max_panels:
+            result = _collect(heap, evaluations)
+            raise ToleranceError(
+                f"quadrature error estimate {result.abs_error_estimate:.3e} exceeds "
+                f"abs_tol {abs_tol:.3e} after {len(heap)} panels",
+                result=result,
+            )
+        entry = heapq.heappop(heap)
+        _, _, lo, hi, _, worst_err = entry
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            result = _collect(heap + [entry], evaluations)
+            raise ToleranceError(f"panel [{lo!r}, {hi!r}] cannot be split further", result=result)
+        [(v1, e1)] = _gk15(f, lo, mid)
+        [(v2, e2)] = _gk15(f, mid, hi)
+        evaluations += 30
+        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
+        counter += 2
+        total_err += e1 + e2 - worst_err
+    return _collect(heap, evaluations)
+
+
+def _outcome(integrate, f, interval, **options):
+    """The result, or the error type, message and carried result, of one quadrature."""
+    try:
+        return integrate(f, interval, **options)
+    except (ToleranceError, DomainError) as exc:
+        return type(exc), str(exc), getattr(exc, "result", None)
+
+
+def _support(p, k=0):
+    from cascade_gamma import ModelParams
+    from cascade_gamma.continuum import _support_integrand
+
+    return lambda v: _support_integrand(ModelParams(p), k, v)
+
+
+def _nan_in_both_halves(x):
+    # sqrt(x) must split [0, 2]; both halves, but not the whole, have a node in a gap.
+    gaps = ((0.003 < x) & (x < 0.006)) | ((1.993 < x) & (x < 1.997))
+    return np.where(gaps, math.nan, np.sqrt(x))
+
+
+SPLIT_CALL_CASES = [
+    pytest.param(lambda x: np.polynomial.polynomial.polyval(x, np.ones(41)),
+                 Interval(0.0, 1.0), {"abs_tol": 1e-12}, id="polynomial-degree-40"),
+    pytest.param(lambda x: np.exp(-x), Interval(0.0, 50.0), {"abs_tol": 1e-10}, id="exp"),
+    pytest.param(lambda x: np.exp(-x), Interval(0.0, 50.0), {"abs_tol": 1e-18, "max_panels": 40},
+                 id="max-panels"),
+    pytest.param(lambda x: np.sin(1e6 * x), Interval(1.0, 1.0 + 12 * 2.0 ** -52),
+                 {"abs_tol": 1e-300}, id="cannot-be-split"),
+    pytest.param(_nan_in_both_halves, Interval(0.0, 2.0), {"abs_tol": 1e-10}, id="nan-in-both-halves"),
+] + [
+    pytest.param(_support(p), Interval(0.0, 1.0), {"abs_tol": tol}, id=f"support-p{p}-tol{tol}")
+    for p in (0.01, 0.3, 0.5, 0.6, 5.0, 1e3)
+    for tol in (1e-6, 1e-10)
+]
+
+
+@pytest.mark.parametrize("f,interval,options", SPLIT_CALL_CASES)
+def test_split_in_one_call_gives_the_bits_of_one_call_per_panel(f, interval, options):
+    got = _outcome(integrate_adaptive, f, interval, **options)
+    want = _outcome(_one_call_per_panel, f, interval, **options)
+    assert got == want
 
 
 def test_integrate_rejects_non_finite_integrand():
