@@ -9,8 +9,13 @@ line per job: the sha256 of its standard output, its exit code and its
 argv.  Standard error is discarded.  The cascade_gamma package and the
 job lists are those of the checkout this script sits in.
 
+--format csv|json sets that output format on every job (each command
+takes --format), so the writer of the other format is digested too: the
+workloads run verify, moments, extinction and simulate in JSON only.
+
 Example, comparing two checkouts:
     python3 scripts/output_digest.py verify 1 2 3 > change.txt
+    python3 scripts/output_digest.py --format csv sim 1 2 3 > change-csv.txt
     python3 ../parent/scripts/output_digest.py verify 1 2 3 > parent.txt
     diff parent.txt change.txt
 """
@@ -38,15 +43,25 @@ def digest(argv: tuple[str, ...]) -> str:
     return f"{sha} {code} {' '.join(argv)}"
 
 
+def with_format(argv: tuple[str, ...], fmt: str | None) -> tuple[str, ...]:
+    """argv with its --format option set to fmt (unchanged if fmt is None)."""
+    if fmt is None:
+        return argv
+    options = [pair for pair in zip(argv[1::2], argv[2::2]) if pair[0] != "--format"]
+    return (argv[0], *(item for pair in options for item in pair), "--format", fmt)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=workloads.WORKLOADS)
     parser.add_argument("seeds", type=int, nargs="+", metavar="SEED")
+    parser.add_argument("--format", choices=("csv", "json"),
+                        help="output format for every job (default: each job's own)")
     ns = parser.parse_args()
     for seed in ns.seeds:
         jobs = workloads.generate(ns.workload, seed) + workloads.known_defects(ns.workload, seed)
         for job in jobs:
-            print(digest(job.argv), flush=True)
+            print(digest(with_format(job.argv, ns.format)), flush=True)
     return 0
 
 

@@ -9,8 +9,10 @@ as '%.17g' (17 significant digits, 'inf' and 'nan' spelled so) and LF
 line endings.  JSON payloads use sorted keys and an indent of 2, with
 floats written as their shortest round-trip repr ('Infinity' and 'NaN'
 for the non-finite ones).  Tables are formatted in blocks of rows and
-streamed to the output.  Outputs are byte-reproducible for identical
-invocations.
+streamed to the output: floattext.cells writes each column of a block
+as a zero-padded byte matrix, with Python's own bytes for every cell,
+and _joined reads the rows out of the cells and separators laid side
+by side.  Outputs are byte-reproducible for identical invocations.
 
 Every option may instead be given in a --config file of `key = value`
 lines (keys match the long option names without the leading dashes);
@@ -95,15 +97,35 @@ def _opt_format(default: str) -> _Option:
     )
 
 
-# Rows formatted by one % operation: enough that the per-block cost
-# vanishes, few enough that a block's Python objects and text stay under 1 MB.
+# Rows formatted at once: enough that the per-block cost vanishes, few
+# enough that a block's byte matrices stay under 1 MB.
 _BLOCK_ROWS = 4096
-
-# Cell format by numpy dtype kind.
-_CELL = {"i": "%d", "f": "%.17g"}
 
 # Stands in for an array in the dumped payload until the array is spliced in.
 _ARRAY_MARK = "\0array:"
+
+
+def _joined(columns: list[np.ndarray], style: str, ends: list[bytes]) -> str:
+    """Row i of the text: element i of each column, each followed by its end.
+
+    floattext.cells writes each column in style ("csv" or "json") as a
+    zero-padded byte matrix.  The matrices and the ends are laid side by
+    side in one matrix, read out row by row without the zeros.
+    """
+    # Imported here, by table output only: compiling the module and
+    # building its tables takes milliseconds that scalar commands skip.
+    from . import floattext
+
+    texts = [floattext.cells(column, style)[0] for column in columns]
+    full = np.empty((len(texts[0]), sum(t.shape[1] + len(e) for t, e in zip(texts, ends))),
+                    np.uint8)
+    at = 0
+    for text, end in zip(texts, ends):
+        full[:, at:at + text.shape[1]] = text
+        at += text.shape[1]
+        full[:, at:at + len(end)] = np.frombuffer(end, np.uint8)
+        at += len(end)
+    return full[full != 0].tobytes().decode()
 
 
 def _csv_text(comments: list[str], header: list[str], columns,
@@ -111,21 +133,15 @@ def _csv_text(comments: list[str], header: list[str], columns,
     """A CSV table in pieces: '#' comments, header, rows, '#' trailer lines.
 
     columns[j][i] is the cell in row i, column j.  Integer columns are
-    written with '%d', float columns with '%.17g' (equal to
-    format(v, '.17g') for every float) and any other column as text;
+    written as '%d', float columns as '%.17g' (equal to format(v, '.17g')
+    for every float) and any other column as text, by floattext.cells;
     no cell needs CSV quoting.
     """
     columns = [np.asarray(column) for column in columns]
-    row = ",".join(_CELL.get(column.dtype.kind, "%s") for column in columns) + "\n"
-    width = len(columns)
+    ends = [b","] * (len(columns) - 1) + [b"\n"]
     yield "".join(f"# {line}\n" for line in comments) + ",".join(header) + "\n"
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [column[start:start + _BLOCK_ROWS].tolist() for column in columns]
-        rows = len(block[0])
-        flat = [None] * (width * rows)
-        for j, cells in enumerate(block):
-            flat[j::width] = cells
-        yield row * rows % tuple(flat)
+        yield _joined([column[start:start + _BLOCK_ROWS] for column in columns], "csv", ends)
     yield "".join(f"# {line}\n" for line in trailer)
 
 
@@ -136,9 +152,9 @@ def _json_text(payload: dict, arrays: dict[str, np.ndarray] | None = None) -> It
     payload["x"] and "histogram.counts" is payload["histogram"]["counts"].
     The rest goes through json.dumps(indent=2), which any indent keeps
     on the pure-Python encoder.  Each array is written block by block by
-    the C encoder, with the item separator indent 2 would use at its
-    depth, and spliced in at its key, so the bytes equal one json.dumps
-    of the whole dict.
+    floattext.cells, items as json.dumps writes them, with the item
+    separator indent 2 would use at its depth, and spliced in at its key,
+    so the bytes equal one json.dumps of the whole dict.
     """
     arrays = arrays or {}
     doc = dict(payload)
@@ -159,11 +175,12 @@ def _json_text(payload: dict, arrays: dict[str, np.ndarray] | None = None) -> It
             yield head + "[]"
             continue
         indent = "\n" + "  " * (key.count(".") + 1)
-        items = ("," + indent + "  ", ": ")
+        separator = "," + indent + "  "
+        ends = [separator.encode()]
         yield head + "[" + indent + "  "
         for start in range(0, len(values), _BLOCK_ROWS):
-            block = json.dumps(values[start:start + _BLOCK_ROWS].tolist(), separators=items)
-            yield block[1:-1] if start == 0 else items[0] + block[1:-1]
+            block = _joined([values[start:start + _BLOCK_ROWS]], "json", ends)
+            yield block if start + _BLOCK_ROWS < len(values) else block[:-len(separator)]
         yield indent + "]"
     yield text + "\n"
 
@@ -331,10 +348,14 @@ def _cmd_simulate(ns) -> int:
         workers=ns.workers,
     )
     summary = simulate.run_campaign(config)
+    histogram = None
+    if ns.format == "csv" or ns.hist_out is not None:
+        # Formatted once, when both the output and --hist-out want it.
+        histogram = list(_histogram_csv(summary))
     if ns.hist_out is not None:
-        _emit(_histogram_csv(summary), ns.hist_out)
+        _emit(histogram, ns.hist_out)
     if ns.format == "csv":
-        text = _histogram_csv(summary)
+        text = histogram
     else:
         text = _json_text(summary.to_json_dict(), {"histogram.counts": summary.bin_counts})
     _emit(text, ns.out)

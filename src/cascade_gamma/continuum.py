@@ -223,6 +223,9 @@ def _tail_constants(params: ModelParams) -> tuple[float, float]:
     avoids for small v.
     """
     p = params.p
+    if math.isinf(4.0 * p):  # p above about 4.5e307: a is 2 ln(2p) - 2 to the last bit
+        log_two_p = math.log(2.0) + math.log(p)
+        return -2.0 * log_two_p - _HALF_LOG_PI, 2.0 * log_two_p - 2.0
     log_two_p = math.log(2.0 * p)
     v = (2.0 * p - 1.0) / (2.0 * p + 1.0)
     if abs(v) < _DECAY_SERIES_CUT:
@@ -266,8 +269,10 @@ def extinction(params: ModelParams) -> ExtinctionReport:
     if p <= _CRITICAL_P:
         return ExtinctionReport(p=p, decay_gap=0.0, log_prob_finite=0.0, prob_finite=1.0)
     # -exp(-1/(2p)) / (2p) without forming 2p, which overflows above 9e307.
+    # Above about 2e307 it is subnormal; W then comes from its logarithm.
     argument = -0.5 * math.exp(-0.5 / p) / p
-    log_prob = 2.0 * numerics.lambert_w_m1(argument) + 1.0 / p
+    log_argument = -0.5 / p - math.log(2.0) - math.log(p)
+    log_prob = 2.0 * numerics.lambert_w_m1(argument, log_argument) + 1.0 / p
     gap = max(-log_prob, 0.0)
     return ExtinctionReport(
         p=p, decay_gap=gap, log_prob_finite=-gap, prob_finite=math.exp(-gap)
@@ -285,7 +290,10 @@ def extinction_gap_root(params: ModelParams, tol: float = numerics.DEFAULT_ROOT_
         return 0.0
 
     def gap_balance(x: float) -> float:
-        return 2.0 * math.log1p(p * x) - x
+        px = p * x
+        if math.isinf(px):  # only above p of about 4e304
+            return 2.0 * (math.log(p) + math.log(x)) - x
+        return 2.0 * math.log1p(px) - x
 
     lo = 1e-12
     hi = 1.0

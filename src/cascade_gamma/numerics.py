@@ -190,19 +190,29 @@ def log_gamma(z):
 
 
 _BRANCH_SERIES_CUT = 0.05  # on t = 1 + e x; well inside the series radius
+_SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
-def lambert_w_m1(x: float) -> float:
+def lambert_w_m1(x: float, log_neg_x: float | None = None) -> float:
     """Lower real branch W_{-1}(x) for x in [-1/e, 0).
 
     Solves w e^w = x with w <= -1.  Near the branch point the expansion
     in p = -sqrt(2 (1 + e x)) seeds the iteration; away from it the
     classic ln(-x) - ln(-ln(-x)) starter is used.  Halley steps polish
     to |w e^w - x| <= 1e-13 |x|.
+
+    Below the smallest normal double, x keeps too few digits for that:
+    there w solves w + ln(-w) = ln(-x) instead, from log_neg_x = ln(-x)
+    when the caller has it to full precision (x may then underflow to
+    -0.0), else from x.
     """
     x = float(x)
+    if log_neg_x is not None and -_SMALLEST_NORMAL < x <= 0.0:
+        return _lambert_w_m1_of_log(float(log_neg_x))
     if not math.isfinite(x) or x >= 0.0:
         raise DomainError(f"lambert_w_m1 requires -1/e <= x < 0, got {x!r}")
+    if -x < _SMALLEST_NORMAL:
+        return _lambert_w_m1_of_log(math.log(-x))
     t = 1.0 + math.e * x
     if t < 0.0:
         if t < -1e-12:
@@ -241,6 +251,17 @@ def lambert_w_m1(x: float) -> float:
     if abs(w * ew - x) <= tol:
         return w
     raise ConvergenceError(f"lambert_w_m1 failed to converge for x = {x!r}")
+
+
+def _lambert_w_m1_of_log(log_neg_x: float) -> float:
+    """W_{-1}(x) from ln(-x) << -1, by Newton steps on w + ln(-w) = ln(-x)."""
+    w = log_neg_x - math.log(-log_neg_x)
+    for _ in range(50):
+        step = (w + math.log(-w) - log_neg_x) / (1.0 + 1.0 / w)
+        w -= step
+        if abs(step) <= 1e-15 * abs(w):
+            return w
+    raise ConvergenceError(f"lambert_w_m1 failed to converge for ln(-x) = {log_neg_x!r}")
 
 
 def solve_bracketed(
