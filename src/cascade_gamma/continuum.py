@@ -269,10 +269,9 @@ def extinction(params: ModelParams) -> ExtinctionReport:
     if p <= _CRITICAL_P:
         return ExtinctionReport(p=p, decay_gap=0.0, log_prob_finite=0.0, prob_finite=1.0)
     # -exp(-1/(2p)) / (2p) without forming 2p, which overflows above 9e307.
-    # Above about 2e307 it is subnormal; W then comes from its logarithm.
+    # Above about 2e307 it is subnormal, yet never below 2.7e-309.
     argument = -0.5 * math.exp(-0.5 / p) / p
-    log_argument = -0.5 / p - math.log(2.0) - math.log(p)
-    log_prob = 2.0 * numerics.lambert_w_m1(argument, log_argument) + 1.0 / p
+    log_prob = 2.0 * numerics.lambert_w_m1(argument) + 1.0 / p
     gap = max(-log_prob, 0.0)
     return ExtinctionReport(
         p=p, decay_gap=gap, log_prob_finite=-gap, prob_finite=math.exp(-gap)

@@ -18,9 +18,11 @@ and its fraction decide '%.17g' (round half even) and repr (the fewest
 digits whose decimal lies strictly inside the rounding interval of x,
 and of those the nearest) wherever that decision is more than 1e-9
 from a boundary.  The rest go to Python's own formatter: the elements
-within 1e-9 of a boundary, exact ties among them, and the non-finite
-ones.  A bound of repr's interval that lies on a grid coarser than the
-guard (as for large whole numbers) is settled exactly instead.
+within 1e-9 of a boundary, exact ties among them, the non-finite ones
+and the nonzero ones outside [1e-290, 1e290], where the table of 10^j
+and the products would leave the normal range.  A bound of repr's
+interval that lies on a grid coarser than the guard (as for large
+whole numbers) is settled exactly instead.
 
 Digits come from a table of all 4-digit groups, and each (notation,
 sign, k, digit count) has one precomputed layout that places the
@@ -39,7 +41,8 @@ __all__ = ["cells"]
 # The widest float or int64 text, e.g. '-2.2250738585072014e-308'.
 _WIDTH = 24
 
-_TINY = 2.2250738585072014e-308  # the smallest normal double
+# Nonzero floats outside [_LEAST, _MOST] go to Python.
+_LEAST, _MOST = 1e-290, 1e290
 # Decisions closer than this to a boundary, in units of the 17th digit,
 # go to Python; V itself is good to about 1e-14 of them.
 _GUARD = 1e-9
@@ -47,11 +50,9 @@ _E16, _E17 = 10**16, 10**17
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's splitter for 26-bit halves
 _POW10 = np.array([10**i for i in range(1, 17)])
 
-# 10^j / _SCALE = _HI + _LO for j = 16 - k, k in [-326, 310], with _HI =
-# _HH + _HL in 26-bit halves.  V is (|x|·_SCALE)·(_HI + _LO): the scale,
-# 2^128 above 10^200 and 2^-64 below 10^-200, keeps both factors normal
-# and the splitting in range, subnormal x included.
-_J_MIN, _J_MAX, _J_EDGE = -294, 342, 200
+# 10^j = _HI + _LO for j = 16 - k, k in [-292, 292] (one more either
+# side, where log10 is one off), with _HI = _HH + _HL in 26-bit halves.
+_J_MIN, _J_MAX = -276, 308
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,17 +62,14 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, x - high
 
 
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    j = np.arange(_J_MIN, _J_MAX + 1)
-    scale = np.where(j > _J_EDGE, 2.0**128, np.where(j < -_J_EDGE, 2.0**-64, 1.0))
-    # j >= 0 from integers: int -> float and int / int round correctly.
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    # j >= 0 from integers: int -> float rounds correctly.
     hi, lo = [], []
     num = 1
-    for j in range(_J_MAX + 1):
-        shift = 128 if j > _J_EDGE else 0
-        h = num / (1 << shift)
+    for _ in range(_J_MAX + 1):
+        h = float(num)
         hi.append(h)
-        lo.append((num - (int(h) << shift)) / (1 << shift))
+        lo.append(float(num - int(h)))
         num *= 10
     hi, lo = np.array(hi), np.array(lo)
     # j < 0 as the double-double reciprocal r + c of 10^-j = h + l, good
@@ -83,13 +81,10 @@ def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (hh, hl), (rh, rl) = _split(h), _split(r)
     e = ((hh * rh - p) + hh * rl + hl * rh) + hl * rl
     c = r * (((1.0 - p) - e) - l * r)
-    # Past 10^200 the reciprocal of 10^-j·2^-128 is 10^j·2^128, and the
-    # table holds 10^j·2^64.
-    rescale = np.where(np.arange(-_J_MIN, 0, -1) > _J_EDGE, 2.0**-64, 1.0)
-    return np.concatenate([r * rescale, hi]), np.concatenate([c * rescale, lo]), scale
+    return np.concatenate([r, hi]), np.concatenate([c, lo])
 
 
-_HI, _LO, _SCALE = _powers_of_ten()
+_HI, _LO = _powers_of_ten()
 # Split at a scale where the splitter cannot overflow.
 _HH, _HL = (half * 2.0**64 for half in _split(_HI * 2.0**-64))
 
@@ -230,8 +225,8 @@ def _integer_fields(values: np.ndarray):
 def _float_fields(x: np.ndarray, style: int):
     """Source rows, layout keys and the indices left to Python, for floats."""
     ax = np.abs(x)
-    slow = ~np.isfinite(ax)
-    regular = ~slow & (ax != 0)
+    regular = (ax >= _LEAST) & (ax <= _MOST)
+    slow = ~regular & (ax != 0)  # nan included
     if regular.all():
         d, k, near = _shortest(ax) if style == _REPR else _rounded(ax)
     else:
@@ -256,7 +251,6 @@ def _float_fields(x: np.ndarray, style: int):
 def _scaled(a: np.ndarray, k: np.ndarray):
     """⌊V⌋ and V − ⌊V⌋ of V = a·10^(16−k), and the table index of 10^(16−k)."""
     j = 16 - k - _J_MIN
-    a = a * _SCALE[j]
     hi = _HI[j]
     hh = _HH[j]
     hl = _HL[j]
@@ -296,10 +290,9 @@ def _shortest(a: np.ndarray):
     """repr digits: the fewest that read back as a, the nearest of those."""
     d, frac, k, j = _seventeen(a)
     # Half the gap to each neighbour of a, in units of V; the gap below is
-    # half the one above at a power of two, and a subnormal's gap is that
-    # of the smallest normal.
-    up = np.spacing(np.maximum(a, _TINY) * _SCALE[j]) * 0.5 * _HI[j]
-    power_of_two = ((a.view(np.int64) & ((1 << 52) - 1)) == 0) & (a > _TINY)
+    # half the one above at a power of two.
+    up = np.spacing(a) * 0.5 * _HI[j]
+    power_of_two = (a.view(np.int64) & ((1 << 52) - 1)) == 0
     down = np.where(power_of_two, 0.5 * up, up)
     # The integers strictly inside (V - down, V + up), as [lo, hi].
     low = frac - down
@@ -307,8 +300,8 @@ def _shortest(a: np.ndarray):
     lo = d + np.floor(low).astype(np.int64) + 1
     hi = d + np.ceil(high).astype(np.int64) - 1
     near = _bounds_on_integers(a, d, k, low, high, lo, hi)
-    # A normal a's interval is at most 22 units wide, so it holds at most
-    # one multiple of 100, which then has the most trailing zeros.
+    # The interval is at most 22 units wide, so it holds at most one
+    # multiple of 100, which then has the most trailing zeros.
     hundred = hi // 100 * 100
     ten = hi // 10 * 10
     has_hundred = hundred >= lo
@@ -322,37 +315,7 @@ def _shortest(a: np.ndarray):
                      np.abs(frac - 0.5) < _GUARD)
     near |= lo > hi
     digits = np.where(has_hundred, hundred, np.where(has_ten, nearest_ten, nearest_one))
-    wide = np.flatnonzero(hi - lo >= 99)  # subnormals below 1e-308
-    if wide.size:
-        digits[wide], near[wide] = _in_wide(d[wide], frac[wide], lo[wide], hi[wide])
     return _carry(digits, k) + (np.flatnonzero(near),)
-
-
-def _in_wide(d, frac, lo, hi):
-    """_shortest's choice, and the near ties, for [lo, hi] of any width.
-
-    Tries the powers of ten from 10^17 down until one has a multiple in
-    [lo, hi]; a width of 99 or more always holds a multiple of 100.
-    """
-    out = np.empty_like(d)
-    near = np.zeros(len(d), bool)
-    todo = np.arange(len(d))
-    for t in range(17, 1, -1):
-        step = 10**t
-        top = hi[todo] // step
-        found = top * step >= lo[todo]
-        at, top = todo[found], top[found]
-        quotient, rest = np.divmod(d[at], step)
-        half = step // 2
-        # V / step rounded, half up; ties are left to Python.
-        nearest = quotient + ((rest > half) | ((rest == half) & (frac[at] > 0)))
-        near[at] = ((rest == half) & (frac[at] < _GUARD)) \
-            | ((rest == half - 1) & (frac[at] > 1 - _GUARD))
-        out[at] = np.clip(nearest, -(-lo[at] // step), top) * step
-        todo = todo[~found]
-        if not todo.size:
-            break
-    return out, near
 
 
 def _bounds_on_integers(a, d, k, low, high, lo, hi) -> np.ndarray:

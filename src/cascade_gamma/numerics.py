@@ -193,7 +193,7 @@ _BRANCH_SERIES_CUT = 0.05  # on t = 1 + e x; well inside the series radius
 _SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
-def lambert_w_m1(x: float, log_neg_x: float | None = None) -> float:
+def lambert_w_m1(x: float) -> float:
     """Lower real branch W_{-1}(x) for x in [-1/e, 0).
 
     Solves w e^w = x with w <= -1.  Near the branch point the expansion
@@ -202,13 +202,9 @@ def lambert_w_m1(x: float, log_neg_x: float | None = None) -> float:
     to |w e^w - x| <= 1e-13 |x|.
 
     Below the smallest normal double, x keeps too few digits for that:
-    there w solves w + ln(-w) = ln(-x) instead, from log_neg_x = ln(-x)
-    when the caller has it to full precision (x may then underflow to
-    -0.0), else from x.
+    there w solves w + ln(-w) = ln(-x) instead.
     """
     x = float(x)
-    if log_neg_x is not None and -_SMALLEST_NORMAL < x <= 0.0:
-        return _lambert_w_m1_of_log(float(log_neg_x))
     if not math.isfinite(x) or x >= 0.0:
         raise DomainError(f"lambert_w_m1 requires -1/e <= x < 0, got {x!r}")
     if -x < _SMALLEST_NORMAL:

@@ -187,6 +187,17 @@ def test_lambert_near_branch_point():
         assert abs(w * math.exp(w) - x) <= 1e-13 * abs(x)
 
 
+def test_lambert_subnormal_arguments():
+    # w e^w = x keeps too few digits of x there; w + ln(-w) = ln(-x) does not.
+    for x in (-5e-324, -1e-320, -2.7e-309, -2.2250738585072009e-308):
+        w = lambert_w_m1(x)
+        assert w <= -1.0
+        assert w + math.log(-w) == pytest.approx(math.log(-x), rel=1e-15)
+    # Either side of the smallest normal double the two routes agree.
+    below, above = lambert_w_m1(-2.2250738585072009e-308), lambert_w_m1(-2.2250738585072014e-308)
+    assert below == pytest.approx(above, rel=1e-14)
+
+
 def test_lambert_domain_errors():
     for bad in (-1.0, -0.5, 0.0, 1e-3, math.nan):
         with pytest.raises(DomainError):
