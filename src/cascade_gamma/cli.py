@@ -33,14 +33,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import continuum, discrete, simulate
-from .errors import (
-    CascadeError,
-    ConvergenceError,
-    CriticalityError,
-    DomainError,
-    NoSignChangeError,
-    ToleranceError,
-)
+from .errors import CascadeError, CriticalityError, DomainError, ToleranceError
 
 __all__ = ["main", "entrypoint"]
 
@@ -595,9 +588,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, CriticalityError) as exc:
         print(f"cascade-gamma {ns.command}: {exc}", file=sys.stderr)
         return 2
-    except (ToleranceError, ConvergenceError, NoSignChangeError) as exc:
-        print(f"cascade-gamma {ns.command}: {exc}", file=sys.stderr)
-        return 3
     except CascadeError as exc:
         print(f"cascade-gamma {ns.command}: {exc}", file=sys.stderr)
         return 3

@@ -160,8 +160,7 @@ def nb_log_pmf(n, r: float, q: float):
         raise DomainError(f"r must be positive, got {r!r}")
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q!r}")
-    scalar = np.ndim(n) == 0
-    counts = _validate_counts(n, 0, "n")
+    counts = _validate_counts(n, 0, "n").reshape(-1)
     nf = counts.astype(np.float64)
     out = (
         numerics.log_gamma(nf + r)
@@ -172,14 +171,9 @@ def nb_log_pmf(n, r: float, q: float):
     )
     # n = 0 contributes no q^n factor; log(q) * 0 is already 0, but the
     # log-gamma pair at n = 0 cancels exactly only in exact arithmetic,
-    # so recompute the atom directly.
-    if scalar:
-        n_int = int(counts.reshape(-1)[0])
-        return float(r * math.log1p(-q)) if n_int == 0 else float(out.reshape(-1)[0])
-    zero = counts == 0
-    if zero.any():
-        out = np.where(zero, r * math.log1p(-q), out)
-    return out
+    # so set the atom directly.
+    out[counts == 0] = r * math.log1p(-q)
+    return float(out[0]) if np.ndim(n) == 0 else out.reshape(np.shape(n))
 
 
 def gamma_density_limit_check(theta: float, delta: float, x: float) -> tuple[float, float]:
@@ -219,30 +213,22 @@ def cascade_log_pmf(params: DiscretizationParams, m_start: int, n):
     m_start = int(m_start)
     if m_start < 1:
         raise DomainError(f"m_start must be >= 1, got {m_start}")
-    scalar = np.ndim(n) == 0
-    counts = _validate_counts(n, 0, "n")
-    flat = counts.reshape(-1)
-    out = np.full(flat.shape, -math.inf)
-    live = flat >= m_start
-    if live.any():
-        nf = flat[live].astype(np.float64)
-        r, q = params.r_star, params.q_star
-        out[live] = (
-            math.log(m_start)
-            - np.log(nf)
-            + numerics.log_gamma(nf * (1.0 + r) - m_start)
-            - numerics.log_gamma(nf * r)
-            - numerics.log_gamma(nf - m_start + 1.0)
-            + r * nf * math.log1p(-q)
-            + (nf - m_start) * math.log(q)
-        )
-        # Founders-only cascade: the gamma pair cancels identically.
-        atom = flat[live] == m_start
-        if atom.any():
-            out[live] = np.where(atom, m_start * r * math.log1p(-q), out[live])
-    if scalar:
-        return float(out[0])
-    return out.reshape(counts.shape)
+    counts = _validate_counts(n, 0, "n").reshape(-1)
+    nf = np.maximum(counts, m_start).astype(np.float64)
+    r, q = params.r_star, params.q_star
+    out = (
+        math.log(m_start)
+        - np.log(nf)
+        + numerics.log_gamma(nf * (1.0 + r) - m_start)
+        - numerics.log_gamma(nf * r)
+        - numerics.log_gamma(nf - m_start + 1.0)
+        + r * nf * math.log1p(-q)
+        + (nf - m_start) * math.log(q)
+    )
+    # Founders-only cascade: the gamma pair cancels identically.
+    out[counts == m_start] = m_start * r * math.log1p(-q)
+    out[counts < m_start] = -math.inf
+    return float(out[0]) if np.ndim(n) == 0 else out.reshape(np.shape(n))
 
 
 def _log_tail_ratio_limit(params: DiscretizationParams) -> float:
@@ -262,85 +248,67 @@ def _log_tail_ratio_limit(params: DiscretizationParams) -> float:
 
 _TABLE_BLOCK = 4096
 _TABLE_HARD_CAP = 2_000_000
+_TABLE_TAIL_MASS = 1e-10
 
 
 def cascade_pmf_table(
     params: DiscretizationParams,
     m_start: int,
     n_max: int | None = None,
-    tail_mass: float = 1e-10,
+    # perfbench/tracer.py reads this default and len() of the table to count cap hits.
     max_rows: int = _TABLE_HARD_CAP,
 ) -> CascadePmf:
-    """Tabulate P{T = n} for n = m_start .. n_last.
+    """Tabulate P{T = n} for n = m_start .. n_last, at most max_rows rows.
 
-    With n_max given the table runs exactly to n_max.  Otherwise it
+    With n_max given the table runs exactly to n_max, and an n_max that
+    asks for more than max_rows rows is a DomainError.  Otherwise it
     grows in blocks until the certified bound on the untabulated mass,
     last pmf value times rho / (1 - rho) with rho the larger of the
-    observed and limiting ratios, drops below tail_mass or max_rows is
-    reached.  truncated reports whether the bound still exceeded
-    tail_mass when tabulation stopped (always the case at criticality,
-    where the ratio tends to one and the tail is a power law).
+    observed and limiting ratios, drops below 1e-10 or max_rows is
+    reached.  truncated reports whether the bound still exceeded 1e-10
+    when tabulation stopped (always the case at criticality, where the
+    ratio tends to one and the tail is a power law); a bound that does
+    not exist, as for a one-row table, is reported as 1 - mass.
     """
-    if not (math.isfinite(tail_mass) and 0.0 < tail_mass < 1.0):
-        raise DomainError(f"tail_mass must lie in (0, 1), got {tail_mass!r}")
     if max_rows < 2:
         raise DomainError(f"max_rows must be >= 2, got {max_rows!r}")
+    rows = max_rows
     if n_max is not None:
         if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
             raise DomainError(f"n_max must be an integer, got {n_max!r}")
-        n_max = int(n_max)
-        if n_max < m_start:
+        rows = int(n_max) - m_start + 1
+        if rows < 1:
             raise DomainError(f"n_max must be >= m_start = {m_start}, got {n_max}")
+        if rows > max_rows:
+            raise DomainError(f"n_max = {n_max} asks for {rows} rows, over the cap of {max_rows}")
 
-    log_rho_limit = _log_tail_ratio_limit(params)
-    rho_limit = math.exp(min(log_rho_limit, 0.0))
+    rho_limit = math.exp(min(_log_tail_ratio_limit(params), 0.0))
 
-    def tail_bound_from(log_last: float, log_prev: float) -> float:
-        rho_seen = math.exp(min(log_last - log_prev, 0.0))
-        rho = max(rho_seen, rho_limit)
-        if rho >= 1.0:
-            return math.inf
-        return math.exp(log_last) * rho / (1.0 - rho)
+    def tail_bound(log_prev: float, log_last: float) -> float:
+        rho = max(math.exp(min(log_last - log_prev, 0.0)), rho_limit)
+        return math.inf if rho >= 1.0 else math.exp(log_last) * rho / (1.0 - rho)
 
     blocks: list[np.ndarray] = []
-    n_next = m_start
-    rows = 0
+    last_two = (-math.inf, -math.inf)
+    n_next, n_end = m_start, m_start + rows
     block = _TABLE_BLOCK
-    log_tail_pair = (-math.inf, -math.inf)
-    target_rows = None if n_max is None else n_max - m_start + 1
-
-    while True:
-        remaining = max_rows - rows if target_rows is None else target_rows - rows
-        if remaining <= 0:
-            break
-        size = min(block, remaining)
-        ns = np.arange(n_next, n_next + size, dtype=np.int64)
+    while n_next < n_end:
+        ns = np.arange(n_next, min(n_next + block, n_end), dtype=np.int64)
         logs = cascade_log_pmf(params, m_start, ns)
         blocks.append(np.exp(logs))
-        rows += size
-        n_next += size
-        if size >= 2:
-            log_tail_pair = (float(logs[-1]), float(logs[-2]))
-        elif rows >= 2:
-            log_tail_pair = (float(logs[-1]), log_tail_pair[0])
+        last_two = (last_two + tuple(logs[-2:].tolist()))[-2:]
+        bound = tail_bound(*last_two)
+        n_next += ns.size
         block = min(block * 2, 65536)
-        if target_rows is not None:
-            if rows >= target_rows:
-                break
-        elif rows >= 2 and tail_bound_from(*log_tail_pair) <= tail_mass:
+        if n_max is None and bound <= _TABLE_TAIL_MASS:
             break
 
-    if rows >= 2:
-        bound = tail_bound_from(*log_tail_pair)
-    else:
-        bound = math.inf
-    truncated = not bound <= tail_mass
+    probs = np.concatenate(blocks)
+    truncated = not bound <= _TABLE_TAIL_MASS
     if math.isinf(bound):
         # Report something conservative yet finite: all unseen mass.
-        probs_cat = np.concatenate(blocks)
-        bound = max(0.0, 1.0 - float(probs_cat.sum()))
-        return CascadePmf(params, m_start, probs_cat, bound, truncated)
-    return CascadePmf(params, m_start, np.concatenate(blocks), bound, truncated)
+        bound = max(0.0, 1.0 - float(probs.sum()))
+    return CascadePmf(params, m_start, probs, bound, truncated)
 
 
 def discrete_moments(params: DiscretizationParams) -> DiscreteMoments:

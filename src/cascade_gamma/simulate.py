@@ -295,26 +295,16 @@ def _summarize_chunk(config: SimConfig, trials: int, z_finite: np.ndarray, n_cen
     z_finite = np.asarray(z_finite, dtype=np.float64)
     if z_finite.size and float(z_finite.min()) < 1.0:
         raise DomainError("engine produced a total mass below the founder mass")
-    if z_finite.size:
-        in_range = z_finite <= HIST_HI
-        counts = np.histogram(z_finite[in_range], bins=HIST_EDGES)[0].astype(np.int64)
-        overflow = int(z_finite.size - np.count_nonzero(in_range))
-        sum_z = Fraction(float(z_finite.sum()))
-        sum_z_sq = Fraction(float(np.square(z_finite).sum()))
-    else:
-        counts = np.zeros(HIST_BINS, dtype=np.int64)
-        overflow = 0
-        sum_z = Fraction(0)
-        sum_z_sq = Fraction(0)
+    in_range = z_finite <= HIST_HI
     return SimSummary(
         config=config,
         trials=trials,
         n_finite=int(z_finite.size),
         n_censored=int(n_censored),
-        sum_z=sum_z,
-        sum_z_sq=sum_z_sq,
-        bin_counts=counts,
-        overflow=overflow,
+        sum_z=Fraction(float(z_finite.sum())),
+        sum_z_sq=Fraction(float(np.square(z_finite).sum())),
+        bin_counts=np.histogram(z_finite[in_range], bins=HIST_EDGES)[0].astype(np.int64),
+        overflow=int(z_finite.size - np.count_nonzero(in_range)),
     )
 
 

@@ -17,13 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_gamma import (
+    ConvergenceError,
     DiscretizationParams,
     ModelParams,
+    NoSignChangeError,
+    ToleranceError,
     cascade_pmf_table,
     density,
     extinction,
 )
-from cascade_gamma import cli
+from cascade_gamma import cli, continuum, discrete, simulate
 from cascade_gamma.cli import _build_parser, _csv_text, _json_text, main
 
 DECAY_GAP_06 = 0.7083985245782692
@@ -138,6 +141,16 @@ def test_pmf_rejects_coarse_lattice(capsys):
     code, _, err = run_cli(capsys, "pmf", "--p", "0.3", "--m", "3")
     assert code == 2
     assert "delta" in err
+
+
+def test_pmf_n_max_beyond_the_row_cap_is_a_usage_error(capsys):
+    # The cap is checked before any row is computed: a table of 10^12
+    # rows would otherwise grow until memory ran out.
+    with mock.patch.object(discrete, "cascade_log_pmf", side_effect=AssertionError("rows computed")):
+        code, out, err = run_cli(capsys, "pmf", "--p", "0.3", "--m", "10", "--n-max", "1000000000000")
+    assert code == 2
+    assert out == ""
+    assert "cap of 2000000" in err
 
 
 # ----------------------------------------------------------------- moments
@@ -522,6 +535,35 @@ def test_simulate_epsilon_validation(capsys):
     )
     assert code == 2
     assert "epsilon" in err
+
+
+def test_simulate_all_censored_campaign(capsys):
+    # p = 5 with cap 1.5 censors all 1000 trials of seed 4 in chunks of
+    # 250: four empty chunks merge to zero counts and no mean, and two
+    # threads write the bytes of one but for the workers field.
+    outs = []
+    with mock.patch.object(simulate, "CHUNK_TRIALS", 250):
+        for workers in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys, "simulate", "--mode", "continuous", "--p", "5", "--cap", "1.5",
+                "--trials", "1000", "--seed", "4", "--workers", workers,
+            )
+            assert code == 0
+            outs.append(out)
+    assert outs[0].replace('"workers": 1', '"workers": 2') == outs[1]
+    payload = json.loads(outs[0])
+    assert payload["n_finite"] == 0 and payload["n_censored"] == 1000
+    assert payload["mean"] is None and payload["variance"] is None
+    assert payload["sum_z"] == 0.0 and payload["sum_z_sq"] == 0.0
+    assert payload["histogram"]["counts"] == [0] * 980
+    assert payload["histogram"]["overflow"] == 0
+
+
+@pytest.mark.parametrize("error", [ToleranceError, ConvergenceError, NoSignChangeError])
+def test_numerical_failures_exit_3(capsys, error):
+    with mock.patch.object(continuum, "moments", side_effect=error("no convergence")):
+        code, out, err = run_cli(capsys, "moments", "--p", "0.25")
+    assert (code, out, err) == (3, "", "cascade-gamma moments: no convergence\n")
 
 
 # ----------------------------------------------------------- option plumbing

@@ -30,6 +30,7 @@ from cascade_gamma import (
     nb_log_pmf,
     rescaled_density_estimate,
 )
+from cascade_gamma.discrete import _log_tail_ratio_limit
 
 # Bisection root of the martingale fixed-point equation, p = 0.6, m = 10.
 ALPHA_06_M10 = 0.9330379989708689
@@ -228,6 +229,49 @@ def test_pmf_table_explicit_n_max_marks_truncation():
     assert table.truncated
     assert table.tail_bound > 1e-10
     assert table.n_values[-1] == 40
+
+
+def _tail_bound_of_last_two(table):
+    """The table's tail bound recomputed from cascade_log_pmf at its last two counts.
+
+    A bound that does not exist (ratio one, or a single row) is all
+    the mass the table misses.
+    """
+    n_last = int(table.n_values[-1])
+    log_prev, log_last = cascade_log_pmf(
+        table.params, table.m_start, np.array([n_last - 1, n_last])).tolist()
+    rho_limit = math.exp(min(_log_tail_ratio_limit(table.params), 0.0))
+    rho = max(math.exp(min(log_last - log_prev, 0.0)), rho_limit)
+    if rho >= 1.0:
+        return max(0.0, 1.0 - table.total_mass)
+    return math.exp(log_last) * rho / (1.0 - rho)
+
+
+@pytest.mark.parametrize("p, n_max, max_rows, rows, truncated", [
+    (0.3, 10 + 4096, 2_000_000, 4097, False),  # a last block of one row
+    (0.3, 10, 2_000_000, 1, True),  # one row: no observed ratio
+    (0.3, None, 2, 2, True),  # automatic mode stopped by max_rows
+    (0.3, None, 3, 3, True),
+    (0.5, None, 4097, 4097, True),  # critical, stopped by max_rows on a one-row block
+    (0.5, None, 5000, 5000, True),  # critical, stopped by max_rows mid-block
+])
+def test_pmf_table_stops_with_the_bound_of_its_last_two_rows(p, n_max, max_rows, rows, truncated):
+    params = DiscretizationParams(p, 10)
+    table = cascade_pmf_table(params, 10, n_max=n_max, max_rows=max_rows)
+    assert len(table) == rows
+    assert table.truncated is truncated
+    ns = np.arange(10, 10 + rows)
+    np.testing.assert_array_equal(table.probabilities, np.exp(cascade_log_pmf(params, 10, ns)))
+    assert table.tail_bound == pytest.approx(_tail_bound_of_last_two(table), rel=1e-12)
+
+
+def test_pmf_table_n_max_beyond_max_rows_is_an_error():
+    params = DiscretizationParams(0.3, 10)
+    assert len(cascade_pmf_table(params, 10, n_max=13, max_rows=4)) == 4
+    with pytest.raises(DomainError, match="cap of 4"):
+        cascade_pmf_table(params, 10, n_max=14, max_rows=4)
+    with pytest.raises(DomainError, match="max_rows"):
+        cascade_pmf_table(params, 10, max_rows=1)
 
 
 def test_pmf_table_rescaled_matches_density():
