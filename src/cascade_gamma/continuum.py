@@ -186,18 +186,25 @@ def log_density(params: ModelParams, x):
     max(1, |ln g|) for x up to 1e13 and every p, 1/2 +- 10^-k included.
     """
     xs = _on_support(x, "density is supported on")
+    return _like(_log_density(params, xs, xs - 1.0), x)
+
+
+def _log_density(params: ModelParams, x: np.ndarray, excess: np.ndarray) -> np.ndarray:
+    """ln g at x, with the excess x - 1 passed on its own.
+
+    Near x = 1 the density only sees the excess, which x itself rounds
+    away once it is below the spacing of doubles there (2.2e-16).
+    """
     log_c_minus_a, a = _tail_constants(params)
-    two_x = 2.0 * xs
-    excess = xs - 1.0
+    two_x = 2.0 * x
     with np.errstate(divide="ignore"):  # log1p(1 / 0) = inf at x = 1
-        out = (
+        return (
             (log_c_minus_a + 2.0)
             - a * excess
-            - 1.5 * np.log(xs)
+            - 1.5 * np.log(x)
             - (two_x - 1.0) * np.log1p(1.0 / excess)
             - numerics.stirling_remainder(two_x)
         )
-    return _like(out, x)
 
 
 def density(params: ModelParams, x):
@@ -278,11 +285,14 @@ def extinction(params: ModelParams) -> ExtinctionReport:
     )
 
 
-def extinction_gap_root(params: ModelParams, tol: float = numerics.DEFAULT_ROOT_TOL) -> float:
+def extinction_gap_root(params: ModelParams) -> float:
     """The same decay gap found by solving x = 2 ln(1 + p x) directly.
 
     Independent of the Lambert route above; the two are cross-checked
     in the verification suite.  Returns 0 at or below criticality.
+    The bracket [2^-1000, 2048] serves every p > 1/2: at its low end
+    p x is exact and log1p(p x) = p x, so the balance is (2p - 1) x > 0,
+    and at its high end it is 2 ln(1 + 2048 p) - 2048 < 2 ln(2^1035) - 2048 < 0.
     """
     p = params.p
     if p <= _CRITICAL_P:
@@ -294,32 +304,29 @@ def extinction_gap_root(params: ModelParams, tol: float = numerics.DEFAULT_ROOT_
             return 2.0 * (math.log(p) + math.log(x)) - x
         return 2.0 * math.log1p(px) - x
 
-    lo = 1e-12
-    hi = 1.0
-    while gap_balance(hi) > 0.0:
-        hi *= 2.0
-        if hi > 2.0**60:
-            raise CriticalityError(f"no finite decay gap bracket found for p = {p!r}")
-    return numerics.solve_bracketed(gap_balance, Interval(lo, hi), tol=tol)
+    return numerics.solve_bracketed(gap_balance, Interval(2.0**-1000, 2048.0))
 
 
-def _support_x(params: ModelParams, v):
-    """x = 1 + s (v^-2 - 1) with s = min(p, 1/2): maps v in (0, 1] onto [1, inf)."""
-    return 1.0 + min(params.p, _CRITICAL_P) * (1.0 / (v * v) - 1.0)
+def _support_excess(params: ModelParams, v):
+    """x - 1 = s (v^-2 - 1) with s = min(p, 1/2): maps v in (0, 1] onto x in [1, inf)."""
+    return min(params.p, _CRITICAL_P) * (1.0 / (v * v) - 1.0)
 
 
 def _support_integrand(params: ModelParams, k: int, v: np.ndarray) -> np.ndarray:
-    """x^k g(x) |dx/dv| at x = _support_x(v), where |dx/dv| = 2 s v^-3.
+    """x^k g(x) |dx/dv| at x = 1 + _support_excess(v), where |dx/dv| = 2 s v^-3.
 
     The x^(-3/2) tail becomes a bounded integrand in v, about
     2 C s^(-1/2) exp(-a s / v^2) near v = 0 for every p, and the peak
     near x = 1 + p sits at v of order one however small p is.  The
-    factors are summed as logs and exponentiated once, so a density that
-    underflows never meets a v^-3 that overflows (no 0 * inf = nan).
+    density gets the excess itself, which keeps that peak resolved
+    below p = 1e-16.  The factors are summed as logs and exponentiated
+    once, so a density that underflows never meets a v^-3 that
+    overflows (no 0 * inf = nan).
     """
-    x = _support_x(params, v)
+    excess = _support_excess(params, v)
+    x = 1.0 + excess
     log_jacobian = math.log(2.0 * min(params.p, _CRITICAL_P)) - 3.0 * np.log(v)
-    log_terms = log_density(params, x) + log_jacobian
+    log_terms = _log_density(params, x, excess) + log_jacobian
     if k:
         log_terms += k * np.log(x)
     return np.exp(log_terms)
@@ -339,7 +346,7 @@ def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[Quadra
         return _support_integrand(params, k, v)
 
     quadrature = numerics.integrate_adaptive(integrand, Interval(0.0, 1.0), abs_tol=abs_tol)
-    return quadrature, _support_x(params, smallest_v)
+    return quadrature, 1.0 + _support_excess(params, smallest_v)
 
 
 def numeric_moments(params: ModelParams, abs_tol: float = 1e-8) -> Moments:

@@ -335,7 +335,7 @@ def discrete_moments(params: DiscretizationParams) -> DiscreteMoments:
     return DiscreteMoments(per_atom=per_atom, total=total)
 
 
-def martingale_alpha(params: DiscretizationParams, tol: float = 1e-13) -> float:
+def martingale_alpha(params: DiscretizationParams) -> float:
     """Smallest fixed point in (0, 1] of the offspring generating function.
 
     alpha = ((1 - q*) / (1 - q* alpha))^{r*} is the extinction
@@ -357,7 +357,7 @@ def martingale_alpha(params: DiscretizationParams, tol: float = 1e-13) -> float:
     def fixed_point_gap(t: float) -> float:
         return t + r * math.log1p(-odds * math.expm1(t))
 
-    t = numerics.solve_bracketed(fixed_point_gap, Interval(-745.0, -1e-300), tol=tol)
+    t = numerics.solve_bracketed(fixed_point_gap, Interval(-745.0, -1e-300))
     return math.exp(t)
 
 
@@ -375,10 +375,5 @@ def rescaled_density_estimate(params: DiscretizationParams, x):
     if bad.any():
         raise DomainError(f"x must lie in (0, 2**62 delta), got {float(xs[bad][0])!r}")
     n = np.floor(xs * params.m + _GRID_NUDGE).astype(np.int64)
-    logs = np.asarray(cascade_log_pmf(params, params.m, n))
-    # libm's exp per element: every value equals m * math.exp(log P{T = n}),
-    # the scalar formula, bit for bit.  np.exp differs from libm in the
-    # last ulp on a few percent of arguments.
-    probs = np.fromiter(map(math.exp, logs.ravel().tolist()), np.float64, logs.size)
-    out = params.m * probs.reshape(logs.shape)
+    out = params.m * np.exp(cascade_log_pmf(params, params.m, n))
     return float(out) if np.ndim(x) == 0 else out

@@ -2,10 +2,10 @@
 
 Everything here is self-contained and deterministic: a Stirling-series
 log-gamma and its remainder, the lower real branch of the Lambert W
-function, a bracketed Brent root solver, and an adaptive Gauss-Kronrod
-quadrature.  These are the only numerical kernels the analytical
-modules rely on, so their accuracy contracts are tested directly (see
-tests/test_numerics.py).
+function, a root solver that bisects a sign-changing bracket down to
+adjacent doubles, and an adaptive Gauss-Kronrod quadrature.  These are
+the only numerical kernels the analytical modules rely on, so their
+accuracy contracts are tested directly (see tests/test_numerics.py).
 
 Both gamma kernels rest on the Stirling remainder
 
@@ -48,12 +48,7 @@ __all__ = [
     "lambert_w_m1",
     "solve_bracketed",
     "integrate_adaptive",
-    "DEFAULT_ROOT_TOL",
-    "DEFAULT_QUAD_ABS_TOL",
 ]
-
-DEFAULT_ROOT_TOL = 1e-12
-DEFAULT_QUAD_ABS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -260,78 +255,37 @@ def _lambert_w_m1_of_log(log_neg_x: float) -> float:
     raise ConvergenceError(f"lambert_w_m1 failed to converge for ln(-x) = {log_neg_x!r}")
 
 
-def solve_bracketed(
-    f: Callable[[float], float],
-    bracket: Interval,
-    tol: float = DEFAULT_ROOT_TOL,
-    max_iter: int = 200,
-) -> float:
-    """Brent root solve on a sign-changing bracket.
+def solve_bracketed(f: Callable[[float], float], bracket: Interval) -> float:
+    """Bisection to the last bit on a sign-changing bracket.
 
-    Returns a point x* inside the bracket with enclosing width <= tol
-    (plus a machine-precision allowance near large roots).  Raises
-    NoSignChangeError when f(lo) and f(hi) share a sign and
-    ConvergenceError if the iteration budget runs out.
+    Halves the bracket until f is exactly 0 at a midpoint or no double
+    lies strictly between its ends, then returns the end with the
+    smaller |f| (lo on a tie).  That takes at most about 2100 steps on
+    any finite bracket, so there is no tolerance and no budget.  Raises
+    DomainError when f is not finite at an end and NoSignChangeError
+    when f(lo) and f(hi) share a sign.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    a, b = bracket.lo, bracket.hi
-    fa, fb = float(f(a)), float(f(b))
-    if not (math.isfinite(fa) and math.isfinite(fb)):
-        raise DomainError(f"f must be finite at the bracket endpoints, got f(lo)={fa!r}, f(hi)={fb!r}")
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise NoSignChangeError(
-            f"no sign change on [{a!r}, {b!r}]: f(lo)={fa!r}, f(hi)={fb!r}"
-        )
-
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * 2.220446049250313e-16 * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                pnum = 2.0 * xm * s
-                pden = 1.0 - s
-            else:
-                qr = fa / fc
-                r = fb / fc
-                pnum = s * (2.0 * xm * qr * (qr - r) - (b - a) * (r - 1.0))
-                pden = (qr - 1.0) * (r - 1.0) * (s - 1.0)
-            if pnum > 0.0:
-                pden = -pden
-            pnum = abs(pnum)
-            if 2.0 * pnum < min(3.0 * xm * pden - abs(tol1 * pden), abs(e * pden)):
-                e = d
-                d = pnum / pden
-            else:
-                d = xm
-                e = d
+    lo, hi = bracket.lo, bracket.hi
+    f_lo, f_hi = float(f(lo)), float(f(hi))
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        raise DomainError(f"f must be finite at the bracket endpoints, got f(lo)={f_lo!r}, f(hi)={f_hi!r}")
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise NoSignChangeError(f"no sign change on [{lo!r}, {hi!r}]: f(lo)={f_lo!r}, f(hi)={f_hi!r}")
+    while True:
+        mid = 0.5 * lo + 0.5 * hi  # hi - lo and lo + hi may overflow
+        if not lo < mid < hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = float(f(mid))
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
         else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        if abs(d) > tol1:
-            b += d
-        else:
-            b += math.copysign(tol1, xm)
-        fb = float(f(b))
-    raise ConvergenceError(
-        f"bracketed solve did not reach width {tol!r} in {max_iter} iterations"
-    )
+            hi, f_hi = mid, f_mid
 
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1]; positive abscissae only,
@@ -418,7 +372,7 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], *edges: float) -> list[tuple[fl
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     interval: Interval,
-    abs_tol: float = DEFAULT_QUAD_ABS_TOL,
+    abs_tol: float,
     max_panels: int = 10_000,
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod (7, 15) quadrature over a finite interval.

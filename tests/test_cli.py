@@ -237,10 +237,12 @@ def test_verify_unreachable_tolerance_is_a_numerical_failure(capsys):
     assert payload["integral"] == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("p", ["0.001", "0.0005", "0.0001"])
+@pytest.mark.parametrize("p", ["0.001", "0.0005", "0.0001", "1e-12", "1e-15", "1e-17", "1e-100",
+                               "1e-300"])
 def test_verify_tiny_p_reports_instead_of_overflowing(capsys, p):
     # The asymptote's constant C = e^{1/p - ...} overflows a float here,
-    # and the density is a spike of width ~p just above x = 1.
+    # and the density is a spike of width ~p just above x = 1, narrower
+    # than the spacing of doubles there below p = 1e-16.
     code, out, err = run_cli(capsys, "verify", "--p", p)
     assert code == 0
     assert json.loads(out)["passed"] is True
@@ -261,9 +263,22 @@ def test_huge_p_is_not_a_usage_error(capsys, p, codes):
         assert json.loads(out)[key] == 0.0
 
 
+@pytest.mark.parametrize("p", ["0.5000000000001", "0.500000000000001", "0.5000000000000001"])
+def test_root_route_just_above_criticality(capsys, p, tmp_path):
+    # The decay gap is about 8e-13, 8e-15 and 9e-16 here, below the low
+    # end of a bracket that once started at 1e-12.
+    code, out, err = run_cli(capsys, "extinction", "--p", p)
+    assert code == 0, err
+    assert json.loads(out)["decay_gap_fixed_point"] > 0.0
+    target = tmp_path / "verify.json"
+    code, _, err = run_cli(capsys, "verify", "--p", p, "--out", str(target))
+    assert code == 0, err
+    assert json.loads(target.read_text())["passed"] is True
+
+
 _ANY_P = st.one_of(
     st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0**e),
-    st.builds(lambda k, sign: 0.5 + sign * 10.0**-k, st.integers(1, 12), st.sampled_from([1, -1])),
+    st.builds(lambda k, sign: 0.5 + sign * 10.0**-k, st.integers(1, 16), st.sampled_from([1, -1])),
 )
 
 

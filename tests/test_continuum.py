@@ -311,6 +311,46 @@ def test_extinction_routes_agree(p):
     assert abs(lambert_gap - root_gap) <= 1e-10
 
 
+def _mp_decay_gap(p: float) -> float:
+    """x* = -(2 W_{-1}(-exp(-1/(2p)) / (2p)) + 1/p) in 50-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        pm = mpmath.mpf(p)
+        w = mpmath.lambertw(-mpmath.exp(-1 / (2 * pm)) / (2 * pm), -1)
+        return -(2 * w.real + 1 / pm)
+
+
+@pytest.mark.parametrize(
+    "p", [0.51, 0.7, 2.0, 1e3, 1e100] + [0.5 + 10.0**-k for k in (3, 6, 9, 12, 13, 15)]
+)
+def test_extinction_gap_root_against_mpmath(p):
+    # Near p = 1/2 the balance 2 log1p(p x) - x is exactly 0 in floats on
+    # a band of x about 1e-15 / (2p - 1) wide relative to the root.
+    expected = _mp_decay_gap(p)
+    got = extinction_gap_root(ModelParams(p))
+    assert abs(got - expected) <= max(1e-14, 1e-15 / (2.0 * p - 1.0)) * expected
+
+
+@pytest.mark.parametrize("p", [math.nextafter(0.5, 1.0), 0.6, 1e300, 1.7976931348623157e308])
+def test_extinction_gap_root_bracket_changes_sign(monkeypatch, p):
+    # One fixed bracket serves every p > 1/2: the balance is positive at
+    # its low end 2^-1000 even at the double just above 1/2.
+    import cascade_gamma.numerics as numerics
+
+    seen = []
+    solve = numerics.solve_bracketed
+
+    def spy(f, bracket):
+        seen.append((f(bracket.lo), f(bracket.hi)))
+        return solve(f, bracket)
+
+    monkeypatch.setattr(numerics, "solve_bracketed", spy)
+    extinction_gap_root(ModelParams(p))
+    [(at_lo, at_hi)] = seen
+    assert at_lo > 0.0 > at_hi
+
+
 def test_extinction_gap_root_is_zero_up_to_criticality():
     assert extinction_gap_root(ModelParams(0.3)) == 0.0
     assert extinction_gap_root(ModelParams(0.5)) == 0.0

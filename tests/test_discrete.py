@@ -292,7 +292,7 @@ def _rescaled_density_loop(params, grid):
         if n < params.m:
             values.append(0.0)
         else:
-            values.append(params.m * math.exp(cascade_log_pmf(params, params.m, n)))
+            values.append(params.m * float(np.exp(cascade_log_pmf(params, params.m, n))))
     return values
 
 
@@ -421,8 +421,8 @@ def _mp_martingale_alpha(p: float, m: int) -> float:
 @pytest.mark.parametrize("k", range(1, 10))
 def test_martingale_alpha_near_criticality(k, m):
     # At p = 1/2 + 1e-7, m = 1000 the root sits 8e-10 below one, which a
-    # bracket on alpha ending at 1 - 1e-6 delta used to cut off.  The bound
-    # is the solver's default tolerance; the largest error seen is 1.8e-14.
+    # bracket on alpha ending at 1 - 1e-6 delta used to cut off.  The
+    # solve runs to the last bit; the largest error seen is 1.1e-16.
     p = 0.5 + 10.0**-k
     alpha = martingale_alpha(DiscretizationParams(p, m))
     assert 0.0 < alpha < 1.0

@@ -208,35 +208,55 @@ def test_lambert_domain_errors():
 
 
 def test_solve_linear():
-    root = solve_bracketed(lambda x: x - 1.0, Interval(0.0, 2.0), tol=1e-12)
+    root = solve_bracketed(lambda x: x - 1.0, Interval(0.0, 2.0))
     assert abs(root - 1.0) <= 1e-12
 
 
 def test_solve_decay_gap_equation():
     root = solve_bracketed(
-        lambda x: 2.0 * math.log(1.0 + 0.6 * x) - x, Interval(0.1, 10.0), tol=1e-12
+        lambda x: 2.0 * math.log(1.0 + 0.6 * x) - x, Interval(0.1, 10.0)
     )
     assert root == pytest.approx(DECAY_GAP_06, abs=1e-10)
 
 
 def test_solve_sqrt_two():
-    root = solve_bracketed(lambda x: x * x - 2.0, Interval(1.0, 2.0), tol=1e-12)
+    root = solve_bracketed(lambda x: x * x - 2.0, Interval(1.0, 2.0))
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_solve_requires_sign_change():
     with pytest.raises(NoSignChangeError):
-        solve_bracketed(lambda x: x * x + 1.0, Interval(-1.0, 1.0), tol=1e-12)
+        solve_bracketed(lambda x: x * x + 1.0, Interval(-1.0, 1.0))
 
 
-def test_solve_rejects_bad_tolerance():
+def test_solve_runs_to_adjacent_doubles():
+    # f changes sign across the root's two neighbouring doubles, and the
+    # root has the smallest |f| of the three.
+    def f(x):
+        return x * x - 2.0
+
+    root = solve_bracketed(f, Interval(1.0, 2.0))
+    below, above = math.nextafter(root, 0.0), math.nextafter(root, 3.0)
+    assert f(below) < 0.0 < f(above)
+    assert abs(f(root)) <= min(abs(f(below)), abs(f(above)))
+
+
+@pytest.mark.parametrize("lo,hi,root", [
+    (-1.7976931348623157e308, 1.7976931348623157e308, 1.0),  # lo + hi and hi - lo overflow
+    (0.0, 1e-320, 3e-322),  # subnormal midpoints
+])
+def test_solve_brackets_of_any_width(lo, hi, root):
+    assert solve_bracketed(lambda x: x - root, Interval(lo, hi)) == root
+
+
+def test_solve_rejects_non_finite_endpoint_values():
     with pytest.raises(DomainError):
-        solve_bracketed(lambda x: x, Interval(-1.0, 1.0), tol=0.0)
+        solve_bracketed(lambda x: math.inf if x > 0.5 else -1.0, Interval(0.0, 1.0))
 
 
 def test_solve_endpoint_root():
-    assert solve_bracketed(lambda x: x, Interval(0.0, 1.0), tol=1e-12) == 0.0
-    assert solve_bracketed(lambda x: x - 1.0, Interval(0.0, 1.0), tol=1e-12) == 1.0
+    assert solve_bracketed(lambda x: x, Interval(0.0, 1.0)) == 0.0
+    assert solve_bracketed(lambda x: x - 1.0, Interval(0.0, 1.0)) == 1.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,7 +273,7 @@ def test_solve_root_stays_inside_bracket(center, width, power):
         d = x - center
         return math.copysign(abs(d) ** power, d)
 
-    root = solve_bracketed(f, Interval(lo, hi), tol=1e-12)
+    root = solve_bracketed(f, Interval(lo, hi))
     assert lo <= root <= hi
     assert abs(root - center) <= 1e-10 * max(1.0, abs(center))
 
