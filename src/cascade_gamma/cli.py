@@ -245,12 +245,27 @@ def _cmd_pmf(ns) -> int:
     return 0
 
 
+def _flat(payload: dict, prefix: str = "") -> dict:
+    """payload with nested keys joined by "_": {"a": {"b": 1}} gives {"a_b": 1}."""
+    flat = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            flat.update(_flat(value, f"{prefix}{key}_"))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def _row_csv(title: str, payload: dict) -> Iterator[str]:
+    """payload as a one-row CSV table under the comment title."""
+    flat = _flat(payload)
+    return _csv_text([title], list(flat), [[value] for value in flat.values()])
+
+
 def _cmd_moments(ns) -> int:
     params = continuum.ModelParams(ns.p)
     result = continuum.moments(params)
     payload = {"p": params.p, "mean": result.mean, "variance": result.variance}
-    header = ["p", "mean", "variance"]
-    row = [params.p, result.mean, result.variance]
     if ns.m is not None:
         dparams = discrete.DiscretizationParams(ns.p, ns.m)
         dmoments = discrete.discrete_moments(dparams)
@@ -264,17 +279,8 @@ def _cmd_moments(ns) -> int:
             "mean": dmoments.total.mean,
             "variance": dmoments.total.variance,
         }
-        header += ["m", "delta", "per_atom_mean", "per_atom_variance", "total_mean", "total_variance"]
-        row += [
-            dparams.m,
-            dparams.delta,
-            dmoments.per_atom.mean,
-            dmoments.per_atom.variance,
-            dmoments.total.mean,
-            dmoments.total.variance,
-        ]
     if ns.format == "csv":
-        text = _csv_text(["cascade-gamma moments"], header, [[cell] for cell in row])
+        text = _row_csv("cascade-gamma moments", payload)
     else:
         text = _json_text(payload)
     _emit(text, ns.out)
@@ -294,8 +300,7 @@ def _cmd_extinction(ns) -> int:
         "route_gap": abs(report.decay_gap - fixed_point),
     }
     if ns.format == "csv":
-        text = _csv_text(["cascade-gamma extinction"], list(payload),
-                         [[float(value)] for value in payload.values()])
+        text = _row_csv("cascade-gamma extinction", payload)
     else:
         text = _json_text(payload)
     _emit(text, ns.out)
@@ -484,10 +489,12 @@ _COMMANDS: dict[str, dict] = {
             _Option("trials", "--trials", _integer, required=True, help="number of trials"),
             _Option("seed", "--seed", _integer, required=True, help="64-bit campaign seed"),
             _Option("m", "--m", _integer, help="atoms per unit mass (discrete/walk)"),
-            _Option("cap", "--cap", _real, default=1e6, help="censoring cap on total mass"),
-            _Option("epsilon", "--epsilon", _real, default=1e-9,
+            _Option("cap", "--cap", _real, default=simulate.SimConfig.cap,
+                    help="censoring cap on total mass"),
+            _Option("epsilon", "--epsilon", _real, default=simulate.SimConfig.epsilon,
                     help="continuous stopping threshold"),
-            _Option("workers", "--workers", _integer, default=1, help="worker thread count"),
+            _Option("workers", "--workers", _integer, default=simulate.SimConfig.workers,
+                    help="worker thread count"),
             _opt_format("json"),
             _opt_out(),
             _Option("hist_out", "--hist-out", str, help="also write the histogram CSV here"),

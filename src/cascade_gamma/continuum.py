@@ -58,6 +58,10 @@ __all__ = [
 
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
 _CRITICAL_P = 0.5
+_MOMENTS_ABS_TOL = 1e-8
+# The most rows a density or pmf table may have, checked before anything
+# is allocated.
+TABLE_ROW_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -82,10 +86,6 @@ class ModelParams:
         if not (math.isfinite(p) and p > 0.0):
             raise DomainError(f"p must be a positive real, got {self.p!r}")
         object.__setattr__(self, "p", p)
-
-    @property
-    def offspring_mean(self) -> float:
-        return 2.0 * self.p
 
     @property
     def subcritical(self) -> bool:
@@ -349,27 +349,25 @@ def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[Quadra
     return quadrature, 1.0 + _support_excess(params, smallest_v)
 
 
-def numeric_moments(params: ModelParams, abs_tol: float = 1e-8) -> Moments:
+def numeric_moments(params: ModelParams) -> Moments:
     """Mean and variance by integrating the density; subcritical only.
 
     A quadrature cross-check for the closed forms in moments(): the
     first and second moments are each integrated over the whole support
-    [1, inf) to abs_tol / 4 (see _support_integrand), with no cutoff
-    and no tail term.
+    [1, inf) to 1e-8 / 4 absolute (see _support_integrand), with no
+    cutoff and no tail term.
     """
     if not params.subcritical:
         raise CriticalityError(
             f"numeric moments require p < {_CRITICAL_P}, got p = {params.p!r}"
         )
-    if not (math.isfinite(abs_tol) and abs_tol > 0.0):
-        raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
-    first, _ = _support_moment(params, 1, abs_tol * 0.25)
-    second, _ = _support_moment(params, 2, abs_tol * 0.25)
+    first, _ = _support_moment(params, 1, _MOMENTS_ABS_TOL * 0.25)
+    second, _ = _support_moment(params, 2, _MOMENTS_ABS_TOL * 0.25)
     mean = first.value
     return Moments(mean=mean, variance=second.value - mean * mean)
 
 
-def verify_normalization(params: ModelParams, abs_tol: float = 1e-8) -> NormalizationCheck:
+def verify_normalization(params: ModelParams, abs_tol: float) -> NormalizationCheck:
     """Integrate the density and compare against the finite-cascade mass.
 
     Subcritically and at p = 1/2 the density integrates to one;
@@ -392,9 +390,7 @@ def verify_normalization(params: ModelParams, abs_tol: float = 1e-8) -> Normaliz
     )
 
 
-def density_table(
-    params: ModelParams, x_min: float = 1.0, x_max: float = 20.0, steps: int = 200
-) -> DensityTable:
+def density_table(params: ModelParams, x_min: float, x_max: float, steps: int) -> DensityTable:
     """Evaluate density and asymptote on a uniform grid (both endpoints included)."""
     x_min, x_max = float(x_min), float(x_max)
     if not (math.isfinite(x_min) and x_min >= 1.0):
@@ -404,6 +400,8 @@ def density_table(
     steps = int(steps)
     if steps < 2:
         raise DomainError(f"steps must be >= 2, got {steps!r}")
+    if steps > TABLE_ROW_CAP:
+        raise DomainError(f"steps = {steps} is over the cap of {TABLE_ROW_CAP}")
     grid = np.linspace(x_min, x_max, steps)
     return DensityTable(
         params=params,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .continuum import ModelParams, Moments
+from .continuum import TABLE_ROW_CAP, ModelParams, Moments
 from .errors import CriticalityError, DomainError
 from .numerics import Interval
 
@@ -50,7 +50,11 @@ _GRID_NUDGE = 1e-9  # guards floor() at grid points that are exact multiples
 
 @dataclass(frozen=True)
 class DiscretizationParams:
-    """Atom count m per unit of population; requires delta = 1/m < p."""
+    """Atom count m per unit of population; requires delta = 1/m < p.
+
+    Also requires q* < 1 in doubles, which fails once delta/p is of
+    order 1e-16: at q* = 1 the NB count has no law to sample or tabulate.
+    """
 
     p: float
     m: int
@@ -71,23 +75,15 @@ class DiscretizationParams:
             raise DomainError(
                 f"need delta = 1/m < p, got m = {m} with p = {self.p!r}"
             )
+        q_star = (self.p - delta) / self.p
+        if q_star == 1.0:
+            raise DomainError(
+                f"q* = (p - delta)/p rounds to 1 at m = {m} with p = {self.p!r}"
+            )
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "r_star", 2.0 * delta * self.p / (self.p - delta))
-        object.__setattr__(self, "q_star", (self.p - delta) / self.p)
-
-    @property
-    def model(self) -> ModelParams:
-        return ModelParams(self.p)
-
-    @property
-    def offspring_count_mean(self) -> float:
-        """r* q* / (1 - q*), which simplifies to 2p for every delta.
-
-        Evaluated through q*/(1 - q*) = (p - delta)/delta, which avoids
-        the cancellation in 1 - q* when delta << p.
-        """
-        return self.r_star * (self.p - self.delta) / self.delta
+        object.__setattr__(self, "q_star", q_star)
 
 
 @dataclass(frozen=True)
@@ -247,7 +243,6 @@ def _log_tail_ratio_limit(params: DiscretizationParams) -> float:
 
 
 _TABLE_BLOCK = 4096
-_TABLE_HARD_CAP = 2_000_000
 _TABLE_TAIL_MASS = 1e-10
 
 
@@ -256,7 +251,7 @@ def cascade_pmf_table(
     m_start: int,
     n_max: int | None = None,
     # perfbench/tracer.py reads this default and len() of the table to count cap hits.
-    max_rows: int = _TABLE_HARD_CAP,
+    max_rows: int = TABLE_ROW_CAP,
 ) -> CascadePmf:
     """Tabulate P{T = n} for n = m_start .. n_last, at most max_rows rows.
 

@@ -67,14 +67,6 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -333,6 +325,7 @@ _GK_ABSCISSAE = np.array(tuple(-v for v in _GK_NODES) + (0.0,) + _GK_NODES[::-1]
 _GK_KRONROD = _symmetric_weights(_GK_WEIGHTS_K, _GK_WEIGHT_K_CENTRE)
 _GK_GAUSS = _symmetric_weights(_GK_WEIGHTS_G, _GK_WEIGHT_G_CENTRE)
 _EPS = 2.220446049250313e-16
+_MAX_PANELS = 10_000
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], *edges: float) -> list[tuple[float, float]]:
@@ -370,10 +363,7 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], *edges: float) -> list[tuple[fl
 
 
 def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    interval: Interval,
-    abs_tol: float,
-    max_panels: int = 10_000,
+    f: Callable[[np.ndarray], np.ndarray], interval: Interval, abs_tol: float
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod (7, 15) quadrature over a finite interval.
 
@@ -387,14 +377,12 @@ def integrate_adaptive(
 
     Splits the panel with the largest error estimate until the summed
     estimate drops below abs_tol.  Raises ToleranceError (carrying the
-    best QuadratureResult so far) if max_panels is exhausted first.
+    best QuadratureResult so far) if _MAX_PANELS panels are reached first.
     Deterministic for a given integrand: ties are broken by insertion
     order.
     """
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
-    if max_panels < 1:
-        raise DomainError(f"max_panels must be >= 1, got {max_panels!r}")
 
     [(value, err)] = _gk15(f, interval.lo, interval.hi)
     evaluations = 15
@@ -404,7 +392,7 @@ def integrate_adaptive(
     total_err = err
 
     while total_err > abs_tol:
-        if len(heap) >= max_panels:
+        if len(heap) >= _MAX_PANELS:
             result = _collect(heap, evaluations)
             raise ToleranceError(
                 f"quadrature error estimate {result.abs_error_estimate:.3e} exceeds "

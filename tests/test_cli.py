@@ -153,6 +153,28 @@ def test_pmf_n_max_beyond_the_row_cap_is_a_usage_error(capsys):
     assert "cap of 2000000" in err
 
 
+def test_density_steps_beyond_the_row_cap_is_a_usage_error(capsys):
+    # The pmf's row cap, checked before the grid is allocated.
+    with mock.patch.object(np, "linspace", side_effect=AssertionError("grid allocated")):
+        code, out, err = run_cli(capsys, "density", "--p", "0.3", "--steps", "2000001")
+    assert code == 2
+    assert out == ""
+    assert "cap of 2000000" in err
+
+
+@pytest.mark.parametrize("p", ["1e16", "1e100", "1.7e308"])
+def test_lattice_where_q_star_rounds_to_one_is_a_usage_error(capsys, p):
+    # q* = (p - delta)/p is 1 in doubles here, where log1p(-q*) and
+    # q*/(1 - q*) have no finite value.
+    campaign = ("--trials", "10", "--seed", "1")
+    for m in ("1", "7", "1000"):
+        for argv in (("pmf",), ("simulate", "--mode", "discrete", *campaign),
+                     ("simulate", "--mode", "walk", *campaign)):
+            code, out, err = run_cli(capsys, *argv, "--p", p, "--m", m)
+            assert (code, out) == (2, ""), (argv, m, err)
+            assert "q*" in err, (argv, m, err)
+
+
 # ----------------------------------------------------------------- moments
 
 
@@ -277,7 +299,7 @@ def test_root_route_just_above_criticality(capsys, p, tmp_path):
 
 
 _ANY_P = st.one_of(
-    st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0**e),
+    st.floats(min_value=-4.0, max_value=300.0).map(lambda e: 10.0**e),
     st.builds(lambda k, sign: 0.5 + sign * 10.0**-k, st.integers(1, 16), st.sampled_from([1, -1])),
 )
 
@@ -297,6 +319,8 @@ def test_every_command_ends_in_a_verdict(p, m):
         (["extinction"], None),
         (["moments"], None),
         (["moments", "--m", str(m)], None),
+        (["simulate", "--mode", "discrete", "--m", str(m), "--trials", "50", "--seed", "1",
+          "--cap", "3"], None),
     ]
     for fmt in ("csv", "json"):
         commands.append((["density", "--steps", "50", "--format", fmt], 50))

@@ -53,7 +53,7 @@ EXTINCTION_ORACLES = {
 def test_model_params_validation():
     params = ModelParams(0.3)
     assert params.k == 2
-    assert params.offspring_mean == 0.6
+    assert params.p == 0.3
     assert params.subcritical
     assert not ModelParams(0.5).subcritical
     with pytest.raises(DomainError):

@@ -44,7 +44,7 @@ def test_discretization_algebra():
     assert params.delta == 0.1
     assert params.r_star == pytest.approx(0.3, rel=1e-15)
     assert params.q_star == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert params.model == ModelParams(0.3)
+    assert params.p == 0.3
 
 
 def test_discretization_validation():
@@ -58,6 +58,8 @@ def test_discretization_validation():
         DiscretizationParams(0.3, True)
     with pytest.raises(DomainError):
         DiscretizationParams(-0.3, 10)
+    with pytest.raises(DomainError):
+        DiscretizationParams(1e16, 1)  # q* = (p - delta)/p rounds to 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -67,7 +69,9 @@ def test_atomic_count_mean_is_exactly_2p(p, m):
     if 1.0 / m >= p:
         m = int(math.floor(1.0 / p)) + 1
     params = DiscretizationParams(p, m)
-    assert abs(params.offspring_count_mean - 2.0 * p) <= 1e-14 * 2.0 * p
+    # Through q*/(1 - q*) = (p - delta)/delta, free of the cancellation in 1 - q*.
+    count_mean = params.r_star * (params.p - params.delta) / params.delta
+    assert abs(count_mean - 2.0 * p) <= 1e-14 * 2.0 * p
 
 
 # --------------------------------------------------------------- nb_log_pmf
