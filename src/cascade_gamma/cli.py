@@ -342,7 +342,6 @@ def _cmd_simulate(ns) -> int:
         seed=ns.seed,
         m=ns.m,
         cap=ns.cap,
-        epsilon=ns.epsilon,
         workers=ns.workers,
     )
     summary = simulate.run_campaign(config)
@@ -491,8 +490,6 @@ _COMMANDS: dict[str, dict] = {
             _Option("m", "--m", _integer, help="atoms per unit mass (discrete/walk)"),
             _Option("cap", "--cap", _real, default=simulate.SimConfig.cap,
                     help="censoring cap on total mass"),
-            _Option("epsilon", "--epsilon", _real, default=simulate.SimConfig.epsilon,
-                    help="continuous stopping threshold"),
             _Option("workers", "--workers", _integer, default=simulate.SimConfig.workers,
                     help="worker thread count"),
             _opt_format("json"),

@@ -131,7 +131,7 @@ class ExtinctionReport:
 
 @dataclass(frozen=True)
 class NormalizationCheck:
-    """Outcome of integrating the density against its target mass.
+    """Outcome of integrating the density over its support.
 
     integral is the quadrature over the whole support [1, inf); no
     cutoff or tail term enters it.  x_max is the largest abscissa at
@@ -139,8 +139,6 @@ class NormalizationCheck:
     """
 
     integral: float
-    target: float
-    residual: float
     x_max: float
     quadrature: QuadratureResult
 
@@ -368,10 +366,11 @@ def numeric_moments(params: ModelParams) -> Moments:
 
 
 def verify_normalization(params: ModelParams, abs_tol: float) -> NormalizationCheck:
-    """Integrate the density and compare against the finite-cascade mass.
+    """Integrate the density over its support to check the finite-cascade mass.
 
     Subcritically and at p = 1/2 the density integrates to one;
-    supercritically to exp(-decay_gap).  One quadrature covers the whole
+    supercritically to exp(-decay_gap); the caller compares the integral
+    with extinction(params).prob_finite.  One quadrature covers the whole
     support [1, inf) for every p, the critical power-law tail included
     (see _support_integrand): there is no cutoff and no tail term.
     x_max is the largest abscissa at which the density was evaluated.
@@ -379,15 +378,8 @@ def verify_normalization(params: ModelParams, abs_tol: float) -> NormalizationCh
     """
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
-    target = extinction(params).prob_finite
     quadrature, x_max = _support_moment(params, 0, abs_tol * 0.5)
-    return NormalizationCheck(
-        integral=quadrature.value,
-        target=target,
-        residual=abs(quadrature.value - target),
-        x_max=x_max,
-        quadrature=quadrature,
-    )
+    return NormalizationCheck(integral=quadrature.value, x_max=x_max, quadrature=quadrature)
 
 
 def density_table(params: ModelParams, x_min: float, x_max: float, steps: int) -> DensityTable:

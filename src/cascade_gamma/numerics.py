@@ -340,8 +340,6 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], *edges: float) -> list[tuple[fl
     spans = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
     nodes = np.concatenate([centre + half * _GK_ABSCISSAE for centre, half in spans])
     values = np.asarray(f(nodes), dtype=np.float64)
-    if values.shape != nodes.shape:
-        values = np.broadcast_to(values, nodes.shape)
     panels = []
     for i, (_, half) in enumerate(spans):
         panel = values[15 * i:15 * i + 15]
@@ -353,7 +351,8 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], *edges: float) -> list[tuple[fl
             if finite.all():
                 raise DomainError(f"integrand sum overflows on [{edges[i]!r}, {edges[i + 1]!r}]")
             bad = int(np.argmin(finite))
-            raise DomainError(f"integrand returned {panel[bad]!r} at x = {nodes[15 * i + bad]!r}")
+            raise DomainError(
+                f"integrand returned {float(panel[bad])!r} at node {float(nodes[15 * i + bad])!r}")
         res_g = float(_GK_GAUSS.dot(panel))
         value = res_k * half
         err = abs((res_k - res_g) * half)
@@ -368,10 +367,9 @@ def integrate_adaptive(
     """Adaptive Gauss-Kronrod (7, 15) quadrature over a finite interval.
 
     The integrand takes an ascending float64 array of abscissae and
-    returns an array of the same shape (a constant may be returned as a
-    scalar).  The first panel calls it with its 15 nodes and each split
-    once with the 30 nodes of both halves, so the cost is
-    (evaluations / 15 + 1) / 2 calls.  Every value must be finite, or
+    returns an array of the same shape.  The first panel calls it with
+    its 15 nodes and each split once with the 30 nodes of both halves,
+    so the cost is (evaluations / 15 + 1) / 2 calls.  Every value must be finite, or
     DomainError is raised; it names the first bad node of the leftmost
     panel that has one.
 

@@ -1,22 +1,23 @@
 """Monte Carlo engines for the cascade-size distribution.
 
-Two chunk kernels sample the same object:
+Two engines sample the same object through one generation loop:
 
 - continuous: iterate X_{n+1} ~ Gamma(2 X_n, p) from X_0 = 1 and add
-  the generations up; once a generation falls below epsilon the
-  subcritical remainder x 2p/(1 - 2p) is added in expectation, which
-  keeps the estimator exactly unbiased;
+  the generations up; once a generation falls below SimConfig.epsilon
+  (1e-9) the subcritical remainder x 2p/(1 - 2p) is added in
+  expectation, which keeps the estimator exactly unbiased;
 - discrete: atoms of mass delta = 1/m reproduce as NB(r*, q*) counts,
-  a whole generation per draw through negative-binomial additivity.
+  a whole generation per draw through negative-binomial additivity,
+  until a generation is empty.
 
 The walk mode, the first passage to zero of S_t = m + sum_{i<=t} (V_i - 1)
-with V_i ~ NB(r*, q*) i.i.d., runs on the discrete kernel.  By the Dwass
+with V_i ~ NB(r*, q*) i.i.d., runs on the discrete engine.  By the Dwass
 (1969) hitting-time identity its first-passage time is the total atom
 count, and from position k a stride of k steps is exactly one
 NB(k r*, q*) generation draw.  Walk and discrete campaigns with equal
 seeds therefore give equal numbers.
 
-Both kernels censor a trial on the same event, total mass above cap, and
+Both engines censor a trial on the same event, total mass above cap, and
 censored trials never enter the sums or the histogram.
 
 Reproducibility contract: trials are processed in fixed chunks of
@@ -31,6 +32,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,7 +48,6 @@ __all__ = [
     "HIST_EDGES",
     "SimConfig",
     "SimSummary",
-    "rng_stream",
     "run_campaign",
 ]
 
@@ -66,10 +67,13 @@ class SimConfig:
 
     m is the atom count of the discretized engines and must be absent
     for the continuous one.  cap bounds the accumulated mass of one
-    trial before it is censored; epsilon is the continuous stopping
-    threshold.  workers is an execution detail: it never affects the
-    drawn numbers, so it is excluded from config identity.
+    trial before it is censored.  workers is an execution detail: it
+    never affects the drawn numbers, so it is excluded from config
+    identity.  epsilon is not a field: the continuous engine always
+    stops a trial once a generation falls to it or below.
     """
+
+    epsilon: ClassVar[float] = 1e-9
 
     mode: str
     p: float
@@ -77,7 +81,6 @@ class SimConfig:
     seed: int
     m: int | None = None
     cap: float = 1e6
-    epsilon: float = 1e-9
     workers: int = field(default=1, compare=False)
 
     def __post_init__(self):
@@ -99,10 +102,6 @@ class SimConfig:
         if not (math.isfinite(cap) and cap > 1.0):
             raise DomainError(f"cap must be finite and > 1, got {self.cap!r}")
         object.__setattr__(self, "cap", cap)
-        epsilon = float(self.epsilon)
-        if not 0.0 < epsilon < 1e-3:
-            raise DomainError(f"epsilon must lie in (0, 1e-3), got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", epsilon)
         if self.mode == "continuous":
             if self.m is not None:
                 raise DomainError("continuous mode takes no atom count m")
@@ -122,60 +121,37 @@ class SimConfig:
         return DiscretizationParams(p=self.p, m=int(self.m))
 
 
-def rng_stream(seed: int, stream_index: int) -> np.random.Generator:
+def _rng_stream(seed: int, stream_index: int) -> np.random.Generator:
     """Deterministic generator for one chunk: PCG64 spawned at (seed, index)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if isinstance(stream_index, bool) or not isinstance(stream_index, (int, np.integer)):
-        raise DomainError(f"stream_index must be an integer, got {stream_index!r}")
-    if not 0 <= int(seed) < 2**64:
-        raise DomainError(f"seed must fit in 64 bits, got {seed}")
-    if int(stream_index) < 0:
-        raise DomainError(f"stream_index must be >= 0, got {stream_index}")
-    sequence = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_index),))
+    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(stream_index,))
     return np.random.Generator(np.random.PCG64(sequence))
 
 
-def _continuous_chunk(gen, count, p, cap, epsilon):
-    x = np.ones(count)
-    z = np.ones(count)
-    censored = np.zeros(count, dtype=bool)
-    active = np.ones(count, dtype=bool)
+def _generations(start, offspring, cap, floor):
+    """Run every trial generation by generation; return (last, total, censored).
+
+    start is generation 0 of each trial and offspring(alive) draws the
+    next generation of the given trials.  A trial is censored once its
+    total exceeds cap, and stops when that happens or when a generation
+    is no larger than floor; last holds its final generation.  start
+    itself becomes last, so the loop holds two chunk-sized arrays, not
+    three: a third one raised the peak memory of two-thread campaigns.
+    """
+    alive = start
+    total = start.copy()
+    censored = np.zeros(start.size, dtype=bool)
+    active = np.ones(start.size, dtype=bool)
     while True:
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        draws = gen.gamma(2.0 * x[idx], p)
-        x[idx] = draws
-        z[idx] += draws
-        over = z[idx] > cap
-        censored[idx[over]] = True
-        active[idx] = ~over & (draws > epsilon)
-    if p < 0.5:
-        finite = ~censored
-        z[finite] += x[finite] * (2.0 * p / (1.0 - 2.0 * p))
-    return z, censored
-
-
-def _discrete_chunk(gen, count, params, cap):
-    scale = params.q_star / (1.0 - params.q_star)
-    cap_atoms = cap * params.m
-    alive = np.full(count, params.m, dtype=np.int64)
-    total = np.full(count, params.m, dtype=np.int64)
-    censored = np.zeros(count, dtype=bool)
-    active = np.ones(count, dtype=bool)
-    while True:
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        rates = gen.gamma(alive[idx] * params.r_star, scale)
-        born = gen.poisson(rates).astype(np.int64)
+        born = offspring(alive[idx])
         alive[idx] = born
         total[idx] += born
-        over = total[idx].astype(np.float64) > cap_atoms
+        over = total[idx] > cap
         censored[idx[over]] = True
-        active[idx] = ~over & (born > 0)
-    return total, censored
+        active[idx] = ~over & (born > floor)
+    return alive, total, censored
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,16 +267,38 @@ class SimSummary:
         }
 
 
-def _summarize_chunk(config: SimConfig, trials: int, z_finite: np.ndarray, n_censored: int) -> SimSummary:
-    z_finite = np.asarray(z_finite, dtype=np.float64)
+def _chunk_mass(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Total mass and censoring flag of each trial of chunk index."""
+    gen = _rng_stream(config.seed, index)
+    if config.mode == "continuous":
+        p = config.p
+        last, z, censored = _generations(
+            np.ones(size), lambda x: gen.gamma(2.0 * x, p), config.cap, config.epsilon)
+        if p < 0.5:
+            finite = ~censored
+            z[finite] += last[finite] * (2.0 * p / (1.0 - 2.0 * p))
+        return z, censored
+    params = config.discretization()
+    scale = params.q_star / (1.0 - params.q_star)
+    _, atoms, censored = _generations(
+        np.full(size, params.m, dtype=np.int64),
+        lambda alive: gen.poisson(gen.gamma(alive * params.r_star, scale)).astype(np.int64),
+        config.cap * params.m, 0)
+    return atoms * params.delta, censored
+
+
+def _run_chunk(task: tuple[SimConfig, int, int]) -> SimSummary:
+    config, index, size = task
+    z, censored = _chunk_mass(config, index, size)
+    z_finite = z[~censored]
     if z_finite.size and float(z_finite.min()) < 1.0:
         raise DomainError("engine produced a total mass below the founder mass")
     in_range = z_finite <= HIST_HI
     return SimSummary(
         config=config,
-        trials=trials,
+        trials=size,
         n_finite=int(z_finite.size),
-        n_censored=int(n_censored),
+        n_censored=int(np.count_nonzero(censored)),
         sum_z=Fraction(float(z_finite.sum())),
         sum_z_sq=Fraction(float(np.square(z_finite).sum())),
         bin_counts=np.histogram(z_finite[in_range], bins=HIST_EDGES)[0].astype(np.int64),
@@ -308,39 +306,19 @@ def _summarize_chunk(config: SimConfig, trials: int, z_finite: np.ndarray, n_cen
     )
 
 
-def _run_chunk(task: tuple[SimConfig, int, int]) -> SimSummary:
-    config, index, size = task
-    gen = rng_stream(config.seed, index)
-    if config.mode == "continuous":
-        z, censored = _continuous_chunk(gen, size, config.p, config.cap, config.epsilon)
-        z_finite = z[~censored]
-    else:
-        params = config.discretization()
-        atoms, censored = _discrete_chunk(gen, size, params, config.cap)
-        z_finite = atoms[~censored].astype(np.float64) * params.delta
-    return _summarize_chunk(config, size, z_finite, int(np.count_nonzero(censored)))
-
-
-def _chunk_sizes(trials: int) -> list[int]:
-    full, remainder = divmod(trials, CHUNK_TRIALS)
-    sizes = [CHUNK_TRIALS] * full
-    if remainder:
-        sizes.append(remainder)
-    return sizes
-
-
 def run_campaign(config: SimConfig) -> SimSummary:
     """Run every trial of the campaign and merge the chunk summaries.
 
-    Chunk i always draws from rng_stream(config.seed, i) whatever the
+    Chunk i always draws from _rng_stream(config.seed, i) whatever the
     scheduling, so any workers setting yields the same summary.
     """
-    sizes = _chunk_sizes(config.trials)
+    full, remainder = divmod(config.trials, CHUNK_TRIALS)
+    sizes = [CHUNK_TRIALS] * full + ([remainder] if remainder else [])
     tasks = [(config, index, size) for index, size in enumerate(sizes)]
     if config.workers == 1 or len(tasks) == 1:
         parts = [_run_chunk(task) for task in tasks]
     else:
-        # The kernels spend their time in numpy's samplers, which release
+        # The engines spend their time in numpy's samplers, which release
         # the interpreter lock, so threads overlap chunks without the fork,
         # pickling and teardown that a worker process costs per campaign.
         with ThreadPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:

@@ -27,11 +27,10 @@ from cascade_gamma import (
     nb_log_pmf,
     numeric_moments,
     rescaled_density_estimate,
-    rng_stream,
     run_campaign,
 )
 from cascade_gamma.cli import main
-from cascade_gamma.simulate import CHUNK_TRIALS, _continuous_chunk
+from cascade_gamma.simulate import CHUNK_TRIALS, _chunk_mass
 
 P_FINITE_06 = 0.49243218436184857  # exp(-decay gap) at p = 0.6, bisection oracle
 ALPHA_POW_M_06_D01 = 0.5000268348227875  # martingale root(0.6, m=10)**10, bisection oracle
@@ -201,12 +200,12 @@ def _model_cdf(p: float, at: np.ndarray) -> np.ndarray:
 def test_criterion_08_monte_carlo_subcritical(capsys):
     started = time.perf_counter()
     n_trials = 100_000
-    seed = 20260815
+    config = SimConfig(mode="continuous", p=0.3, trials=n_trials, seed=20260815)
     samples = []
     remaining, index = n_trials, 0
     while remaining > 0:
         size = min(CHUNK_TRIALS, remaining)
-        z, censored = _continuous_chunk(rng_stream(seed, index), size, 0.3, 1e6, 1e-9)
+        z, censored = _chunk_mass(config, index, size)
         assert not censored.any()
         samples.append(z)
         remaining -= size

@@ -568,12 +568,14 @@ def test_simulate_histogram_csv(tmp_path, capsys):
 
 
 def test_simulate_epsilon_validation(capsys):
-    code, _, err = run_cli(
+    # The continuous stopping threshold is a constant, not an option.
+    code, out, err = run_cli(
         capsys, "simulate", "--mode", "continuous", "--p", "0.3",
-        "--trials", "10", "--seed", "1", "--epsilon", "0.5",
+        "--trials", "10", "--seed", "1", "--epsilon", "1e-9",
     )
     assert code == 2
-    assert "epsilon" in err
+    assert out == ""
+    assert "unrecognized arguments: --epsilon" in err
 
 
 def test_simulate_all_censored_campaign(capsys):

@@ -385,19 +385,20 @@ def test_extinction_gap_solves_its_equation(p):
 
 @pytest.mark.parametrize("p,target", [(0.1, 1.0), (0.3, 1.0), (0.6, 0.49243218436184857)])
 def test_verify_normalization(p, target):
-    check = verify_normalization(ModelParams(p), abs_tol=1e-8)
-    assert check.target == pytest.approx(target, rel=1e-12)
-    assert check.residual == abs(check.integral - check.target)
-    assert check.residual <= 1e-6
+    params = ModelParams(p)
+    check = verify_normalization(params, abs_tol=1e-8)
+    assert extinction(params).prob_finite == pytest.approx(target, rel=1e-12)
+    assert abs(check.integral - target) <= 1e-6
     assert check.quadrature.abs_error_estimate <= 1e-8
 
 
 def test_verify_normalization_critical_power_tail():
     # At p = 1/2 the tail is a pure power law C x^(-3/2), which the change
     # of variable turns into a bounded integrand near v = 0.
-    check = verify_normalization(ModelParams(0.5), abs_tol=1e-7)
-    assert check.target == 1.0
-    assert check.residual <= 1e-6
+    params = ModelParams(0.5)
+    check = verify_normalization(params, abs_tol=1e-7)
+    assert extinction(params).prob_finite == 1.0
+    assert abs(check.integral - 1.0) <= 1e-6
 
 
 # Tiny p (narrow peak, overflowing tail constant), both sides of

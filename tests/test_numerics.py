@@ -281,7 +281,7 @@ def test_solve_root_stays_inside_bracket(center, width, power):
 
 
 def test_integrate_constant():
-    result = integrate_adaptive(lambda x: 1.0, Interval(0.0, 1.0), abs_tol=1e-12)
+    result = integrate_adaptive(np.ones_like, Interval(0.0, 1.0), abs_tol=1e-12)
     assert abs(result.value - 1.0) <= 1e-12
     assert result.abs_error_estimate <= 1e-12
     assert result.evaluations >= 15
@@ -494,9 +494,20 @@ def test_split_in_one_call_gives_the_bits_of_one_call_per_panel(f, interval, opt
 
 def test_integrate_rejects_non_finite_integrand():
     with pytest.raises(DomainError):
-        integrate_adaptive(lambda x: math.inf, Interval(0.0, 1.0), abs_tol=1e-8)
+        integrate_adaptive(lambda x: np.full_like(x, math.inf), Interval(0.0, 1.0), abs_tol=1e-8)
     with pytest.raises(DomainError):
-        integrate_adaptive(lambda x: 1.0, Interval(0.0, 1.0), abs_tol=0.0)
+        integrate_adaptive(np.ones_like, Interval(0.0, 1.0), abs_tol=0.0)
+    # One nan among the nodes: the error names that node, not a mass x,
+    # since the integrand's variable is whatever the caller integrates over.
+    seen = []
+
+    def nan_at_fifth_node(x):
+        seen.append(x[4])
+        return np.where(x == x[4], math.nan, 1.0)
+
+    with pytest.raises(DomainError) as info:
+        integrate_adaptive(nan_at_fifth_node, Interval(0.0, 1.0), abs_tol=1e-8)
+    assert str(info.value) == f"integrand returned nan at node {float(seen[0])!r}"
     # Finite values whose weighted sum overflows.
     with pytest.raises(DomainError, match="overflows"), np.errstate(over="ignore"):
         integrate_adaptive(lambda x: np.full_like(x, 1e308), Interval(0.0, 1.0), abs_tol=1e-8)
