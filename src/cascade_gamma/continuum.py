@@ -184,24 +184,30 @@ def log_density(params: ModelParams, x):
     max(1, |ln g|) for x up to 1e13 and every p, 1/2 +- 10^-k included.
     """
     xs = _on_support(x, "density is supported on")
-    return _like(_log_density(params, xs, xs - 1.0), x)
+    flat = xs.reshape(-1)
+    return _like(_log_density(_tail_constants(params), flat, flat - 1.0).reshape(xs.shape), x)
 
 
-def _log_density(params: ModelParams, x: np.ndarray, excess: np.ndarray) -> np.ndarray:
-    """ln g at x, with the excess x - 1 passed on its own.
+def _log_density(constants: tuple[float, float], x: np.ndarray, excess: np.ndarray) -> np.ndarray:
+    """ln g on a flat array x >= 1, with the excess x - 1 passed on its own.
 
-    Near x = 1 the density only sees the excess, which x itself rounds
-    away once it is below the spacing of doubles there (2.2e-16).
+    constants is (ln C - a, a) from _tail_constants.  Near x = 1 the
+    density only sees the excess, which x itself rounds away once it is
+    below the spacing of doubles there (2.2e-16).  Both callers give
+    x >= 1, so 2x goes to the Stirling remainder without a domain check.
     """
-    log_c_minus_a, a = _tail_constants(params)
+    log_c_minus_a, a = constants
     two_x = 2.0 * x
-    with np.errstate(divide="ignore"):  # log1p(1 / 0) = inf at x = 1
+    # log1p(1 / 0) = inf at x = 1.  Where p is subnormal, a = inf meets an
+    # excess of 0 (nan) and 1 / excess overflows; _gk15 and DensityTable
+    # reject the values that are not finite.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return (
             (log_c_minus_a + 2.0)
             - a * excess
             - 1.5 * np.log(x)
             - (two_x - 1.0) * np.log1p(1.0 / excess)
-            - numerics.stirling_remainder(two_x)
+            - numerics._remainder(two_x)
         )
 
 
@@ -310,8 +316,11 @@ def _support_excess(params: ModelParams, v):
     return min(params.p, _CRITICAL_P) * (1.0 / (v * v) - 1.0)
 
 
-def _support_integrand(params: ModelParams, k: int, v: np.ndarray) -> np.ndarray:
+def _support_integrand(params: ModelParams, constants: tuple[float, float], k: int,
+                       v: np.ndarray) -> np.ndarray:
     """x^k g(x) |dx/dv| at x = 1 + _support_excess(v), where |dx/dv| = 2 s v^-3.
+
+    constants is _tail_constants(params), computed once per quadrature.
 
     The x^(-3/2) tail becomes a bounded integrand in v, about
     2 C s^(-1/2) exp(-a s / v^2) near v = 0 for every p, and the peak
@@ -324,26 +333,43 @@ def _support_integrand(params: ModelParams, k: int, v: np.ndarray) -> np.ndarray
     excess = _support_excess(params, v)
     x = 1.0 + excess
     log_jacobian = math.log(2.0 * min(params.p, _CRITICAL_P)) - 3.0 * np.log(v)
-    log_terms = _log_density(params, x, excess) + log_jacobian
+    log_terms = _log_density(constants, x, excess) + log_jacobian
     if k:
         log_terms += k * np.log(x)
     return np.exp(log_terms)
 
 
+def _support_breaks(params: ModelParams, a: float) -> list[float]:
+    """The points sqrt(a s) 2^j, j = -6 ... 6, that lie in (0, 1), ascending; a is the decay rate."""
+    cutoff = math.sqrt(a * min(params.p, _CRITICAL_P))
+    edges = (cutoff * 2.0**j for j in range(-6, 7))
+    return [edge for edge in edges if 0.0 < edge < 1.0]
+
+
 def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[QuadratureResult, float]:
     """The integral of x^k g(x) over [1, inf), as one quadrature on v in (0, 1].
+
+    The quadrature starts from panels graded towards the e^(-a x)
+    cutoff, which sits at v of about sqrt(a s): its seed edges are
+    _support_breaks, the points sqrt(a s) 2^j that lie in (0, 1).  Near
+    criticality the cutoff is at v of order |2p - 1|, where a single
+    panel on (0, 1] never places a node: it would integrate the flat
+    critical tail down to v = 0 and report a small error estimate for a
+    result off by about 2 |2p - 1|.
 
     Also returns the largest x at which the quadrature evaluated g,
     finite because no Kronrod node sits on v = 0.
     """
+    constants = _tail_constants(params)
     smallest_v = 1.0
 
     def integrand(v: np.ndarray) -> np.ndarray:
         nonlocal smallest_v
-        smallest_v = min(smallest_v, float(v[0]))  # nodes ascend, the left half's first
-        return _support_integrand(params, k, v)
+        smallest_v = min(smallest_v, float(v[0]))  # nodes ascend
+        return _support_integrand(params, constants, k, v)
 
-    quadrature = numerics.integrate_adaptive(integrand, Interval(0.0, 1.0), abs_tol=abs_tol)
+    quadrature = numerics.integrate_adaptive(
+        integrand, Interval(0.0, 1.0), abs_tol=abs_tol, breaks=_support_breaks(params, constants[1]))
     return quadrature, 1.0 + _support_excess(params, smallest_v)
 
 

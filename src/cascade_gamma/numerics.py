@@ -22,19 +22,20 @@ those terms analytically (Loader 2000, "Fast and Accurate Computation
 of Binomial Probabilities").
 
 log_gamma, stirling_remainder and the quadrature work on arrays: the
-gamma kernels map an ndarray elementwise, and integrate_adaptive calls
-its integrand with the 15 nodes of its first panel, then once per split
-with the 30 nodes of both halves, as one ascending float64 array.  The
+gamma kernels map an ndarray elementwise, and integrate_adaptive works
+in rounds (the design of quadgk: Shampine 2008, "Vectorized adaptive
+quadrature in MATLAB").  It calls its integrand once with the nodes of
+all its seed panels, then once per round with the nodes of every panel
+that round refines, each time as one ascending float64 array.  The
 root solvers stay scalar, since each of their steps depends on the one
 before.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -322,103 +323,116 @@ def _symmetric_weights(outer, centre) -> np.ndarray:
 # The 15 nodes in ascending order.  The node at -v is placed as
 # centre + half * (-v), which rounds exactly as centre - half * v.
 _GK_ABSCISSAE = np.array(tuple(-v for v in _GK_NODES) + (0.0,) + _GK_NODES[::-1])
-_GK_KRONROD = _symmetric_weights(_GK_WEIGHTS_K, _GK_WEIGHT_K_CENTRE)
-_GK_GAUSS = _symmetric_weights(_GK_WEIGHTS_G, _GK_WEIGHT_G_CENTRE)
+# The Kronrod weights, then the Gauss weights, as the rows of one array.
+_GK_WEIGHTS = np.array([_symmetric_weights(_GK_WEIGHTS_K, _GK_WEIGHT_K_CENTRE),
+                        _symmetric_weights(_GK_WEIGHTS_G, _GK_WEIGHT_G_CENTRE)])
 _EPS = 2.220446049250313e-16
 _MAX_PANELS = 10_000
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], *edges: float) -> list[tuple[float, float]]:
-    """The 15-point Kronrod panels [e0, e1], [e1, e2], ... from one call of f.
+def _gk15(f: Callable[[np.ndarray], np.ndarray], pairs) -> np.ndarray:
+    """The 15-point Kronrod panels of pairs from one call of f.
 
-    f gets the nodes of every panel concatenated in ascending order.
-    Each panel takes its own 15-entry Kronrod and Gauss dot products on
-    its slice of the values, so it gets the same bits as a call on its
-    nodes alone.  Returns [(value, error_estimate), ...], one pair per
-    panel; panels are checked left first for values that are not finite.
+    pairs holds disjoint (lo, hi) panels in ascending order, so f gets
+    the nodes of every panel concatenated in ascending order.  Each
+    panel sums its own 15 weighted values, so it gets the same bits as a
+    call on its nodes alone.  Returns one (value, error estimate) row
+    per panel; the first panel with a value that is not finite raises
+    DomainError naming its first bad node.
     """
-    spans = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
-    nodes = np.concatenate([centre + half * _GK_ABSCISSAE for centre, half in spans])
-    values = np.asarray(f(nodes), dtype=np.float64)
-    panels = []
-    for i, (_, half) in enumerate(spans):
-        panel = values[15 * i:15 * i + 15]
-        res_k = float(_GK_KRONROD.dot(panel))
-        # Every Kronrod weight is positive, so a value that is not finite
-        # makes res_k not finite; the elementwise check runs only then.
-        if not math.isfinite(res_k):
-            finite = np.isfinite(panel)
-            if finite.all():
-                raise DomainError(f"integrand sum overflows on [{edges[i]!r}, {edges[i + 1]!r}]")
-            bad = int(np.argmin(finite))
-            raise DomainError(
-                f"integrand returned {float(panel[bad])!r} at node {float(nodes[15 * i + bad])!r}")
-        res_g = float(_GK_GAUSS.dot(panel))
-        value = res_k * half
-        err = abs((res_k - res_g) * half)
-        # Honest floor: a panel can never certify better than a few ulps.
-        panels.append((value, max(err, 50.0 * _EPS * abs(value))))
-    return panels
+    lo, hi = np.asarray(pairs, dtype=np.float64).T
+    half = 0.5 * (hi - lo)
+    nodes = ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_ABSCISSAE).reshape(-1)
+    values = np.asarray(f(nodes), dtype=np.float64).reshape(-1, 15)
+    # einsum sums each panel's row on its own, in an order that does not
+    # depend on the other rows; a matrix product need not.
+    res_k, res_g = np.einsum("ij,kj->ki", values, _GK_WEIGHTS)
+    # Every Kronrod weight is positive, so a value that is not finite
+    # makes res_k not finite; the elementwise check runs only then.
+    if not np.isfinite(res_k).all():
+        i = int(np.argmin(np.isfinite(res_k)))
+        finite = np.isfinite(values[i])
+        if finite.all():
+            raise DomainError(f"integrand sum overflows on [{float(lo[i])!r}, {float(hi[i])!r}]")
+        bad = int(np.argmin(finite))
+        raise DomainError(
+            f"integrand returned {float(values[i, bad])!r} at node {float(nodes[15 * i + bad])!r}")
+    value = res_k * half
+    # Honest floor: a panel can never certify better than a few ulps.
+    err = np.maximum(np.abs((res_k - res_g) * half), 50.0 * _EPS * np.abs(value))
+    return np.array([value, err]).T
 
 
 def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray], interval: Interval, abs_tol: float
+    f: Callable[[np.ndarray], np.ndarray], interval: Interval, abs_tol: float,
+    breaks: Sequence[float] = (),
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod (7, 15) quadrature over a finite interval.
 
     The integrand takes an ascending float64 array of abscissae and
-    returns an array of the same shape.  The first panel calls it with
-    its 15 nodes and each split once with the 30 nodes of both halves,
-    so the cost is (evaluations / 15 + 1) / 2 calls.  Every value must be finite, or
+    returns an array of the same shape.  Every value must be finite, or
     DomainError is raised; it names the first bad node of the leftmost
     panel that has one.
 
-    Splits the panel with the largest error estimate until the summed
-    estimate drops below abs_tol.  Raises ToleranceError (carrying the
-    best QuadratureResult so far) if _MAX_PANELS panels are reached first.
-    Deterministic for a given integrand: ties are broken by insertion
-    order.
+    The seed panels run from interval.lo through the strictly ascending
+    breaks, which must lie inside the interval, to interval.hi.  The
+    first call of f takes the nodes of all of them.  Then, while the
+    summed error estimate exceeds abs_tol, each round cuts every panel
+    whose estimate exceeds its share abs_tol * width / (hi - lo), and at
+    least the worst one, into 4 by two levels of midpoints, and calls f
+    once with the nodes of all the new panels.  So a quadrature costs
+    one call plus one per round, and 15 evaluations per seed panel plus
+    60 per panel cut.
+
+    Raises ToleranceError, carrying the QuadratureResult of the panels
+    so far, when a round would take the count past _MAX_PANELS or a
+    panel to cut has no room for its quarter points.  Deterministic for
+    a given integrand.
     """
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
+    edges = np.array([interval.lo, *breaks, interval.hi], dtype=np.float64)
+    if not (edges[1:] > edges[:-1]).all():
+        raise DomainError(f"breaks must ascend strictly inside [{interval.lo!r}, {interval.hi!r}]")
+    pairs = np.array([edges[:-1], edges[1:]]).T
+    # One row per panel, ascending: lo, hi, value, error estimate.
+    panels = np.concatenate([pairs, _gk15(f, pairs)], axis=1)
+    evaluations = 15 * len(panels)
+    share = abs_tol / (interval.hi - interval.lo)
 
-    [(value, err)] = _gk15(f, interval.lo, interval.hi)
-    evaluations = 15
-    counter = 1
-    # heap entries: (-err, insertion_counter, lo, hi, value, err)
-    heap = [(-err, 0, interval.lo, interval.hi, value, err)]
-    total_err = err
-
-    while total_err > abs_tol:
-        if len(heap) >= _MAX_PANELS:
-            result = _collect(heap, evaluations)
+    while math.fsum(panels[:, 3].tolist()) > abs_tol:
+        lo, hi, _, err = panels.T
+        cut = err > share * (hi - lo)
+        if not cut.any():
+            cut[err.argmax()] = True
+        if len(panels) + 3 * np.count_nonzero(cut) > _MAX_PANELS:
+            result = _collect(panels, evaluations)
             raise ToleranceError(
                 f"quadrature error estimate {result.abs_error_estimate:.3e} exceeds "
-                f"abs_tol {abs_tol:.3e} after {len(heap)} panels",
+                f"abs_tol {abs_tol:.3e} after {len(panels)} panels",
                 result=result,
             )
-        entry = heapq.heappop(heap)
-        _, _, lo, hi, _, worst_err = entry
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            # Panel too narrow to split further; tolerance unreachable.
-            result = _collect(heap + [entry], evaluations)
+        a, b = lo[cut], hi[cut]
+        mid = 0.5 * (a + b)
+        quarters = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b]).T
+        crowded = (quarters[:, 1:] <= quarters[:, :-1]).any(axis=1)
+        if crowded.any():
+            i = int(crowded.argmax())
             raise ToleranceError(
-                f"panel [{lo!r}, {hi!r}] cannot be split further", result=result
+                f"panel [{float(a[i])!r}, {float(b[i])!r}] cannot be split further",
+                result=_collect(panels, evaluations),
             )
-        (v1, e1), (v2, e2) = _gk15(f, lo, mid, hi)
-        evaluations += 30
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
-        counter += 2
-        total_err += e1 + e2 - worst_err
+        # The (lo, hi) of the 4 quarters of each cut panel, left to right.
+        pairs = np.array([quarters[:, :-1], quarters[:, 1:]]).transpose(1, 2, 0).reshape(-1, 2)
+        evaluations += 15 * len(pairs)
+        panels = np.concatenate([panels[~cut], np.concatenate([pairs, _gk15(f, pairs)], axis=1)])
+        panels = panels[panels[:, 0].argsort()]  # so that each call's nodes ascend
 
-    return _collect(heap, evaluations)
+    return _collect(panels, evaluations)
 
 
-def _collect(heap, evaluations: int) -> QuadratureResult:
-    """Sum panel contributions in insertion order (deterministic)."""
-    panels = sorted(heap, key=lambda item: item[1])
-    value = math.fsum(item[4] for item in panels)
-    err = math.fsum(item[5] for item in panels)
-    return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evaluations)
+def _collect(panels: np.ndarray, evaluations: int) -> QuadratureResult:
+    """The panels' values and error estimates, each summed exactly rounded."""
+    return QuadratureResult(value=math.fsum(panels[:, 2].tolist()),
+                            abs_error_estimate=math.fsum(panels[:, 3].tolist()),
+                            evaluations=evaluations)

@@ -1,7 +1,8 @@
 """End-to-end tests of the command line front end.
 
 Each test drives cli.main() in-process and inspects the exit code and
-emitted text; file outputs go to pytest tmp_path.
+emitted text; file outputs go to pytest tmp_path.  One test runs the
+CLI as a process, to see the stderr a user sees.
 """
 
 import contextlib
@@ -9,6 +10,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -269,6 +274,18 @@ def test_verify_tiny_p_reports_instead_of_overflowing(capsys, p):
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert "Traceback" not in err
+
+
+def test_verify_subnormal_p_writes_one_error_line():
+    # Run as its own process: pytest would capture numpy's floating-point
+    # warnings before they reach stderr.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "cascade_gamma", "verify", "--p", "5e-324"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    assert line.startswith("cascade-gamma verify: ")
 
 
 @pytest.mark.parametrize("p,codes", [("1e160", {0}), ("1e300", {0}), ("1e308", {0}),

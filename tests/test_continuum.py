@@ -17,8 +17,11 @@ from cascade_gamma import (
     DensityTable,
     DomainError,
     ExtinctionReport,
+    Interval,
     ModelParams,
     Moments,
+    QuadratureResult,
+    ToleranceError,
     asymptotic_log_density,
     density,
     density_table,
@@ -27,6 +30,7 @@ from cascade_gamma import (
     log_density,
     moments,
     numeric_moments,
+    numerics,
     verify_normalization,
 )
 from cascade_gamma.continuum import _support_integrand, _tail_constants
@@ -402,12 +406,16 @@ def test_verify_normalization_critical_power_tail():
 
 
 # Tiny p (narrow peak, overflowing tail constant), both sides of
-# criticality, and 1/2 +- 10^-k up to k = 5; closer to 1/2 the e^{-ax}
-# cutoff is too far out to resolve.
+# criticality, and 1/2 +- 10^-k up to k = 7.  The quadrature's seed
+# panels are graded towards the e^{-ax} cutoff at v ~ 10^-k; without
+# them the residual at k = 6 and 7 was up to 4e3 times abs_tol.  k = 8
+# is left out: at abs_tol 1e-10 its residual is 3.5 times abs_tol.  The
+# target is the root route's exp(-gap): the Lambert route's own error
+# at k >= 6 exceeds 1e-10.
 NORMALIZATION_GRID = [
     1e-4, 2e-4, 5e-4, 1e-3, 3e-3, 1e-2, 0.05, 0.1, 0.3, 0.45, 0.49, 0.5, 0.6,
     1.0, 3.0, 10.0, 100.0, 1e3, 1e4,
-] + [0.5 + sign * 10.0**-k for k in range(1, 6) for sign in (1, -1)]
+] + [0.5 + sign * 10.0**-k for k in range(1, 8) for sign in (1, -1)]
 
 
 @pytest.mark.parametrize("abs_tol", [1e-6, 1e-10])
@@ -415,8 +423,31 @@ NORMALIZATION_GRID = [
 def test_verify_normalization_over_the_whole_support(p, abs_tol):
     params = ModelParams(p)
     check = verify_normalization(params, abs_tol=abs_tol)
-    assert abs(check.integral - extinction(params).prob_finite) <= abs_tol
+    assert abs(check.integral - math.exp(-extinction_gap_root(params))) <= abs_tol
     assert math.isfinite(check.x_max) and check.x_max > 1.0
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: verify_normalization(ModelParams(0.3), 1e-16), id="verify-1e-16"),
+    pytest.param(lambda: numerics.integrate_adaptive(
+        lambda x: np.exp(-x), Interval(0.0, 50.0), abs_tol=1e-18), id="max-panels"),
+    pytest.param(lambda: numeric_moments(ModelParams(0.495)), id="moments-0.495"),
+])
+def test_failing_quadratures_fail_fast(monkeypatch, run):
+    # A tolerance below the panels' rounding floor is met by no number of
+    # panels.  Each round cuts every panel over its share, so the count
+    # grows about 4-fold a round and reaches the panel limit in a few calls.
+    calls = []
+    integrate = numerics.integrate_adaptive
+
+    def counted(f, *args, **kwargs):
+        return integrate(lambda x: calls.append(x.size) or f(x), *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate_adaptive", counted)
+    with pytest.raises(ToleranceError) as info:
+        run()
+    assert isinstance(info.value.result, QuadratureResult)
+    assert len(calls) <= 12
 
 
 @pytest.mark.parametrize("p", [0.5, 0.5 + 1e-8, 0.5 - 1e-8])
@@ -426,7 +457,8 @@ def test_support_integrand_near_criticality_down_to_tiny_v(p):
     # integrand tends to 2 C / sqrt(s) as v -> 0, with a relative offset
     # of about 1.6 v^2, below 1e-13 once v <= 1e-7.
     v = np.logspace(-3.0, -150.0, 295)
-    values = _support_integrand(ModelParams(p), 0, v)
+    params = ModelParams(p)
+    values = _support_integrand(params, _tail_constants(params), 0, v)
     assert np.all(np.isfinite(values))
     if p == 0.5:
         limit = 2.0 / math.sqrt(math.pi) / math.sqrt(0.5)
@@ -438,7 +470,8 @@ def test_support_integrand_is_finite_down_to_tiny_v():
     # Deep in the tail the density underflows to 0 while v^-3 overflows;
     # the product must come out 0, not nan.
     v = np.logspace(-100.0, 0.0, 401)
-    values = _support_integrand(ModelParams(0.3), 2, v)
+    params = ModelParams(0.3)
+    values = _support_integrand(params, _tail_constants(params), 2, v)
     assert np.all(np.isfinite(values))
     assert values[0] == 0.0
 

@@ -6,7 +6,6 @@ bisection for roots, and a dense fixed-grid Simpson rule for the
 quadrature cross-checks.
 """
 
-import heapq
 import math
 
 import numpy as np
@@ -365,34 +364,97 @@ def test_gk15_panel_is_exact_to_degree_22(degree):
     coeffs = [1.0 + 0.25 * k for k in range(degree + 1)]
     f = lambda x: np.polynomial.polynomial.polyval(x, coeffs)  # noqa: E731
     lo, mid, hi = 0.3, 1.1, 1.7
-    [(value, err)] = _gk15(f, lo, hi)
+    [(value, err)] = _gk15(f, [(lo, hi)]).tolist()
     exact = _poly_integral(coeffs, lo, hi)
     assert abs(value - exact) <= 1e-14 * abs(exact)
     if degree <= 13:
         assert err == 50.0 * _EPS * abs(value)
     # Two panels from one call give the bits of two separate calls.
-    assert _gk15(f, lo, mid, hi) == _gk15(f, lo, mid) + _gk15(f, mid, hi)
+    assert _gk15(f, [(lo, mid), (mid, hi)]).tolist() == (
+        _gk15(f, [(lo, mid)]).tolist() + _gk15(f, [(mid, hi)]).tolist())
 
 
-def test_integrand_is_called_once_per_panel_with_its_nodes():
-    # The first panel takes one call of 15 nodes, and each split one call
-    # of the 30 nodes of both halves, in ascending order.
+def test_gk15_gives_each_panel_the_bits_of_its_own_call():
+    from cascade_gamma.numerics import _gk15
+
+    rng = np.random.default_rng(7)
+    f = lambda x: np.exp(-x) * np.cos(40.0 * x) + x**3  # noqa: E731
+    edges = np.sort(rng.uniform(-3.0, 3.0, 65))
+    pairs = list(zip(edges[:-1], edges[1:]))
+    assert _gk15(f, pairs).tolist() == [row for pair in pairs for row in _gk15(f, [pair]).tolist()]
+
+
+def test_integrand_is_called_once_per_round_with_its_nodes():
+    # The first call takes the 15 nodes of each seed panel, and each
+    # round one call of the 4 * 15 nodes of every panel it cuts, all in
+    # ascending order.
     calls = []
 
     def f(x):
         calls.append(x.copy())
-        return np.exp(-x)
+        return np.exp(-x) * np.cos(3.0 * x)
 
-    result = integrate_adaptive(f, Interval(0.0, 50.0), abs_tol=1e-10)
-    assert result.evaluations > 15
-    assert len(calls) == (result.evaluations // 15 + 1) // 2
-    assert {(type(x), x.shape, x.dtype) for x in calls} == {
-        (np.ndarray, (15,), np.dtype(np.float64)),
-        (np.ndarray, (30,), np.dtype(np.float64)),
-    }
-    assert calls[0].shape == (15,)
+    breaks = (1.0, 5.0, 20.0)
+    result = integrate_adaptive(f, Interval(0.0, 50.0), abs_tol=1e-10, breaks=breaks)
+    assert len(calls) > 2
+    assert result.evaluations == sum(x.size for x in calls)
+    assert {(type(x), x.dtype) for x in calls} == {(np.ndarray, np.dtype(np.float64))}
+    assert calls[0].size == 15 * (len(breaks) + 1)
     for x in calls[1:]:
+        assert x.size % 60 == 0
+    for x in calls:
         assert np.all(np.diff(x) > 0.0)
+    # Without breaks the quadrature starts from one panel.
+    calls.clear()
+    integrate_adaptive(f, Interval(0.0, 50.0), abs_tol=1e-10)
+    assert calls[0].size == 15
+
+
+def test_breaks_must_ascend_strictly_inside_the_interval():
+    for breaks in ((0.0,), (1.0,), (0.5, 0.5), (0.6, 0.4), (math.nan,)):
+        with pytest.raises(DomainError, match="breaks"):
+            integrate_adaptive(np.ones_like, Interval(0.0, 1.0), abs_tol=1e-8, breaks=breaks)
+
+
+def test_microbench_call_stays_one_panel():
+    # perfbench/microbench.py times one GK15 panel with this call and
+    # fails unless it takes exactly 15 evaluations.
+    from cascade_gamma import ModelParams, density
+
+    params = ModelParams(0.3)
+    result = integrate_adaptive(lambda x: density(params, x), Interval(1.0, 3.0), abs_tol=1.0)
+    assert result.evaluations == 15
+
+
+# lo >= 0 keeps |f| <= 1, so the 50-ulp panel floor stays below 1e-12.
+# Up to 4 periods in the interval, the 15-node start sees the
+# oscillation; with 16 periods on one panel the Kronrod and Gauss sums
+# can agree by chance, and the error estimate then misses a larger error.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.01, max_value=5.0),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=-12.0, max_value=-4.0),
+)
+def test_integrate_meets_its_tolerance(lo, width, c, omega, log_tol):
+    # With z = c - i w, the integral of exp(-c x) cos(w x) over [lo, hi]
+    # is Re[exp(-z lo) (1 - exp(-z (hi - lo))) / z], taken at 40 digits.
+    import mpmath
+
+    hi = lo + width
+    abs_tol = 10.0**log_tol
+    with mpmath.workdps(40):
+        z = mpmath.mpc(c, -omega)
+        span = mpmath.mpf(hi) - mpmath.mpf(lo)
+        factor = span if z == 0 else -mpmath.expm1(-z * span) / z
+        exact = float(mpmath.re(mpmath.exp(-z * mpmath.mpf(lo)) * factor))
+
+    result = integrate_adaptive(
+        lambda x: np.exp(-c * x) * np.cos(omega * x), Interval(lo, hi), abs_tol=abs_tol)
+    assert result.abs_error_estimate <= abs_tol
+    assert abs(result.value - exact) <= abs_tol
 
 
 def test_gk15_nodes_are_centre_plus_minus_half_node():
@@ -400,8 +462,8 @@ def test_gk15_nodes_are_centre_plus_minus_half_node():
 
     def nodes(*edges):
         seen = []
-        panels = _gk15(lambda x: seen.append(x.copy()) or np.zeros_like(x), *edges)
-        assert panels == [(0.0, 0.0)] * (len(edges) - 1)
+        panels = _gk15(lambda x: seen.append(x.copy()) or np.zeros_like(x), list(zip(edges, edges[1:])))
+        assert panels.tolist() == [[0.0, 0.0]] * (len(edges) - 1)
         return seen[0].tolist()
 
     lo, hi = 1.0, 1.0 + 2.0 ** -20 * 3.0
@@ -414,39 +476,50 @@ def test_gk15_nodes_are_centre_plus_minus_half_node():
     assert nodes(lo, mid, hi) == nodes(lo, mid) + nodes(mid, hi)
 
 
-def _one_call_per_panel(f, interval, abs_tol=1e-10):
+def _one_call_per_panel(f, interval, abs_tol=1e-10, breaks=()):
     """integrate_adaptive with one call of f per panel: the reference for
-    the adaptive loop, which evaluates both halves of a split in one call.
+    the rounds, which evaluate all the new panels of a round in one call.
     """
-    from cascade_gamma.numerics import _MAX_PANELS, _collect, _gk15
+    from cascade_gamma.numerics import _MAX_PANELS, _gk15
 
-    [(value, err)] = _gk15(f, interval.lo, interval.hi)
-    evaluations = 15
-    counter = 1
-    heap = [(-err, 0, interval.lo, interval.hi, value, err)]
-    total_err = err
-    while total_err > abs_tol:
-        if len(heap) >= _MAX_PANELS:
-            result = _collect(heap, evaluations)
-            raise ToleranceError(
-                f"quadrature error estimate {result.abs_error_estimate:.3e} exceeds "
-                f"abs_tol {abs_tol:.3e} after {len(heap)} panels",
-                result=result,
-            )
-        entry = heapq.heappop(heap)
-        _, _, lo, hi, _, worst_err = entry
+    def panel(lo, hi):
+        [(value, err)] = _gk15(f, [(lo, hi)]).tolist()
+        return lo, hi, value, err
+
+    def quarters(lo, hi):
         mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            result = _collect(heap + [entry], evaluations)
-            raise ToleranceError(f"panel [{lo!r}, {hi!r}] cannot be split further", result=result)
-        [(v1, e1)] = _gk15(f, lo, mid)
-        [(v2, e2)] = _gk15(f, mid, hi)
-        evaluations += 30
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
-        counter += 2
-        total_err += e1 + e2 - worst_err
-    return _collect(heap, evaluations)
+        return [lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi]
+
+    def result():
+        return QuadratureResult(value=math.fsum(q[2] for q in panels),
+                                abs_error_estimate=math.fsum(q[3] for q in panels),
+                                evaluations=15 * evaluated)
+
+    edges = [interval.lo, *breaks, interval.hi]
+    panels = [panel(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    evaluated = len(panels)
+    share = abs_tol / (interval.hi - interval.lo)
+    while math.fsum(q[3] for q in panels) > abs_tol:
+        cut = [err > share * (hi - lo) for lo, hi, _, err in panels]
+        if not any(cut):
+            errors = [q[3] for q in panels]
+            cut[errors.index(max(errors))] = True
+        if len(panels) + 3 * sum(cut) > _MAX_PANELS:
+            now = result()
+            raise ToleranceError(
+                f"quadrature error estimate {now.abs_error_estimate:.3e} exceeds "
+                f"abs_tol {abs_tol:.3e} after {len(panels)} panels", result=now)
+        for (lo, hi, _, _), cut_q in zip(panels, cut):
+            edges = quarters(lo, hi)
+            if cut_q and not all(a < b for a, b in zip(edges, edges[1:])):
+                raise ToleranceError(f"panel [{lo!r}, {hi!r}] cannot be split further", result=result())
+        refined = []
+        for q, cut_q in zip(panels, cut):
+            edges = quarters(q[0], q[1])
+            refined += [panel(a, b) for a, b in zip(edges, edges[1:])] if cut_q else [q]
+        evaluated += 4 * sum(cut)
+        panels = refined
+    return result()
 
 
 def _outcome(integrate, f, interval, **options):
@@ -459,14 +532,24 @@ def _outcome(integrate, f, interval, **options):
 
 def _support(p, k=0):
     from cascade_gamma import ModelParams
-    from cascade_gamma.continuum import _support_integrand
+    from cascade_gamma.continuum import _support_integrand, _tail_constants
 
-    return lambda v: _support_integrand(ModelParams(p), k, v)
+    params = ModelParams(p)
+    return lambda v: _support_integrand(params, _tail_constants(params), k, v)
+
+
+def _support_breaks(p):
+    from cascade_gamma import ModelParams
+    from cascade_gamma.continuum import _support_breaks, _tail_constants
+
+    params = ModelParams(p)
+    return _support_breaks(params, _tail_constants(params)[1])
 
 
 def _nan_in_both_halves(x):
-    # sqrt(x) must split [0, 2]; both halves, but not the whole, have a node in a gap.
-    gaps = ((0.003 < x) & (x < 0.006)) | ((1.993 < x) & (x < 1.997))
+    # sqrt(x) must cut [0, 2]; its first and last quarters, but not the
+    # whole, have a node in a gap, so one call meets a nan in both.
+    gaps = ((0.002 < x) & (x < 0.003)) | ((1.997 < x) & (x < 1.998))
     return np.where(gaps, math.nan, np.sqrt(x))
 
 
@@ -479,8 +562,16 @@ SPLIT_CALL_CASES = [
                  {"abs_tol": 1e-300}, id="cannot-be-split"),
     pytest.param(_nan_in_both_halves, Interval(0.0, 2.0), {"abs_tol": 1e-10}, id="nan-in-both-halves"),
 ] + [
+    pytest.param(lambda x: np.exp(-x), Interval(0.0, 50.0),
+                 {"abs_tol": 1e-10, "breaks": (0.5, 2.0, 8.0)}, id="exp-with-breaks"),
+] + [
     pytest.param(_support(p), Interval(0.0, 1.0), {"abs_tol": tol}, id=f"support-p{p}-tol{tol}")
     for p in (0.01, 0.3, 0.5, 0.6, 5.0, 1e3)
+    for tol in (1e-6, 1e-10)
+] + [
+    pytest.param(_support(p), Interval(0.0, 1.0), {"abs_tol": tol, "breaks": _support_breaks(p)},
+                 id=f"support-seeded-p{p}-tol{tol}")
+    for p in (0.01, 0.3, 0.5 - 1e-7, 0.5 + 1e-6, 5.0)
     for tol in (1e-6, 1e-10)
 ]
 
