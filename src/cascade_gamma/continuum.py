@@ -184,17 +184,15 @@ def log_density(params: ModelParams, x):
     max(1, |ln g|) for x up to 1e13 and every p, 1/2 +- 10^-k included.
     """
     xs = _on_support(x, "density is supported on")
-    flat = xs.reshape(-1)
-    return _like(_log_density(_tail_constants(params), flat, flat - 1.0).reshape(xs.shape), x)
+    return _like(_log_density(_tail_constants(params), xs, xs - 1.0), x)
 
 
 def _log_density(constants: tuple[float, float], x: np.ndarray, excess: np.ndarray) -> np.ndarray:
-    """ln g on a flat array x >= 1, with the excess x - 1 passed on its own.
+    """ln g at x, with the excess x - 1 passed on its own.
 
     constants is (ln C - a, a) from _tail_constants.  Near x = 1 the
     density only sees the excess, which x itself rounds away once it is
-    below the spacing of doubles there (2.2e-16).  Both callers give
-    x >= 1, so 2x goes to the Stirling remainder without a domain check.
+    below the spacing of doubles there (2.2e-16).
     """
     log_c_minus_a, a = constants
     two_x = 2.0 * x
@@ -207,7 +205,7 @@ def _log_density(constants: tuple[float, float], x: np.ndarray, excess: np.ndarr
             - a * excess
             - 1.5 * np.log(x)
             - (two_x - 1.0) * np.log1p(1.0 / excess)
-            - numerics._remainder(two_x)
+            - numerics.stirling_remainder(two_x)
         )
 
 
@@ -340,8 +338,14 @@ def _support_integrand(params: ModelParams, constants: tuple[float, float], k: i
 
 
 def _support_breaks(params: ModelParams, a: float) -> list[float]:
-    """The points sqrt(a s) 2^j, j = -6 ... 6, that lie in (0, 1), ascending; a is the decay rate."""
+    """The points sqrt(a s) 2^j, j = -6 ... 6, that lie in (0, 1), ascending; a is the decay rate.
+
+    Empty where sqrt(a s) >= 1 (p above about 3.2): there the cutoff
+    lies beyond v = 1, and the graded panels would only add nodes.
+    """
     cutoff = math.sqrt(a * min(params.p, _CRITICAL_P))
+    if cutoff >= 1.0:
+        return []
     edges = (cutoff * 2.0**j for j in range(-6, 7))
     return [edge for edge in edges if 0.0 < edge < 1.0]
 

@@ -323,44 +323,46 @@ def _symmetric_weights(outer, centre) -> np.ndarray:
 # The 15 nodes in ascending order.  The node at -v is placed as
 # centre + half * (-v), which rounds exactly as centre - half * v.
 _GK_ABSCISSAE = np.array(tuple(-v for v in _GK_NODES) + (0.0,) + _GK_NODES[::-1])
-# The Kronrod weights, then the Gauss weights, as the rows of one array.
+# The Kronrod weights, then their difference from the Gauss weights, as
+# the rows of one array: one product gives the value and the error.
 _GK_WEIGHTS = np.array([_symmetric_weights(_GK_WEIGHTS_K, _GK_WEIGHT_K_CENTRE),
-                        _symmetric_weights(_GK_WEIGHTS_G, _GK_WEIGHT_G_CENTRE)])
+                        _symmetric_weights(_GK_WEIGHTS_K, _GK_WEIGHT_K_CENTRE)
+                        - _symmetric_weights(_GK_WEIGHTS_G, _GK_WEIGHT_G_CENTRE)])
 _EPS = 2.220446049250313e-16
 _MAX_PANELS = 10_000
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], pairs) -> np.ndarray:
+def _gk15(f: Callable[[np.ndarray], np.ndarray], pairs) -> list[tuple[float, float, float, float]]:
     """The 15-point Kronrod panels of pairs from one call of f.
 
     pairs holds disjoint (lo, hi) panels in ascending order, so f gets
     the nodes of every panel concatenated in ascending order.  Each
     panel sums its own 15 weighted values, so it gets the same bits as a
-    call on its nodes alone.  Returns one (value, error estimate) row
-    per panel; the first panel with a value that is not finite raises
-    DomainError naming its first bad node.
+    call on its nodes alone.  Returns one (lo, hi, value, error
+    estimate) row per panel; the first panel with a value that is not
+    finite raises DomainError naming its first bad node.
     """
-    lo, hi = np.asarray(pairs, dtype=np.float64).T
+    lo, hi = np.array(pairs, dtype=np.float64).T
     half = 0.5 * (hi - lo)
     nodes = ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_ABSCISSAE).reshape(-1)
     values = np.asarray(f(nodes), dtype=np.float64).reshape(-1, 15)
     # einsum sums each panel's row on its own, in an order that does not
     # depend on the other rows; a matrix product need not.
-    res_k, res_g = np.einsum("ij,kj->ki", values, _GK_WEIGHTS)
+    sums = np.einsum("ij,kj->ki", values, _GK_WEIGHTS)
     # Every Kronrod weight is positive, so a value that is not finite
-    # makes res_k not finite; the elementwise check runs only then.
-    if not np.isfinite(res_k).all():
-        i = int(np.argmin(np.isfinite(res_k)))
+    # makes the Kronrod sum not finite; the elementwise check runs only then.
+    if not all(map(math.isfinite, sums[0].tolist())):
+        i = int(np.argmin(np.isfinite(sums[0])))
         finite = np.isfinite(values[i])
         if finite.all():
             raise DomainError(f"integrand sum overflows on [{float(lo[i])!r}, {float(hi[i])!r}]")
         bad = int(np.argmin(finite))
         raise DomainError(
             f"integrand returned {float(values[i, bad])!r} at node {float(nodes[15 * i + bad])!r}")
-    value = res_k * half
+    value, diff = sums * half
     # Honest floor: a panel can never certify better than a few ulps.
-    err = np.maximum(np.abs((res_k - res_g) * half), 50.0 * _EPS * np.abs(value))
-    return np.array([value, err]).T
+    err = np.maximum(np.abs(diff), 50.0 * _EPS * np.abs(value))
+    return list(zip(lo.tolist(), hi.tolist(), value.tolist(), err.tolist()))
 
 
 def integrate_adaptive(
@@ -384,55 +386,57 @@ def integrate_adaptive(
     one call plus one per round, and 15 evaluations per seed panel plus
     60 per panel cut.
 
-    Raises ToleranceError, carrying the QuadratureResult of the panels
-    so far, when a round would take the count past _MAX_PANELS or a
-    panel to cut has no room for its quarter points.  Deterministic for
-    a given integrand.
+    A round that would take the count past _MAX_PANELS cuts only the
+    worst of its panels that fit.  Raises ToleranceError, carrying the
+    QuadratureResult of the panels so far, when not one more panel fits
+    or a panel to cut has no room for its quarter points.  Deterministic
+    for a given integrand.
     """
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
-    edges = np.array([interval.lo, *breaks, interval.hi], dtype=np.float64)
-    if not (edges[1:] > edges[:-1]).all():
+    edges = [interval.lo, *map(float, breaks), interval.hi]
+    if not all(a < b for a, b in zip(edges, edges[1:])):
         raise DomainError(f"breaks must ascend strictly inside [{interval.lo!r}, {interval.hi!r}]")
-    pairs = np.array([edges[:-1], edges[1:]]).T
-    # One row per panel, ascending: lo, hi, value, error estimate.
-    panels = np.concatenate([pairs, _gk15(f, pairs)], axis=1)
+    # One (lo, hi, value, error estimate) per panel, ascending.
+    panels = _gk15(f, list(zip(edges, edges[1:])))
     evaluations = 15 * len(panels)
     share = abs_tol / (interval.hi - interval.lo)
 
-    while math.fsum(panels[:, 3].tolist()) > abs_tol:
-        lo, hi, _, err = panels.T
-        cut = err > share * (hi - lo)
-        if not cut.any():
-            cut[err.argmax()] = True
-        if len(panels) + 3 * np.count_nonzero(cut) > _MAX_PANELS:
+    while math.fsum(q[3] for q in panels) > abs_tol:
+        cut = [q[3] > share * (q[1] - q[0]) for q in panels]
+        if not any(cut):
+            cut[max(range(len(panels)), key=lambda i: panels[i][3])] = True
+        room = (_MAX_PANELS - len(panels)) // 3  # cuts that keep the count within the limit
+        if room <= 0:
             result = _collect(panels, evaluations)
             raise ToleranceError(
                 f"quadrature error estimate {result.abs_error_estimate:.3e} exceeds "
                 f"abs_tol {abs_tol:.3e} after {len(panels)} panels",
                 result=result,
             )
-        a, b = lo[cut], hi[cut]
-        mid = 0.5 * (a + b)
-        quarters = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b]).T
-        crowded = (quarters[:, 1:] <= quarters[:, :-1]).any(axis=1)
-        if crowded.any():
-            i = int(crowded.argmax())
-            raise ToleranceError(
-                f"panel [{float(a[i])!r}, {float(b[i])!r}] cannot be split further",
-                result=_collect(panels, evaluations),
-            )
+        if sum(cut) > room:  # the last round cuts only the worst that fit
+            worst = set(sorted((i for i, c in enumerate(cut) if c), key=lambda i: -panels[i][3])[:room])
+            cut = [i in worst for i in range(len(panels))]
         # The (lo, hi) of the 4 quarters of each cut panel, left to right.
-        pairs = np.array([quarters[:, :-1], quarters[:, 1:]]).transpose(1, 2, 0).reshape(-1, 2)
+        pairs = []
+        for (lo, hi, _, _), cut_q in zip(panels, cut):
+            if cut_q:
+                mid = 0.5 * (lo + hi)
+                quarters = (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)
+                if not all(a < b for a, b in zip(quarters, quarters[1:])):
+                    raise ToleranceError(f"panel [{lo!r}, {hi!r}] cannot be split further",
+                                         result=_collect(panels, evaluations))
+                pairs += zip(quarters, quarters[1:])
         evaluations += 15 * len(pairs)
-        panels = np.concatenate([panels[~cut], np.concatenate([pairs, _gk15(f, pairs)], axis=1)])
-        panels = panels[panels[:, 0].argsort()]  # so that each call's nodes ascend
+        new = iter(_gk15(f, pairs))  # each cut panel gives way to its 4 quarters, in place
+        panels = [q for old, cut_q in zip(panels, cut)
+                  for q in ((next(new), next(new), next(new), next(new)) if cut_q else (old,))]
 
     return _collect(panels, evaluations)
 
 
-def _collect(panels: np.ndarray, evaluations: int) -> QuadratureResult:
+def _collect(panels: list, evaluations: int) -> QuadratureResult:
     """The panels' values and error estimates, each summed exactly rounded."""
-    return QuadratureResult(value=math.fsum(panels[:, 2].tolist()),
-                            abs_error_estimate=math.fsum(panels[:, 3].tolist()),
+    return QuadratureResult(value=math.fsum(q[2] for q in panels),
+                            abs_error_estimate=math.fsum(q[3] for q in panels),
                             evaluations=evaluations)

@@ -6,6 +6,7 @@ bisection before the library was written.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -409,9 +410,12 @@ def test_verify_normalization_critical_power_tail():
 # criticality, and 1/2 +- 10^-k up to k = 7.  The quadrature's seed
 # panels are graded towards the e^{-ax} cutoff at v ~ 10^-k; without
 # them the residual at k = 6 and 7 was up to 4e3 times abs_tol.  k = 8
-# is left out: at abs_tol 1e-10 its residual is 3.5 times abs_tol.  The
-# target is the root route's exp(-gap): the Lambert route's own error
-# at k >= 6 exceeds 1e-10.
+# is left out: at abs_tol 1e-10 its residual is 3.5 times abs_tol.
+# Every point is checked against the root route's exp(-gap), and all
+# but 1/2 + 10^-6 and 1/2 + 10^-7 also against the Lambert route's
+# prob_finite, which the CLI compares with: there the Lambert route's
+# own error exceeds 1e-10 (1.8e-10 and 9.5e-10).
+LAMBERT_OFF = {0.5 + 10.0**-k for k in (6, 7)}
 NORMALIZATION_GRID = [
     1e-4, 2e-4, 5e-4, 1e-3, 3e-3, 1e-2, 0.05, 0.1, 0.3, 0.45, 0.49, 0.5, 0.6,
     1.0, 3.0, 10.0, 100.0, 1e3, 1e4,
@@ -424,6 +428,8 @@ def test_verify_normalization_over_the_whole_support(p, abs_tol):
     params = ModelParams(p)
     check = verify_normalization(params, abs_tol=abs_tol)
     assert abs(check.integral - math.exp(-extinction_gap_root(params))) <= abs_tol
+    if p not in LAMBERT_OFF:
+        assert abs(check.integral - extinction(params).prob_finite) <= abs_tol
     assert math.isfinite(check.x_max) and check.x_max > 1.0
 
 
@@ -437,6 +443,8 @@ def test_failing_quadratures_fail_fast(monkeypatch, run):
     # A tolerance below the panels' rounding floor is met by no number of
     # panels.  Each round cuts every panel over its share, so the count
     # grows about 4-fold a round and reaches the panel limit in a few calls.
+    # The last round cuts only the worst panels that fit, so the failure
+    # comes at the limit, not one round short of it.
     calls = []
     integrate = numerics.integrate_adaptive
 
@@ -448,6 +456,8 @@ def test_failing_quadratures_fail_fast(monkeypatch, run):
         run()
     assert isinstance(info.value.result, QuadratureResult)
     assert len(calls) <= 12
+    panels = int(re.search(r"after (\d+) panels", str(info.value)).group(1))
+    assert numerics._MAX_PANELS - 3 < panels <= numerics._MAX_PANELS
 
 
 @pytest.mark.parametrize("p", [0.5, 0.5 + 1e-8, 0.5 - 1e-8])

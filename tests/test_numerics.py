@@ -364,14 +364,13 @@ def test_gk15_panel_is_exact_to_degree_22(degree):
     coeffs = [1.0 + 0.25 * k for k in range(degree + 1)]
     f = lambda x: np.polynomial.polynomial.polyval(x, coeffs)  # noqa: E731
     lo, mid, hi = 0.3, 1.1, 1.7
-    [(value, err)] = _gk15(f, [(lo, hi)]).tolist()
+    [(_, _, value, err)] = _gk15(f, [(lo, hi)])
     exact = _poly_integral(coeffs, lo, hi)
     assert abs(value - exact) <= 1e-14 * abs(exact)
     if degree <= 13:
         assert err == 50.0 * _EPS * abs(value)
     # Two panels from one call give the bits of two separate calls.
-    assert _gk15(f, [(lo, mid), (mid, hi)]).tolist() == (
-        _gk15(f, [(lo, mid)]).tolist() + _gk15(f, [(mid, hi)]).tolist())
+    assert _gk15(f, [(lo, mid), (mid, hi)]) == _gk15(f, [(lo, mid)]) + _gk15(f, [(mid, hi)])
 
 
 def test_gk15_gives_each_panel_the_bits_of_its_own_call():
@@ -381,7 +380,7 @@ def test_gk15_gives_each_panel_the_bits_of_its_own_call():
     f = lambda x: np.exp(-x) * np.cos(40.0 * x) + x**3  # noqa: E731
     edges = np.sort(rng.uniform(-3.0, 3.0, 65))
     pairs = list(zip(edges[:-1], edges[1:]))
-    assert _gk15(f, pairs).tolist() == [row for pair in pairs for row in _gk15(f, [pair]).tolist()]
+    assert _gk15(f, pairs) == [row for pair in pairs for row in _gk15(f, [pair])]
 
 
 def test_integrand_is_called_once_per_round_with_its_nodes():
@@ -462,8 +461,9 @@ def test_gk15_nodes_are_centre_plus_minus_half_node():
 
     def nodes(*edges):
         seen = []
-        panels = _gk15(lambda x: seen.append(x.copy()) or np.zeros_like(x), list(zip(edges, edges[1:])))
-        assert panels.tolist() == [[0.0, 0.0]] * (len(edges) - 1)
+        pairs = list(zip(edges, edges[1:]))
+        panels = _gk15(lambda x: seen.append(x.copy()) or np.zeros_like(x), pairs)
+        assert panels == [(lo, hi, 0.0, 0.0) for lo, hi in pairs]
         return seen[0].tolist()
 
     lo, hi = 1.0, 1.0 + 2.0 ** -20 * 3.0
@@ -483,8 +483,8 @@ def _one_call_per_panel(f, interval, abs_tol=1e-10, breaks=()):
     from cascade_gamma.numerics import _MAX_PANELS, _gk15
 
     def panel(lo, hi):
-        [(value, err)] = _gk15(f, [(lo, hi)]).tolist()
-        return lo, hi, value, err
+        [row] = _gk15(f, [(lo, hi)])
+        return row
 
     def quarters(lo, hi):
         mid = 0.5 * (lo + hi)
@@ -504,11 +504,15 @@ def _one_call_per_panel(f, interval, abs_tol=1e-10, breaks=()):
         if not any(cut):
             errors = [q[3] for q in panels]
             cut[errors.index(max(errors))] = True
-        if len(panels) + 3 * sum(cut) > _MAX_PANELS:
+        room = (_MAX_PANELS - len(panels)) // 3
+        if room <= 0:
             now = result()
             raise ToleranceError(
                 f"quadrature error estimate {now.abs_error_estimate:.3e} exceeds "
                 f"abs_tol {abs_tol:.3e} after {len(panels)} panels", result=now)
+        if sum(cut) > room:
+            worst = set(sorted((i for i, c in enumerate(cut) if c), key=lambda i: -panels[i][3])[:room])
+            cut = [i in worst for i in range(len(panels))]
         for (lo, hi, _, _), cut_q in zip(panels, cut):
             edges = quarters(lo, hi)
             if cut_q and not all(a < b for a, b in zip(edges, edges[1:])):
@@ -571,7 +575,7 @@ SPLIT_CALL_CASES = [
 ] + [
     pytest.param(_support(p), Interval(0.0, 1.0), {"abs_tol": tol, "breaks": _support_breaks(p)},
                  id=f"support-seeded-p{p}-tol{tol}")
-    for p in (0.01, 0.3, 0.5 - 1e-7, 0.5 + 1e-6, 5.0)
+    for p in (0.01, 0.3, 0.5 - 1e-7, 0.5 + 1e-6, 2.0)
     for tol in (1e-6, 1e-10)
 ]
 
