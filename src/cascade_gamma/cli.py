@@ -2,10 +2,10 @@
 
 Subcommands mirror the library surface: density, pmf, moments,
 extinction, simulate, verify.  Exit codes: 0 success, 2 usage or
-domain errors, 3 numerical failures (tolerance not met, convergence
-lost, verification residual above tolerance).  CSV payloads carry '#'
-comment lines echoing the parameters, a fixed header, floats written
-as '%.17g' (17 significant digits, 'inf' and 'nan' spelled so) and LF
+domain errors, 3 numerical failures (tolerance not met, verification
+residual above tolerance).  CSV payloads carry '#' comment lines
+echoing the parameters, a fixed header, floats written as
+'%.17g' (17 significant digits, 'inf' and 'nan' spelled so) and LF
 line endings.  JSON payloads use sorted keys and an indent of 2, with
 floats written as their shortest round-trip repr ('Infinity' and 'NaN'
 for the non-finite ones).  Tables are formatted in blocks of rows and
@@ -105,8 +105,8 @@ def _joined(columns: list[np.ndarray], style: str, ends: list[bytes]) -> str:
     zero-padded byte matrix.  The matrices and the ends are laid side by
     side in one matrix, read out row by row without the zeros.
     """
-    # Imported here, by table output only: compiling the module and
-    # building its tables takes milliseconds that scalar commands skip.
+    # Imported here, by CSV and JSON arrays only: compiling the module and
+    # building its tables takes milliseconds that other JSON output skips.
     from . import floattext
 
     texts = [floattext.cells(column, style)[0] for column in columns]
@@ -287,17 +287,23 @@ def _cmd_moments(ns) -> int:
     return 0
 
 
-def _cmd_extinction(ns) -> int:
-    params = continuum.ModelParams(ns.p)
+def _extinction_routes(params: continuum.ModelParams) -> tuple[continuum.ExtinctionReport, float, float]:
+    """The Lambert route's report, the root route's gap and the distance between the gaps."""
     report = continuum.extinction(params)
     fixed_point = continuum.extinction_gap_root(params)
+    return report, fixed_point, abs(report.decay_gap - fixed_point)
+
+
+def _cmd_extinction(ns) -> int:
+    params = continuum.ModelParams(ns.p)
+    report, fixed_point, route_gap = _extinction_routes(params)
     payload = {
         "p": params.p,
         "decay_gap": report.decay_gap,
         "log_prob_finite": report.log_prob_finite,
         "prob_finite": report.prob_finite,
         "decay_gap_fixed_point": fixed_point,
-        "route_gap": abs(report.decay_gap - fixed_point),
+        "route_gap": route_gap,
     }
     if ns.format == "csv":
         text = _row_csv("cascade-gamma extinction", payload)
@@ -370,15 +376,14 @@ def _cmd_simulate(ns) -> int:
 
 def _cmd_verify(ns) -> int:
     params = continuum.ModelParams(ns.p)
-    lambert_report = continuum.extinction(params)
-    fixed_point = continuum.extinction_gap_root(params)
+    lambert_report, fixed_point, route_gap = _extinction_routes(params)
     root_target = math.exp(-fixed_point)
     payload = {
         "p": params.p,
         "abs_tol": ns.abs_tol,
         "lambert_target": lambert_report.prob_finite,
         "root_target": root_target,
-        "route_gap": abs(lambert_report.decay_gap - fixed_point),
+        "route_gap": route_gap,
     }
     try:
         check = continuum.verify_normalization(params, abs_tol=ns.abs_tol)
@@ -400,7 +405,7 @@ def _cmd_verify(ns) -> int:
         passed = (
             residual_lambert <= ns.abs_tol
             and residual_root <= ns.abs_tol
-            and payload["route_gap"] <= _ROUTE_GAP_TOL
+            and route_gap <= _ROUTE_GAP_TOL
         )
     payload["passed"] = passed
     if ns.format == "csv":

@@ -115,18 +115,20 @@ class ExtinctionReport:
 
     p: float
     decay_gap: float
-    log_prob_finite: float
-    prob_finite: float
 
     def __post_init__(self):
-        if self.decay_gap < 0.0:
+        if not self.decay_gap >= 0.0:
             raise DomainError(f"decay_gap must be >= 0, got {self.decay_gap!r}")
-        # 0 where exp(log_prob_finite) underflows (p above about 1e153); the
-        # isclose check below rejects a 0 anywhere else.
-        if not 0.0 <= self.prob_finite <= 1.0:
-            raise DomainError(f"prob_finite must lie in [0, 1], got {self.prob_finite!r}")
-        if not math.isclose(self.prob_finite, math.exp(self.log_prob_finite), rel_tol=1e-12):
-            raise DomainError("prob_finite and log_prob_finite disagree")
+
+    @property
+    def log_prob_finite(self) -> float:
+        """-decay_gap, written as 0.0 - decay_gap so that a zero gap gives +0.0."""
+        return 0.0 - self.decay_gap
+
+    @property
+    def prob_finite(self) -> float:
+        """exp(-decay_gap); 0 where that underflows (p above about 1e153)."""
+        return math.exp(-self.decay_gap)
 
 
 @dataclass(frozen=True)
@@ -276,15 +278,12 @@ def extinction(params: ModelParams) -> ExtinctionReport:
     """
     p = params.p
     if p <= _CRITICAL_P:
-        return ExtinctionReport(p=p, decay_gap=0.0, log_prob_finite=0.0, prob_finite=1.0)
+        return ExtinctionReport(p=p, decay_gap=0.0)
     # -exp(-1/(2p)) / (2p) without forming 2p, which overflows above 9e307.
     # Above about 2e307 it is subnormal, yet never below 2.7e-309.
     argument = -0.5 * math.exp(-0.5 / p) / p
-    log_prob = 2.0 * numerics.lambert_w_m1(argument) + 1.0 / p
-    gap = max(-log_prob, 0.0)
-    return ExtinctionReport(
-        p=p, decay_gap=gap, log_prob_finite=-gap, prob_finite=math.exp(-gap)
-    )
+    # W_{-1} <= -1 and 1/p < 2, so the gap is positive.
+    return ExtinctionReport(p=p, decay_gap=-(2.0 * numerics.lambert_w_m1(argument) + 1.0 / p))
 
 
 def extinction_gap_root(params: ModelParams) -> float:

@@ -91,8 +91,8 @@ class CascadePmf:
     """Cascade-size pmf table over consecutive counts n = m_start, m_start+1, ...
 
     tail_bound dominates the mass beyond the last tabulated count
-    (geometric-ratio argument); truncated marks tables that stopped at
-    a cap with the bound still above the requested tail mass.
+    (geometric-ratio argument); truncated marks tables whose bound is
+    still above 1e-10, whether they stopped at the row cap or at n_max.
     """
 
     params: DiscretizationParams

@@ -10,7 +10,6 @@ __all__ = [
     "CascadeError",
     "DomainError",
     "NoSignChangeError",
-    "ConvergenceError",
     "ToleranceError",
     "CriticalityError",
 ]
@@ -26,10 +25,6 @@ class DomainError(CascadeError, ValueError):
 
 class NoSignChangeError(CascadeError):
     """A bracketing root solve was handed endpoints with the same sign."""
-
-
-class ConvergenceError(CascadeError):
-    """An iteration failed to reach its target accuracy within its budget."""
 
 
 class ToleranceError(CascadeError):

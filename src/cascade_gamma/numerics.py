@@ -2,10 +2,11 @@
 
 Everything here is self-contained and deterministic: a Stirling-series
 log-gamma and its remainder, the lower real branch of the Lambert W
-function, a root solver that bisects a sign-changing bracket down to
-adjacent doubles, and an adaptive Gauss-Kronrod quadrature.  These are
-the only numerical kernels the analytical modules rely on, so their
-accuracy contracts are tested directly (see tests/test_numerics.py).
+function by Newton steps, a root solver that bisects a sign-changing
+bracket down to adjacent doubles, and an adaptive Gauss-Kronrod
+quadrature.  These are the only numerical kernels the analytical
+modules rely on, so their accuracy contracts are tested directly (see
+tests/test_numerics.py).
 
 Both gamma kernels rest on the Stirling remainder
 
@@ -39,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NoSignChangeError, ToleranceError
+from .errors import DomainError, NoSignChangeError, ToleranceError
 
 __all__ = [
     "Interval",
@@ -178,74 +179,39 @@ def log_gamma(z):
 
 
 _BRANCH_SERIES_CUT = 0.05  # on t = 1 + e x; well inside the series radius
-_SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
 def lambert_w_m1(x: float) -> float:
     """Lower real branch W_{-1}(x) for x in [-1/e, 0).
 
-    Solves w e^w = x with w <= -1.  Near the branch point the expansion
-    in p = -sqrt(2 (1 + e x)) seeds the iteration; away from it the
-    classic ln(-x) - ln(-ln(-x)) starter is used.  Halley steps polish
-    to |w e^w - x| <= 1e-13 |x|.
-
-    Below the smallest normal double, x keeps too few digits for that:
-    there w solves w + ln(-w) = ln(-x) instead.
+    Newton steps on w + ln(-w) = ln(-x), the log of w e^w = x, which
+    keeps every digit of a subnormal x.  They start from the branch-point
+    series in q = -sqrt(2 (1 + e x)) or from ln(-x) - ln(-ln(-x)) and stop
+    when a step no longer shrinks, so there is no tolerance and no budget:
+    w + ln(-w) is concave and increasing on w < -1, so every step after
+    the first lands at or left of the root.  1 + e x down to -1e-12 counts
+    as the branch point, where W_{-1} = -1 exactly.
     """
     x = float(x)
     if not math.isfinite(x) or x >= 0.0:
         raise DomainError(f"lambert_w_m1 requires -1/e <= x < 0, got {x!r}")
-    if -x < _SMALLEST_NORMAL:
-        return _lambert_w_m1_of_log(math.log(-x))
     t = 1.0 + math.e * x
-    if t < 0.0:
-        if t < -1e-12:
-            raise DomainError(f"lambert_w_m1 requires x >= -1/e, got {x!r}")
-        t = 0.0
-    if t == 0.0:
+    if t < -1e-12:
+        raise DomainError(f"lambert_w_m1 requires x >= -1/e, got {x!r}")
+    if t <= 0.0:
         return -1.0
 
+    log_neg_x = math.log(-x)  # <= -1 on the domain
     if t < _BRANCH_SERIES_CUT:
         q = -math.sqrt(2.0 * t)
         w = -1.0 + q * (1.0 + q * (-1.0 / 3.0 + q * (11.0 / 72.0 + q * (-43.0 / 540.0))))
     else:
-        log_neg_x = math.log(-x)  # < -1 on this branch, so -log_neg_x > 1
         w = log_neg_x - math.log(-log_neg_x)
-    if w > -1.0:
-        w = -1.0
-
-    tol = 1e-13 * abs(x)
-    for _ in range(100):
-        ew = math.exp(w)
-        residual = w * ew - x
-        if abs(residual) <= tol:
-            return w
-        if w + 1.0 == 0.0:
-            # Derivative vanishes at the branch point; nudge below it.
-            w = -1.0 - 1e-8
-            continue
-        d1 = ew * (w + 1.0)
-        denom = d1 - residual * (w + 2.0) / (2.0 * (w + 1.0))
-        if denom == 0.0:
-            denom = d1
-        w -= residual / denom
-        if w > -1.0:
-            w = -1.0
-    ew = math.exp(w)
-    if abs(w * ew - x) <= tol:
-        return w
-    raise ConvergenceError(f"lambert_w_m1 failed to converge for x = {x!r}")
-
-
-def _lambert_w_m1_of_log(log_neg_x: float) -> float:
-    """W_{-1}(x) from ln(-x) << -1, by Newton steps on w + ln(-w) = ln(-x)."""
-    w = log_neg_x - math.log(-log_neg_x)
-    for _ in range(50):
-        step = (w + math.log(-w) - log_neg_x) / (1.0 + 1.0 / w)
+    step = math.inf
+    while abs(next_step := w * (w + math.log(-w) - log_neg_x) / (w + 1.0)) < abs(step):
+        step = next_step
         w -= step
-        if abs(step) <= 1e-15 * abs(w):
-            return w
-    raise ConvergenceError(f"lambert_w_m1 failed to converge for ln(-x) = {log_neg_x!r}")
+    return w
 
 
 def solve_bracketed(f: Callable[[float], float], bracket: Interval) -> float:

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_gamma import (
-    ConvergenceError,
     DiscretizationParams,
     ModelParams,
     NoSignChangeError,
@@ -617,7 +616,7 @@ def test_simulate_all_censored_campaign(capsys):
     assert payload["histogram"]["overflow"] == 0
 
 
-@pytest.mark.parametrize("error", [ToleranceError, ConvergenceError, NoSignChangeError])
+@pytest.mark.parametrize("error", [ToleranceError, NoSignChangeError])
 def test_numerical_failures_exit_3(capsys, error):
     with mock.patch.object(continuum, "moments", side_effect=error("no convergence")):
         code, out, err = run_cli(capsys, "moments", "--p", "0.25")

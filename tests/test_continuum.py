@@ -78,16 +78,18 @@ def test_moments_type_validation():
 
 
 def test_extinction_report_validation():
-    ExtinctionReport(p=0.6, decay_gap=0.7, log_prob_finite=-0.7, prob_finite=math.exp(-0.7))
-    with pytest.raises(DomainError):
-        ExtinctionReport(p=0.6, decay_gap=0.7, log_prob_finite=-0.7, prob_finite=0.9)
-    with pytest.raises(DomainError):
-        ExtinctionReport(p=0.6, decay_gap=-0.1, log_prob_finite=0.1, prob_finite=1.0)
-    # 0 stands only where exp(log_prob_finite) underflows to it.
-    ExtinctionReport(p=1e300, decay_gap=1396.0, log_prob_finite=-1396.0, prob_finite=0.0)
-    for log_prob, prob in ((-700.0, 0.0), (-0.1, -0.1), (0.1, 1.1), (-0.1, math.nan)):
+    report = ExtinctionReport(p=0.6, decay_gap=0.7)
+    assert report.log_prob_finite == -0.7
+    assert report.prob_finite == math.exp(-0.7)
+    for gap in (-0.1, -5e-324, math.nan):
         with pytest.raises(DomainError):
-            ExtinctionReport(p=0.6, decay_gap=0.1, log_prob_finite=log_prob, prob_finite=prob)
+            ExtinctionReport(p=0.6, decay_gap=gap)
+    # prob_finite is 0 only where exp(-gap) underflows.
+    assert ExtinctionReport(p=1e300, decay_gap=1396.0).prob_finite == 0.0
+    # A gap of 0 has the log +0.0, which the CLI writes as 0.0, not -0.0.
+    for p in (0.3, 0.5):
+        assert math.copysign(1.0, extinction(ModelParams(p)).log_prob_finite) == 1.0
+    assert extinction(ModelParams(math.nextafter(0.5, 1.0))).decay_gap > 0.0
 
 
 # ----------------------------------------------------------------- density
@@ -335,6 +337,22 @@ def test_extinction_gap_root_against_mpmath(p):
     expected = _mp_decay_gap(p)
     got = extinction_gap_root(ModelParams(p))
     assert abs(got - expected) <= max(1e-14, 1e-15 / (2.0 * p - 1.0)) * expected
+
+
+def test_extinction_against_mpmath():
+    # p = 1/2 + u with u log-uniform on [1e-4, 1.5], and three huge p.
+    # Near 1/2 the gap goes as the square root of t = 1 + e x with
+    # t ~ (2p - 1)^2 / 2, so the rounding of x = -e^(-1/(2p)) / (2p)
+    # alone costs about 1e-16 / (2p - 1)^2 of the gap, relative.
+    us = np.exp(np.random.default_rng(2013).uniform(math.log(1e-4), math.log(1.5), 400))
+    misses = []
+    for p in [0.5 + float(u) for u in us] + [1e3, 1e100, 1e300]:
+        expected = _mp_decay_gap(p)
+        got = extinction(ModelParams(p)).decay_gap
+        bound = max(4e-15, 2e-15 / (2.0 * p - 1.0) / (2.0 * p - 1.0))
+        if not abs(got - expected) <= bound * expected:
+            misses.append((p, float(abs(got - expected) / expected), bound))
+    assert not misses, misses
 
 
 @pytest.mark.parametrize("p", [math.nextafter(0.5, 1.0), 0.6, 1e300, 1.7976931348623157e308])

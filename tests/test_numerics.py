@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_gamma import (
-    ConvergenceError,
     DomainError,
     Interval,
     NoSignChangeError,
