@@ -1,18 +1,19 @@
 """Command line front end.
 
 Subcommands mirror the library surface: density, pmf, moments,
-extinction, simulate, verify.  Exit codes: 0 success, 2 usage or
-domain errors, 3 numerical failures (tolerance not met, verification
-residual above tolerance).  CSV payloads carry '#' comment lines
-echoing the parameters, a fixed header, floats written as
-'%.17g' (17 significant digits, 'inf' and 'nan' spelled so) and LF
-line endings.  JSON payloads use sorted keys and an indent of 2, with
-floats written as their shortest round-trip repr ('Infinity' and 'NaN'
-for the non-finite ones).  Tables are formatted in blocks of rows and
-streamed to the output: floattext.cells writes each column of a block
-as a zero-padded byte matrix, with Python's own bytes for every cell,
-and _joined reads the rows out of the cells and separators laid side
-by side.  Outputs are byte-reproducible for identical invocations.
+extinction, simulate, verify.  Exit codes: 0 success, 2 usage or domain
+errors, 3 numerical failures (tolerance not met, verification residual
+above tolerance, or the two extinction routes of extinction and verify
+more than 1e-10 apart; the payload is still written).  CSV payloads
+carry '#' comment lines echoing the parameters, a fixed header, floats
+written as '%.17g' (17 significant digits, 'inf' and 'nan' spelled so)
+and LF line endings.  JSON payloads use sorted keys and an indent of 2,
+with floats written as their shortest round-trip repr ('Infinity' and
+'NaN' for the non-finite ones).  Tables are formatted in blocks of rows
+and streamed to the output: floattext.cells writes each column of a
+block as a zero-padded byte matrix, with Python's own bytes for every
+cell, and _joined reads the rows out of the cells and separators laid
+side by side.  Outputs are byte-reproducible for identical invocations.
 
 Every option may instead be given in a --config file of `key = value`
 lines (keys match the long option names without the leading dashes);
@@ -310,7 +311,7 @@ def _cmd_extinction(ns) -> int:
     else:
         text = _json_text(payload)
     _emit(text, ns.out)
-    return 0
+    return 0 if route_gap <= _ROUTE_GAP_TOL else 3
 
 
 def _histogram_csv(summary: simulate.SimSummary) -> Iterator[str]:

@@ -117,8 +117,12 @@ class ExtinctionReport:
     decay_gap: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.p) and self.p > 0.0):
+            raise DomainError(f"p must be a positive real, got {self.p!r}")
         if not self.decay_gap >= 0.0:
             raise DomainError(f"decay_gap must be >= 0, got {self.decay_gap!r}")
+        if self.decay_gap > 0.0 and self.p <= _CRITICAL_P:
+            raise DomainError(f"decay_gap must be 0 at p = {self.p!r} <= 1/2, got {self.decay_gap!r}")
 
     @property
     def log_prob_finite(self) -> float:
@@ -273,17 +277,17 @@ def extinction(params: ModelParams) -> ExtinctionReport:
     """Finite-cascade probability via the lower Lambert W branch.
 
     For p > 1/2 the root of x = 2 ln(1 + p x) is
-    x* = -(2 W_{-1}(-exp(-1/(2p)) / (2p)) + 1/p); at or below
-    criticality the cascade is finite with probability one.
+    x* = -(2 W_{-1}(-exp(-1/(2p)) / (2p)) + 1/p).  That argument is
+    -exp(-1 - a/2) with a the decay rate of _tail_constants, so
+    W_{-1} = -e^r with r = numerics.lambert_w_m1(a/2), and
+    x* = 2 (expm1(r) + (p - 1/2)/p): two terms >= 0, nothing cancels.
+    At or below criticality the cascade is finite with probability one.
     """
     p = params.p
     if p <= _CRITICAL_P:
         return ExtinctionReport(p=p, decay_gap=0.0)
-    # -exp(-1/(2p)) / (2p) without forming 2p, which overflows above 9e307.
-    # Above about 2e307 it is subnormal, yet never below 2.7e-309.
-    argument = -0.5 * math.exp(-0.5 / p) / p
-    # W_{-1} <= -1 and 1/p < 2, so the gap is positive.
-    return ExtinctionReport(p=p, decay_gap=-(2.0 * numerics.lambert_w_m1(argument) + 1.0 / p))
+    r = numerics.lambert_w_m1(0.5 * _tail_constants(params)[1])
+    return ExtinctionReport(p=p, decay_gap=2.0 * (math.expm1(r) + (p - 0.5) / p))
 
 
 def extinction_gap_root(params: ModelParams) -> float:
@@ -337,15 +341,17 @@ def _support_integrand(params: ModelParams, constants: tuple[float, float], k: i
 
 
 def _support_breaks(params: ModelParams, a: float) -> list[float]:
-    """The points sqrt(a s) 2^j, j = -6 ... 6, that lie in (0, 1), ascending; a is the decay rate.
+    """The points sqrt(a s) 2^j, j >= -6, that lie in (0, 1), ascending; a is the decay rate.
 
     Empty where sqrt(a s) >= 1 (p above about 3.2): there the cutoff
-    lies beyond v = 1, and the graded panels would only add nodes.
+    lies beyond v = 1, and the graded panels would only add nodes.  Also
+    empty at p = 1/2, where a = 0 and there is no cutoff.
     """
     cutoff = math.sqrt(a * min(params.p, _CRITICAL_P))
     if cutoff >= 1.0:
         return []
-    edges = (cutoff * 2.0**j for j in range(-6, 7))
+    # cutoff = m 2^e with m in [1/2, 1), so cutoff 2^j < 1 up to j = -e.
+    edges = (math.ldexp(cutoff, j) for j in range(-6, 1 - math.frexp(cutoff)[1]))
     return [edge for edge in edges if 0.0 < edge < 1.0]
 
 
@@ -358,7 +364,9 @@ def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[Quadra
     criticality the cutoff is at v of order |2p - 1|, where a single
     panel on (0, 1] never places a node: it would integrate the flat
     critical tail down to v = 0 and report a small error estimate for a
-    result off by about 2 |2p - 1|.
+    result off by about 2 |2p - 1|.  The edges run on up to v = 1: past
+    the last one the cutoff factor still differs from 1 by about
+    a s / v^2, a deficit that a panel reaching far beyond it can miss.
 
     Also returns the largest x at which the quadrature evaluated g,
     finite because no Kronrod node sits on v = 0.

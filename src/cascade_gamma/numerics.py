@@ -2,7 +2,8 @@
 
 Everything here is self-contained and deterministic: a Stirling-series
 log-gamma and its remainder, the lower real branch of the Lambert W
-function by Newton steps, a root solver that bisects a sign-changing
+function as ln(-W_{-1}) from the argument's log distance to the branch
+point, by Newton steps, a root solver that bisects a sign-changing
 bracket down to adjacent doubles, and an adaptive Gauss-Kronrod
 quadrature.  These are the only numerical kernels the analytical
 modules rely on, so their accuracy contracts are tested directly (see
@@ -178,40 +179,42 @@ def log_gamma(z):
     return _shaped((work - 0.5) * np.log(work) - work + _HALF_LOG_TWO_PI + _remainder(work), z)
 
 
-_BRANCH_SERIES_CUT = 0.05  # on t = 1 + e x; well inside the series radius
+# e^r - 1 - r below r = 1 as r^2 sum_k r^k / (k + 2)!, all terms positive;
+# the first one left out, r^17 / 19!, is under 2e-17 of the sum.
+_EXCESS_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(17))[::-1]
 
 
-def lambert_w_m1(x: float) -> float:
-    """Lower real branch W_{-1}(x) for x in [-1/e, 0).
+def _expm1_excess(r: float) -> float:
+    """e^r - 1 - r for r >= 0, with no cancellation below r = 1."""
+    if r >= 1.0:
+        return math.expm1(r) - r
+    series = 0.0
+    for c in _EXCESS_SERIES:
+        series = series * r + c
+    return r * (r * series)
 
-    Newton steps on w + ln(-w) = ln(-x), the log of w e^w = x, which
-    keeps every digit of a subnormal x.  They start from the branch-point
-    series in q = -sqrt(2 (1 + e x)) or from ln(-x) - ln(-ln(-x)) and stop
-    when a step no longer shrinks, so there is no tolerance and no budget:
-    w + ln(-w) is concave and increasing on w < -1, so every step after
-    the first lands at or left of the root.  1 + e x down to -1e-12 counts
-    as the branch point, where W_{-1} = -1 exactly.
+
+def lambert_w_m1(h: float) -> float:
+    """r = ln(-W_{-1}(-e^(-1 - h))) >= 0 for h >= 0, so that W_{-1} = -e^r.
+
+    h is the argument's distance below the branch point -1/e in log
+    scale, and r the root of expm1(r) - r = h.  Newton steps on it start
+    from log1p(h + sqrt(2 h)), right of the root as 1 + s + s^2/2 <= e^s;
+    the left side is convex and increasing, so each step lands right of
+    the root, shorter than the last.  They stop when a step no longer
+    shrinks, so there is no tolerance and no budget.
     """
-    x = float(x)
-    if not math.isfinite(x) or x >= 0.0:
-        raise DomainError(f"lambert_w_m1 requires -1/e <= x < 0, got {x!r}")
-    t = 1.0 + math.e * x
-    if t < -1e-12:
-        raise DomainError(f"lambert_w_m1 requires x >= -1/e, got {x!r}")
-    if t <= 0.0:
-        return -1.0
-
-    log_neg_x = math.log(-x)  # <= -1 on the domain
-    if t < _BRANCH_SERIES_CUT:
-        q = -math.sqrt(2.0 * t)
-        w = -1.0 + q * (1.0 + q * (-1.0 / 3.0 + q * (11.0 / 72.0 + q * (-43.0 / 540.0))))
-    else:
-        w = log_neg_x - math.log(-log_neg_x)
+    h = float(h)
+    if not 0.0 <= h < math.inf:
+        raise DomainError(f"lambert_w_m1 requires a finite h >= 0, got {h!r}")
+    if h == 0.0:  # the branch point, where W_{-1} = -1
+        return 0.0
+    r = math.log1p(h + math.sqrt(2.0) * math.sqrt(h))  # 2 h overflows above 9e307
     step = math.inf
-    while abs(next_step := w * (w + math.log(-w) - log_neg_x) / (w + 1.0)) < abs(step):
+    while abs(next_step := (_expm1_excess(r) - h) / math.expm1(r)) < abs(step):
         step = next_step
-        w -= step
-    return w
+        r -= step
+    return r
 
 
 def solve_bracketed(f: Callable[[float], float], bracket: Interval) -> float:

@@ -232,6 +232,22 @@ def test_extinction_supercritical_routes(capsys):
     assert payload["prob_finite"] == pytest.approx(math.exp(-DECAY_GAP_06), rel=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_extinction_exits_3_when_its_routes_disagree(capsys, monkeypatch, fmt):
+    # The gate verify applies: route_gap above 1e-10 is a numerical
+    # failure, and the payload that shows it is still written.
+    root_route = continuum.extinction_gap_root
+    monkeypatch.setattr(continuum, "extinction_gap_root", lambda params: root_route(params) + 2e-10)
+    code, out, _ = run_cli(capsys, "extinction", "--p", "0.6", "--format", fmt)
+    assert code == 3
+    if fmt == "json":
+        route_gap = json.loads(out)["route_gap"]
+    else:
+        _, header, [row], _ = parse_csv(out)
+        route_gap = float(row[header.index("route_gap")])
+    assert route_gap == pytest.approx(2e-10, rel=1e-5)
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -292,9 +308,8 @@ def test_verify_subnormal_p_writes_one_error_line():
                                      ("1e307", {0}), ("2e307", {0})])
 def test_huge_p_is_not_a_usage_error(capsys, p, codes):
     # exp(-decay_gap) underflows to 0 above p = 1e153, p x overflows in
-    # the root route above about 4e304, the Lambert argument is subnormal
-    # above about 2e307 and 2p overflows above 9e307; none of them makes
-    # a valid p fail.
+    # the root route above about 4e304 and 4p in the decay rate above
+    # about 4.5e307; none of them makes a valid p fail.
     for command, key in (("extinction", "prob_finite"), ("verify", "lambert_target")):
         code, out, err = run_cli(capsys, command, "--p", p)
         assert code in codes, (command, err)

@@ -92,6 +92,14 @@ def test_extinction_report_validation():
     assert extinction(ModelParams(math.nextafter(0.5, 1.0))).decay_gap > 0.0
 
 
+@pytest.mark.parametrize("p,gap", [(math.nan, 0.7), (-1.0, 0.0), (0.0, 0.0), (math.inf, 1.0),
+                                   (0.3, 0.7), (0.5, 5e-324)])
+def test_extinction_report_rejects_a_gap_that_p_rules_out(p, gap):
+    # p must be a positive real, and only a supercritical p has a gap.
+    with pytest.raises(DomainError):
+        ExtinctionReport(p=p, decay_gap=gap)
+
+
 # ----------------------------------------------------------------- density
 
 
@@ -340,18 +348,18 @@ def test_extinction_gap_root_against_mpmath(p):
 
 
 def test_extinction_against_mpmath():
-    # p = 1/2 + u with u log-uniform on [1e-4, 1.5], and three huge p.
-    # Near 1/2 the gap goes as the square root of t = 1 + e x with
-    # t ~ (2p - 1)^2 / 2, so the rounding of x = -e^(-1/(2p)) / (2p)
-    # alone costs about 1e-16 / (2p - 1)^2 of the gap, relative.
+    # p = 1/2 + u with u log-uniform on [1e-4, 1.5], 1/2 + 10^-k down to
+    # the double just above 1/2, and huge p up to the largest double.
+    # The Lambert route never forms its argument -e^(-1/(2p)) / (2p),
+    # whose rounding alone would cost about 1e-16 / (2p - 1)^2 of the gap.
     us = np.exp(np.random.default_rng(2013).uniform(math.log(1e-4), math.log(1.5), 400))
+    near = [0.5 + 10.0**-k for k in range(1, 16)] + [math.nextafter(0.5, 1.0)]
     misses = []
-    for p in [0.5 + float(u) for u in us] + [1e3, 1e100, 1e300]:
+    for p in [0.5 + float(u) for u in us] + near + [1e3, 1e100, 1e300, 1.7976931348623157e308]:
         expected = _mp_decay_gap(p)
         got = extinction(ModelParams(p)).decay_gap
-        bound = max(4e-15, 2e-15 / (2.0 * p - 1.0) / (2.0 * p - 1.0))
-        if not abs(got - expected) <= bound * expected:
-            misses.append((p, float(abs(got - expected) / expected), bound))
+        if not abs(got - expected) <= 1e-15 * expected:
+            misses.append((p, float(abs(got - expected) / expected)))
     assert not misses, misses
 
 
@@ -425,19 +433,17 @@ def test_verify_normalization_critical_power_tail():
 
 
 # Tiny p (narrow peak, overflowing tail constant), both sides of
-# criticality, and 1/2 +- 10^-k up to k = 7.  The quadrature's seed
-# panels are graded towards the e^{-ax} cutoff at v ~ 10^-k; without
-# them the residual at k = 6 and 7 was up to 4e3 times abs_tol.  k = 8
-# is left out: at abs_tol 1e-10 its residual is 3.5 times abs_tol.
-# Every point is checked against the root route's exp(-gap), and all
-# but 1/2 + 10^-6 and 1/2 + 10^-7 also against the Lambert route's
-# prob_finite, which the CLI compares with: there the Lambert route's
-# own error exceeds 1e-10 (1.8e-10 and 9.5e-10).
-LAMBERT_OFF = {0.5 + 10.0**-k for k in (6, 7)}
+# criticality, and 1/2 +- 10^-k up to k = 12.  The quadrature's seed
+# panels are graded towards the e^{-ax} cutoff at v ~ 10^-k, in octaves
+# all the way to v = 1: with no seeds the residual at k = 6 and 7 was up
+# to 4e3 times abs_tol, and with seeds only up to 2^6 times the cutoff it
+# was 3.5 times abs_tol at k = 8.  Every point is checked against both
+# extinction routes, the Lambert route's prob_finite being the one the
+# CLI compares with.
 NORMALIZATION_GRID = [
     1e-4, 2e-4, 5e-4, 1e-3, 3e-3, 1e-2, 0.05, 0.1, 0.3, 0.45, 0.49, 0.5, 0.6,
     1.0, 3.0, 10.0, 100.0, 1e3, 1e4,
-] + [0.5 + sign * 10.0**-k for k in range(1, 8) for sign in (1, -1)]
+] + [0.5 + sign * 10.0**-k for k in range(1, 13) for sign in (1, -1)]
 
 
 @pytest.mark.parametrize("abs_tol", [1e-6, 1e-10])
@@ -446,8 +452,7 @@ def test_verify_normalization_over_the_whole_support(p, abs_tol):
     params = ModelParams(p)
     check = verify_normalization(params, abs_tol=abs_tol)
     assert abs(check.integral - math.exp(-extinction_gap_root(params))) <= abs_tol
-    if p not in LAMBERT_OFF:
-        assert abs(check.integral - extinction(params).prob_finite) <= abs_tol
+    assert abs(check.integral - extinction(params).prob_finite) <= abs_tol
     assert math.isfinite(check.x_max) and check.x_max > 1.0
 
 
