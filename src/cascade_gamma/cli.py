@@ -18,6 +18,10 @@ side by side.  Outputs are byte-reproducible for identical invocations.
 Every option may instead be given in a --config file of `key = value`
 lines (keys match the long option names without the leading dashes);
 setting the same option in both places is an error.
+
+discrete and simulate are imported by the commands that use them, and
+numpy on its first use (cascade_gamma._lazy), so JSON moments and
+extinction, --help and usage errors finish without loading numpy.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
-from . import continuum, discrete, simulate
+from . import continuum
+from ._lazy import np
 from .errors import CascadeError, CriticalityError, DomainError, ToleranceError
 
 __all__ = ["main", "entrypoint"]
@@ -210,6 +213,8 @@ def _cmd_density(ns) -> int:
 
 
 def _cmd_pmf(ns) -> int:
+    from . import discrete
+
     params = discrete.DiscretizationParams(ns.p, ns.m)
     table = discrete.cascade_pmf_table(params, params.m, n_max=ns.n_max)
     rescaled = params.m * table.probabilities
@@ -268,6 +273,8 @@ def _cmd_moments(ns) -> int:
     result = continuum.moments(params)
     payload = {"p": params.p, "mean": result.mean, "variance": result.variance}
     if ns.m is not None:
+        from . import discrete
+
         dparams = discrete.DiscretizationParams(ns.p, ns.m)
         dmoments = discrete.discrete_moments(dparams)
         payload["m"] = dparams.m
@@ -314,7 +321,10 @@ def _cmd_extinction(ns) -> int:
     return 0 if route_gap <= _ROUTE_GAP_TOL else 3
 
 
-def _histogram_csv(summary: simulate.SimSummary) -> Iterator[str]:
+def _histogram_csv(summary) -> Iterator[str]:
+    """The histogram of a simulate.SimSummary as CSV, the overflow bucket last."""
+    from . import simulate
+
     config = summary.config
     comments = [
         "cascade-gamma simulate histogram",
@@ -342,14 +352,13 @@ def _histogram_csv(summary: simulate.SimSummary) -> Iterator[str]:
 
 
 def _cmd_simulate(ns) -> int:
+    from . import simulate
+
+    # The options left unset take SimConfig's own defaults.
+    optional = {name: getattr(ns, name) for name in ("m", "cap", "workers")}
     config = simulate.SimConfig(
-        mode=ns.mode,
-        p=ns.p,
-        trials=ns.trials,
-        seed=ns.seed,
-        m=ns.m,
-        cap=ns.cap,
-        workers=ns.workers,
+        mode=ns.mode, p=ns.p, trials=ns.trials, seed=ns.seed,
+        **{name: value for name, value in optional.items() if value is not None},
     )
     summary = simulate.run_campaign(config)
     histogram = None
@@ -494,10 +503,8 @@ _COMMANDS: dict[str, dict] = {
             _Option("trials", "--trials", _integer, required=True, help="number of trials"),
             _Option("seed", "--seed", _integer, required=True, help="64-bit campaign seed"),
             _Option("m", "--m", _integer, help="atoms per unit mass (discrete/walk)"),
-            _Option("cap", "--cap", _real, default=simulate.SimConfig.cap,
-                    help="censoring cap on total mass"),
-            _Option("workers", "--workers", _integer, default=simulate.SimConfig.workers,
-                    help="worker thread count"),
+            _Option("cap", "--cap", _real, help="censoring cap on total mass"),
+            _Option("workers", "--workers", _integer, help="worker thread count"),
             _opt_format("json"),
             _opt_out(),
             _Option("hist_out", "--hist-out", str, help="also write the histogram CSV here"),

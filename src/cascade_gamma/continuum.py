@@ -33,9 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import numerics
+from ._lazy import np
 from .errors import CriticalityError, DomainError
 from .numerics import Interval, QuadratureResult
 
@@ -58,7 +57,6 @@ __all__ = [
 
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
 _CRITICAL_P = 0.5
-_MOMENTS_ABS_TOL = 1e-8
 # The most rows a density or pmf table may have, checked before anything
 # is allocated.
 TABLE_ROW_CAP = 2_000_000
@@ -389,17 +387,28 @@ def numeric_moments(params: ModelParams) -> Moments:
 
     A quadrature cross-check for the closed forms in moments(): the
     first and second moments are each integrated over the whole support
-    [1, inf) to 1e-8 / 4 absolute (see _support_integrand), with no
-    cutoff and no tail term.
+    [1, inf) (see _support_integrand), with no cutoff and no tail term,
+    to 2.5e-9 max(1, E[Z^k]).  Only that tolerance comes from the closed
+    forms: near criticality the moments grow as (1 - 2p)^-k, beyond the
+    reach of any fixed absolute tolerance.
     """
     if not params.subcritical:
         raise CriticalityError(
             f"numeric moments require p < {_CRITICAL_P}, got p = {params.p!r}"
         )
-    first, _ = _support_moment(params, 1, _MOMENTS_ABS_TOL * 0.25)
-    second, _ = _support_moment(params, 2, _MOMENTS_ABS_TOL * 0.25)
+    closed = moments(params)
+    first, _ = _support_moment(params, 1, 2.5e-9 * max(1.0, closed.mean))
+    second, _ = _support_moment(params, 2, 2.5e-9 * max(1.0, closed.variance + closed.mean**2))
     mean = first.value
     return Moments(mean=mean, variance=second.value - mean * mean)
+
+
+# The smallest p at which verify_normalization is right.  Below it the
+# nodes nearest v = 1 map to an excess p (v^-2 - 1) under the normal
+# range of doubles, where 1 / excess overflows and the density reads 0:
+# at p = 1e-306 the integral came out 1.5e-5 short, at 1e-310 it was 0.
+# Measured right from 1e-305 to 1e-302 at abs_tol 1e-3 to 1e-12.
+_VERIFY_MIN_P = 1e-305
 
 
 def verify_normalization(params: ModelParams, abs_tol: float) -> NormalizationCheck:
@@ -411,10 +420,15 @@ def verify_normalization(params: ModelParams, abs_tol: float) -> NormalizationCh
     support [1, inf) for every p, the critical power-law tail included
     (see _support_integrand): there is no cutoff and no tail term.
     x_max is the largest abscissa at which the density was evaluated.
-    Quadrature failures propagate as ToleranceError.
+    Quadrature failures propagate as ToleranceError, and p below 1e-305,
+    where the integral would be wrong, is a DomainError.
     """
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
+    if params.p < _VERIFY_MIN_P:
+        raise DomainError(
+            f"the normalization check requires p >= {_VERIFY_MIN_P!r}, got p = {params.p!r}: "
+            "below that the density near x = 1 is lost to underflow")
     quadrature, x_max = _support_moment(params, 0, abs_tol * 0.5)
     return NormalizationCheck(integral=quadrature.value, x_max=x_max, quadrature=quadrature)
 

@@ -23,11 +23,11 @@ function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import numerics
+from ._lazy import np
 from .continuum import TABLE_ROW_CAP, ModelParams, Moments
 from .errors import CriticalityError, DomainError
 from .numerics import Interval
@@ -48,6 +48,20 @@ __all__ = [
 _GRID_NUDGE = 1e-9  # guards floor() at grid points that are exact multiples
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; DomainError for a bool or anything not integral.
+
+    operator.index takes Python and numpy integers and refuses floats,
+    without numpy having to be loaded to ask.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DiscretizationParams:
     """Atom count m per unit of population; requires delta = 1/m < p.
@@ -65,9 +79,7 @@ class DiscretizationParams:
     def __post_init__(self):
         model = ModelParams(self.p)  # validates p
         object.__setattr__(self, "p", model.p)
-        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
-            raise DomainError(f"m must be an integer, got {self.m!r}")
-        m = int(self.m)
+        m = _integer(self.m, "m")
         if m < 1:
             raise DomainError(f"m must be >= 1, got {m}")
         delta = 1.0 / m
@@ -204,9 +216,7 @@ def cascade_log_pmf(params: DiscretizationParams, m_start: int, n):
     is m_start r* log(1 - q*) and falls out of the same expression.
     Accepts a scalar count or an array.
     """
-    if isinstance(m_start, bool) or not isinstance(m_start, (int, np.integer)):
-        raise DomainError(f"m_start must be an integer, got {m_start!r}")
-    m_start = int(m_start)
+    m_start = _integer(m_start, "m_start")
     if m_start < 1:
         raise DomainError(f"m_start must be >= 1, got {m_start}")
     counts = _validate_counts(n, 0, "n").reshape(-1)
@@ -269,9 +279,7 @@ def cascade_pmf_table(
         raise DomainError(f"max_rows must be >= 2, got {max_rows!r}")
     rows = max_rows
     if n_max is not None:
-        if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
-            raise DomainError(f"n_max must be an integer, got {n_max!r}")
-        rows = int(n_max) - m_start + 1
+        rows = _integer(n_max, "n_max") - m_start + 1
         if rows < 1:
             raise DomainError(f"n_max must be >= m_start = {m_start}, got {n_max}")
         if rows > max_rows:

@@ -35,12 +35,12 @@ before.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError, NoSignChangeError, ToleranceError
 
 __all__ = [
@@ -285,18 +285,26 @@ _GK_WEIGHT_G_CENTRE = 0.417959183673469387755102040816327
 
 
 def _symmetric_weights(outer, centre) -> np.ndarray:
-    """Weights aligned with _GK_ABSCISSAE from the outermost-first half table."""
+    """Weights aligned with the ascending nodes from the outermost-first half table."""
     return np.array(outer + (centre,) + outer[::-1], dtype=np.float64)
 
 
-# The 15 nodes in ascending order.  The node at -v is placed as
-# centre + half * (-v), which rounds exactly as centre - half * v.
-_GK_ABSCISSAE = np.array(tuple(-v for v in _GK_NODES) + (0.0,) + _GK_NODES[::-1])
-# The Kronrod weights, then their difference from the Gauss weights, as
-# the rows of one array: one product gives the value and the error.
-_GK_WEIGHTS = np.array([_symmetric_weights(_GK_WEIGHTS_K, _GK_WEIGHT_K_CENTRE),
-                        _symmetric_weights(_GK_WEIGHTS_K, _GK_WEIGHT_K_CENTRE)
-                        - _symmetric_weights(_GK_WEIGHTS_G, _GK_WEIGHT_G_CENTRE)])
+@functools.cache
+def _gk_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The 15 nodes in ascending order, and the Kronrod weights and their
+    difference from the Gauss weights as the rows of one array: one
+    product gives the value and the error.  Built on first use, so that
+    importing the module leaves numpy unloaded.
+
+    The node at -v is placed as centre + half * (-v), which rounds
+    exactly as centre - half * v.
+    """
+    abscissae = np.array(tuple(-v for v in _GK_NODES) + (0.0,) + _GK_NODES[::-1])
+    kronrod = _symmetric_weights(_GK_WEIGHTS_K, _GK_WEIGHT_K_CENTRE)
+    weights = np.array([kronrod, kronrod - _symmetric_weights(_GK_WEIGHTS_G, _GK_WEIGHT_G_CENTRE)])
+    return abscissae, weights
+
+
 _EPS = 2.220446049250313e-16
 _MAX_PANELS = 10_000
 
@@ -311,13 +319,14 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], pairs) -> list[tuple[float, flo
     estimate) row per panel; the first panel with a value that is not
     finite raises DomainError naming its first bad node.
     """
+    abscissae, weights = _gk_tables()
     lo, hi = np.array(pairs, dtype=np.float64).T
     half = 0.5 * (hi - lo)
-    nodes = ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_ABSCISSAE).reshape(-1)
+    nodes = ((0.5 * (lo + hi))[:, None] + half[:, None] * abscissae).reshape(-1)
     values = np.asarray(f(nodes), dtype=np.float64).reshape(-1, 15)
     # einsum sums each panel's row on its own, in an order that does not
     # depend on the other rows; a matrix product need not.
-    sums = np.einsum("ij,kj->ki", values, _GK_WEIGHTS)
+    sums = np.einsum("ij,kj->ki", values, weights)
     # Every Kronrod weight is positive, so a value that is not finite
     # makes the Kronrod sum not finite; the elementwise check runs only then.
     if not all(map(math.isfinite, sums[0].tolist())):

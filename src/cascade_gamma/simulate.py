@@ -28,16 +28,16 @@ count, and byte-identical once serialized.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
 
-import numpy as np
-
+from ._lazy import np
 from .continuum import ModelParams
-from .discrete import DiscretizationParams
+from .discrete import DiscretizationParams, _integer
 from .errors import DomainError
 
 __all__ = [
@@ -56,7 +56,20 @@ CHUNK_TRIALS = 16384
 HIST_LO = 1.0
 HIST_HI = 50.0
 HIST_BINS = 980  # bin width 0.05 across [1, 50]; mass beyond goes to overflow
-HIST_EDGES = np.linspace(HIST_LO, HIST_HI, HIST_BINS + 1)
+
+
+@functools.cache
+def _hist_edges() -> np.ndarray:
+    return np.linspace(HIST_LO, HIST_HI, HIST_BINS + 1)
+
+
+def __getattr__(name: str):
+    # HIST_EDGES is built on first use, so that importing the module
+    # leaves numpy unloaded (PEP 562).
+    if name == "HIST_EDGES":
+        return _hist_edges()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _MODES = ("continuous", "discrete", "walk")
 
@@ -88,10 +101,7 @@ class SimConfig:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
         object.__setattr__(self, "p", ModelParams(self.p).p)
         for name in ("trials", "seed", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
@@ -301,7 +311,7 @@ def _run_chunk(task: tuple[SimConfig, int, int]) -> SimSummary:
         n_censored=int(np.count_nonzero(censored)),
         sum_z=Fraction(float(z_finite.sum())),
         sum_z_sq=Fraction(float(np.square(z_finite).sum())),
-        bin_counts=np.histogram(z_finite[in_range], bins=HIST_EDGES)[0].astype(np.int64),
+        bin_counts=np.histogram(z_finite[in_range], bins=_hist_edges())[0].astype(np.int64),
         overflow=int(z_finite.size - np.count_nonzero(in_range)),
     )
 
@@ -315,6 +325,10 @@ def run_campaign(config: SimConfig) -> SimSummary:
     full, remainder = divmod(config.trials, CHUNK_TRIALS)
     sizes = [CHUNK_TRIALS] * full + ([remainder] if remainder else [])
     tasks = [(config, index, size) for index, size in enumerate(sizes)]
+    # Built here, before any pool thread starts: building the edges is
+    # also what loads numpy, and on Python 3.11 two threads that reach a
+    # lazily bound numpy at once can see it half executed (see _lazy).
+    _hist_edges()
     if config.workers == 1 or len(tasks) == 1:
         parts = [_run_chunk(task) for task in tasks]
     else:

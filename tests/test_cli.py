@@ -280,7 +280,7 @@ def test_verify_unreachable_tolerance_is_a_numerical_failure(capsys):
 
 
 @pytest.mark.parametrize("p", ["0.001", "0.0005", "0.0001", "1e-12", "1e-15", "1e-17", "1e-100",
-                               "1e-300"])
+                               "1e-300", "1e-305"])
 def test_verify_tiny_p_reports_instead_of_overflowing(capsys, p):
     # The asymptote's constant C = e^{1/p - ...} overflows a float here,
     # and the density is a spike of width ~p just above x = 1, narrower
@@ -289,6 +289,17 @@ def test_verify_tiny_p_reports_instead_of_overflowing(capsys, p):
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", ["9.99e-306", "1e-306", "1e-308", "1e-310"])
+def test_verify_below_its_smallest_p_is_a_domain_error(capsys, p):
+    # The integral was wrong here (0.99998 at 1e-306, 0.0 at 1e-310);
+    # extinction and moments still answer.
+    code, out, err = run_cli(capsys, "verify", "--p", p)
+    assert code == 2 and out == ""
+    assert "requires p >= 1e-305" in err
+    assert run_cli(capsys, "extinction", "--p", p)[0] == 0
+    assert run_cli(capsys, "moments", "--p", p)[0] == 0
 
 
 def test_verify_subnormal_p_writes_one_error_line():

@@ -1,0 +1,99 @@
+"""The package in a fresh interpreter, where numpy is not yet imported.
+
+In this process numpy is imported before the package, so the package
+takes it as it is.  Only a new interpreter runs the lazy binding of
+cascade_gamma._lazy: scalar commands that never load numpy, and the
+first use of numpy by the others, inside a thread pool for simulate.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cascade_gamma
+from cascade_gamma.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# As the benchmark's cold start: import the CLI, run one command.  The
+# last line of standard error says whether numpy's compiled core was
+# loaded at import and after the command.
+COLD = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from cascade_gamma import cli\n"
+    "core = 'numpy._core._multiarray_umath'\n"
+    "at_import = core in sys.modules\n"
+    "code = cli.main(sys.argv[2:])\n"
+    "print(f'numpy {at_import} {core in sys.modules}', file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def cold(*argv):
+    """(exit code, stdout, numpy loaded at import, numpy loaded after) of a fresh run."""
+    done = subprocess.run([sys.executable, "-c", COLD, SRC, *argv],
+                          capture_output=True, text=True, timeout=120, check=False)
+    report = [line for line in done.stderr.splitlines() if line.startswith("numpy ")]
+    assert report, done.stderr
+    _, at_import, after = report[-1].split()
+    return done.returncode, done.stdout, at_import == "True", after == "True"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("moments", "--p", "0.25"), 0),
+    (("moments", "--p", "0.25", "--m", "10"), 0),
+    (("extinction", "--p", "0.7"), 0),
+    (("--help",), 0),
+    (("moments",), 2),  # usage error: --p missing
+])
+def test_scalar_commands_never_load_numpy(argv, code):
+    got_code, _, at_import, after = cold(*argv)
+    assert got_code == code
+    assert not at_import and not after
+
+
+@pytest.mark.parametrize("argv", [
+    ("density", "--p", "0.3", "--steps", "300"),
+    ("density", "--p", "0.6", "--steps", "50", "--format", "json"),
+    ("pmf", "--p", "0.3", "--m", "10", "--n-max", "500"),
+    ("verify", "--p", "0.6"),
+    # Two chunks on two threads: numpy is first used on the way to the pool.
+    ("simulate", "--mode", "discrete", "--p", "0.3", "--m", "10", "--trials", "32768",
+     "--seed", "5", "--workers", "2"),
+])
+def test_cold_commands_write_the_in_process_bytes(capsys, argv):
+    code, out, at_import, after = cold(*argv)
+    assert not at_import and after
+    assert (code, out) == (main(list(argv)), capsys.readouterr().out)
+
+
+# The names the package exported when its __init__ imported every module.
+EXPORTS = [
+    "CascadeError", "DomainError", "NoSignChangeError", "ToleranceError", "CriticalityError",
+    "Interval", "QuadratureResult", "log_gamma", "stirling_remainder", "lambert_w_m1",
+    "solve_bracketed", "integrate_adaptive",
+    "ModelParams", "Moments", "ExtinctionReport", "NormalizationCheck", "DensityTable",
+    "log_density", "density", "asymptotic_log_density", "moments", "numeric_moments",
+    "extinction", "extinction_gap_root", "verify_normalization", "density_table",
+    "DiscretizationParams", "CascadePmf", "DiscreteMoments", "nb_log_pmf",
+    "gamma_density_limit_check", "cascade_log_pmf", "cascade_pmf_table", "discrete_moments",
+    "martingale_alpha", "rescaled_density_estimate",
+    "CHUNK_TRIALS", "HIST_LO", "HIST_HI", "HIST_BINS", "HIST_EDGES", "SimConfig", "SimSummary",
+    "run_campaign",
+    "__version__",
+]
+
+
+def test_package_exports_are_unchanged():
+    assert cascade_gamma.__all__ == EXPORTS
+    namespace = {}
+    exec("from cascade_gamma import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(EXPORTS)
+    assert all(namespace[name] is getattr(cascade_gamma, name) for name in EXPORTS)
+    assert cascade_gamma.moments is cascade_gamma.continuum.moments
+    assert set(EXPORTS) <= set(dir(cascade_gamma))
+    with pytest.raises(AttributeError):
+        cascade_gamma.no_such_name

@@ -293,6 +293,17 @@ def test_numeric_moments_over_the_whole_support(p):
     assert abs(quad.variance - closed.variance) <= 1e-7
 
 
+@pytest.mark.parametrize("p", [0.495, 0.499, 0.4999999])
+def test_numeric_moments_near_criticality(p):
+    # Each moment is integrated to 2.5e-9 of its own size; an absolute
+    # tolerance failed here, as the moments grow as (1 - 2p)^-k.
+    params = ModelParams(p)
+    closed = moments(params)
+    quad = numeric_moments(params)
+    assert quad.mean == pytest.approx(closed.mean, rel=1e-12)
+    assert quad.variance == pytest.approx(closed.variance, rel=1e-12)
+
+
 def test_numeric_moments_reject_supercritical():
     with pytest.raises(CriticalityError):
         numeric_moments(ModelParams(0.6))
@@ -460,7 +471,6 @@ def test_verify_normalization_over_the_whole_support(p, abs_tol):
     pytest.param(lambda: verify_normalization(ModelParams(0.3), 1e-16), id="verify-1e-16"),
     pytest.param(lambda: numerics.integrate_adaptive(
         lambda x: np.exp(-x), Interval(0.0, 50.0), abs_tol=1e-18), id="max-panels"),
-    pytest.param(lambda: numeric_moments(ModelParams(0.495)), id="moments-0.495"),
 ])
 def test_failing_quadratures_fail_fast(monkeypatch, run):
     # A tolerance below the panels' rounding floor is met by no number of

@@ -328,6 +328,22 @@ def test_rescaled_density_estimate_takes_arrays(monkeypatch, p, m):
             rescaled_density_estimate(params, x)
 
 
+def test_integer_arguments_take_numpy_integers_only():
+    # Checked by operator.index: a bool or an integral float is refused,
+    # a numpy integer is taken as the int it holds.
+    params = DiscretizationParams(0.3, 10)
+    calls = {
+        "m": lambda value: DiscretizationParams(0.3, value).m,
+        "m_start": lambda value: cascade_log_pmf(params, value, 12),
+        "n_max": lambda value: len(cascade_pmf_table(params, 1, n_max=value)),
+    }
+    for name, call in calls.items():
+        for bad in (True, 2.0):
+            with pytest.raises(DomainError, match=f"{name} must be an integer"):
+                call(bad)
+        assert call(np.int64(10)) == call(10)
+
+
 def test_cascade_pmf_type_validation():
     params = DiscretizationParams(0.3, 10)
     with pytest.raises(DomainError):

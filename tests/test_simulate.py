@@ -273,6 +273,18 @@ def test_censoring_event_agrees_across_engines():
 # ------------------------------------------------------------------ config
 
 
+@pytest.mark.parametrize("name", ["trials", "seed", "workers"])
+def test_sim_config_integers_take_numpy_integers_only(name):
+    # Checked by operator.index: a bool or an integral float is refused,
+    # a numpy integer is stored as the int it holds.
+    fields = dict(mode="continuous", p=0.3, trials=10, seed=1)
+    for bad in (True, 2.0):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            SimConfig(**{**fields, name: bad})
+    value = getattr(SimConfig(**{**fields, name: np.int64(10)}), name)
+    assert value == 10 and type(value) is int
+
+
 def test_sim_config_validation():
     good = SimConfig(mode="continuous", p=0.3, trials=10, seed=1)
     assert good.m is None and good.delta is None
