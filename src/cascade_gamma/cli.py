@@ -20,7 +20,7 @@ lines (keys match the long option names without the leading dashes);
 setting the same option in both places is an error.
 
 discrete and simulate are imported by the commands that use them, and
-numpy on its first use (cascade_gamma._lazy), so JSON moments and
+numpy on its first use (cascade_gamma._lazy), so moments and
 extinction, --help and usage errors finish without loading numpy.
 """
 
@@ -132,14 +132,27 @@ def _csv_text(comments: list[str], header: list[str], columns,
     columns[j][i] is the cell in row i, column j.  Integer columns are
     written as '%d', float columns as '%.17g' (equal to format(v, '.17g')
     for every float) and any other column as text, by floattext.cells;
-    no cell needs CSV quoting.
+    a one-row table, as the scalar commands write, by the same rule in
+    Python, which leaves numpy unloaded.  No cell needs CSV quoting.
     """
-    columns = [np.asarray(column) for column in columns]
-    ends = [b","] * (len(columns) - 1) + [b"\n"]
     yield "".join(f"# {line}\n" for line in comments) + ",".join(header) + "\n"
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        yield _joined([column[start:start + _BLOCK_ROWS] for column in columns], "csv", ends)
+    if len(columns[0]) == 1:
+        yield ",".join(_cell(column[0]) for column in columns) + "\n"
+    else:
+        columns = [np.asarray(column) for column in columns]
+        ends = [b","] * (len(columns) - 1) + [b"\n"]
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            yield _joined([column[start:start + _BLOCK_ROWS] for column in columns], "csv", ends)
     yield "".join(f"# {line}\n" for line in trailer)
+
+
+def _cell(value) -> str:
+    """value as floattext.cells writes it in a CSV column of its type."""
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return "%d" % value
+    return str(value)
 
 
 def _json_text(payload: dict, arrays: dict[str, np.ndarray] | None = None) -> Iterator[str]:

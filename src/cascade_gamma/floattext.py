@@ -13,16 +13,21 @@ text is byte for byte what Python writes for the element:
 A float x is scaled to a 17-digit integer V = |x|·10^(16−k), with
 k = ⌊log10 |x|⌋ checked against V itself, as a double-double: Dekker's
 exact product of |x| with hi, plus |x|·lo, for a table of
-10^j = hi + lo.  V is then good to about 1e-14, so its integer part D
-and its fraction decide '%.17g' (round half even) and repr (the fewest
-digits whose decimal lies strictly inside the rounding interval of x,
-and of those the nearest) wherever that decision is more than 1e-9
-from a boundary.  The rest go to Python's own formatter: the elements
-within 1e-9 of a boundary, exact ties among them, the non-finite ones
-and the nonzero ones outside [1e-290, 1e290], where the table of 10^j
-and the products would leave the normal range.  A bound of repr's
-interval that lies on a grid coarser than the guard (as for large
-whole numbers) is settled exactly instead.
+10^j = hi + lo.  A nonzero |x| below 1e-290, subnormals included, is
+first scaled by 2^256, which is exact, and multiplied by a second
+section of the table, 10^j·2^−256 = hi + lo, so every factor and
+product stays in the normal range.  V is then good to about 1e-14, so
+its integer part D and its fraction decide '%.17g' (round half even)
+and repr (the fewest digits whose decimal lies strictly inside the
+rounding interval of x, and of those the nearest) wherever that
+decision is more than 1e-9 from a boundary.  A subnormal's rounding
+interval can be 10^16 units of D wide, so its half-gaps are
+double-doubles too.  The rest go to Python's own formatter: the
+elements within 1e-9 of a boundary, exact ties among them, the
+non-finite ones and those above 1e290, where the table and the
+products would overflow.  A bound of repr's interval that lies on a
+grid coarser than the guard (as for large whole numbers) is settled
+exactly instead.
 
 Digits come from a table of all 4-digit groups, and each (notation,
 sign, k, digit count) has one precomputed layout that places the
@@ -41,18 +46,27 @@ __all__ = ["cells"]
 # The widest float or int64 text, e.g. '-2.2250738585072014e-308'.
 _WIDTH = 24
 
-# Nonzero floats outside [_LEAST, _MOST] go to Python.
+# Nonzero floats below _LEAST are scaled by _TINY first; those above
+# _MOST go to Python.
 _LEAST, _MOST = 1e-290, 1e290
+_TINY = 2.0**256
 # Decisions closer than this to a boundary, in units of the 17th digit,
 # go to Python; V itself is good to about 1e-14 of them.
 _GUARD = 1e-9
 _E16, _E17 = 10**16, 10**17
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's splitter for 26-bit halves
-_POW10 = np.array([10**i for i in range(1, 17)])
+_TENS = np.array([10**i for i in range(18)])
+_POW10 = _TENS[1:17]
 
 # 10^j = _HI + _LO for j = 16 - k, k in [-292, 292] (one more either
-# side, where log10 is one off), with _HI = _HH + _HL in 26-bit halves.
+# side, where log10 is one off), then 10^j·2^-256 for j in [300, 345],
+# which holds k in [-325, -290] of the floats below _LEAST, with
+# _HI = _HH + _HL in 26-bit halves.  _scaled finds 10^(16-k) at index
+# _BASE - k, or _TINY_BASE - k in the second section.
 _J_MIN, _J_MAX = -276, 308
+_J_TINY = range(300, 346)
+_BASE = 16 - _J_MIN
+_TINY_BASE = _BASE + _J_MAX + 1 - _J_TINY.start
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,16 +76,19 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, x - high
 
 
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
-    # j >= 0 from integers: int -> float rounds correctly.
+def _whole_powers(js, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """10^j·2^-shift = hi + lo for j >= 0, each rounded from integers."""
     hi, lo = [], []
-    num = 1
-    for _ in range(_J_MAX + 1):
-        h = float(num)
+    for j in js:
+        num = 10**j
+        h = num / 2**shift  # int / int rounds correctly
         hi.append(h)
-        lo.append(float(num - int(h)))
-        num *= 10
-    hi, lo = np.array(hi), np.array(lo)
+        lo.append((num - int(h) * 2**shift) / 2**shift)
+    return np.array(hi), np.array(lo)
+
+
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    hi, lo = _whole_powers(range(_J_MAX + 1), 0)
     # j < 0 as the double-double reciprocal r + c of 10^-j = h + l, good
     # to about 2^-104: h·r = p + e exactly (Dekker), so the residual
     # 1 - (h + l)·r is (1 - p) - e - l·r.
@@ -81,7 +98,8 @@ def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
     (hh, hl), (rh, rl) = _split(h), _split(r)
     e = ((hh * rh - p) + hh * rl + hl * rh) + hl * rl
     c = r * (((1.0 - p) - e) - l * r)
-    return np.concatenate([r, hi]), np.concatenate([c, lo])
+    tiny_hi, tiny_lo = _whole_powers(_J_TINY, 256)  # 10^j / _TINY
+    return np.concatenate([r, hi, tiny_hi]), np.concatenate([c, lo, tiny_lo])
 
 
 _HI, _LO = _powers_of_ten()
@@ -165,10 +183,27 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     shape = (3, 1, _KCLASSES * 18)
     layout = np.concatenate([source.reshape(*shape, -1), negative.reshape(*shape, -1)], 1)
     lengths = np.concatenate([length.reshape(shape), length.reshape(shape) + 1], 1)
-    return layout.reshape(-1, _WIDTH), lengths.ravel().astype(np.int64)
+    # Indices as np.take wants them, so a block's are one gather and one add.
+    return layout.reshape(-1, _WIDTH).astype(np.intp), lengths.ravel().astype(np.int64)
 
 
 _LAYOUT, _LENGTH = _layouts()
+
+
+def _float_keys() -> list[np.ndarray]:
+    """Per float style, the layout key of each k in [-330, 330] for a
+    positive float, less its digit count n."""
+    k = np.arange(-330, 331)
+    keys = []
+    # '%.17g' writes k in [-4, 17) in fixed notation, repr k in [-4, 16).
+    for style, end in ((_G17, 17), (_REPR, 16)):
+        fixed = (k >= -4) & (k < end)
+        kclass = np.where(fixed, k + 4, 21 + (np.abs(k) >= 100))
+        keys.append((style * 2 * _KCLASSES + kclass) * 18)
+    return keys
+
+
+_FLOAT_KEYS = _float_keys()
 
 
 def cells(values, style: str) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +223,7 @@ def cells(values, style: str) -> tuple[np.ndarray, np.ndarray]:
         rows, keys, slow = _float_fields(values, _REPR if style == "json" else _G17)
     else:
         rows, keys, slow = _integer_fields(values)
-    lengths = _LENGTH[keys]
+    lengths = _LENGTH.take(keys)
     if slow.size:
         fallback, lengths[slow] = _python_cells(values[slow], style)
     text = _render(rows, keys, lengths.max())
@@ -225,96 +260,120 @@ def _integer_fields(values: np.ndarray):
 def _float_fields(x: np.ndarray, style: int):
     """Source rows, layout keys and the indices left to Python, for floats."""
     ax = np.abs(x)
+    digits = _shortest if style == _REPR else _rounded
     regular = (ax >= _LEAST) & (ax <= _MOST)
-    slow = ~regular & (ax != 0)  # nan included
     if regular.all():
-        d, k, near = _shortest(ax) if style == _REPR else _rounded(ax)
+        d, k, slow = digits(ax)
     else:
         d = np.zeros(len(x), np.int64)
         k = np.zeros(len(x), np.int64)
-        where = np.flatnonzero(regular)
-        d[where], k[where], near = _shortest(ax[where]) if style == _REPR \
-            else _rounded(ax[where])
-        near = where[near]
-    slow[near] = True
+        tiny = (ax < _LEAST) & (ax != 0)
+        slow = ~(regular | tiny) & (ax != 0)  # nan included
+        for subset, scaled in ((regular, False), (tiny, True)):
+            where = np.flatnonzero(subset)
+            if where.size:
+                d[where], k[where], near = digits(ax[where], scaled)
+                slow[where[near]] = True
+        slow = np.flatnonzero(slow)
     rows, groups = _digit_rows(d, k)
     n = _significant(groups)
-    if style == _REPR:
-        fixed = (k >= -4) & (k < 16)
-    else:
-        fixed = (k >= -4) & (k < 17)
-    kclass = np.where(fixed, k + 4, 21 + (np.abs(k) >= 100))
-    keys = ((style * 2 + np.signbit(x)) * _KCLASSES + kclass) * 18 + n
-    return rows, keys, np.flatnonzero(slow)
+    keys = _FLOAT_KEYS[style].take(k + 330) + np.signbit(x) * (_KCLASSES * 18) + n
+    return rows, keys, slow
 
 
-def _scaled(a: np.ndarray, k: np.ndarray):
-    """⌊V⌋ and V − ⌊V⌋ of V = a·10^(16−k), and the table index of 10^(16−k)."""
-    j = 16 - k - _J_MIN
-    hi = _HI[j]
-    hh = _HH[j]
-    hl = _HL[j]
+def _scaled(a: np.ndarray, k: np.ndarray, base: int):
+    """⌊V⌋ and V − ⌊V⌋ of V = a·10^(16−k), and the table index base − k of
+    10^(16−k) (times 2^-256 in the section that a tiny a, scaled, uses)."""
+    j = base - k
+    hi = _HI.take(j)
+    hh = _HH.take(j)
+    hl = _HL.take(j)
     product = a * hi
     ah, al = _split(a)
     error = ((ah * hh - product) + ah * hl + al * hh) + al * hl
-    tail = error + a * _LO[j]
+    tail = error + a * _LO.take(j)
     whole = np.floor(tail)
     # product >= 2^53 is a whole number once k is right.
     d = product.astype(np.int64) + whole.astype(np.int64)
     return d, tail - whole, j
 
 
-def _seventeen(a: np.ndarray):
+def _seventeen(x: np.ndarray, tiny: bool):
     """D in [10^16, 10^17), its fraction, k and the table index of 10^(16−k).
 
-    log10 can be one off next to a power of ten, so D decides k.
+    A tiny x (below _LEAST) is scaled by _TINY, and its power of ten is
+    read from the table's scaled section.  log10 can be one off next to
+    a power of ten, so D decides k.
     """
-    k = np.floor(np.log10(a)).astype(np.int64)
-    d, frac, j = _scaled(a, k)
+    k = np.floor(np.log10(x)).astype(np.int64)
+    a, base = (x * _TINY, _TINY_BASE) if tiny else (x, _BASE)
+    d, frac, j = _scaled(a, k, base)
     off = np.flatnonzero((d < _E16) | (d >= _E17))
     if off.size:
         k[off] += np.where(d[off] < _E16, -1, 1)
-        d[off], frac[off], j[off] = _scaled(a[off], k[off])
+        d[off], frac[off], j[off] = _scaled(a[off], k[off], base)
     return d, frac, k, j
 
 
-def _rounded(a: np.ndarray):
+def _rounded(x: np.ndarray, tiny: bool = False):
     """'%.17g' digits: D rounded to nearest, k, and the indices near a tie."""
-    d, frac, k, _ = _seventeen(a)
+    d, frac, k, _ = _seventeen(x, tiny)
     near = np.flatnonzero(np.abs(frac - 0.5) < _GUARD)
     d += frac > 0.5
     return _carry(d, k) + (near,)
 
 
-def _shortest(a: np.ndarray):
-    """repr digits: the fewest that read back as a, the nearest of those."""
-    d, frac, k, j = _seventeen(a)
-    # Half the gap to each neighbour of a, in units of V; the gap below is
-    # half the one above at a power of two.
-    up = np.spacing(a) * 0.5 * _HI[j]
-    power_of_two = (a.view(np.int64) & ((1 << 52) - 1)) == 0
-    down = np.where(power_of_two, 0.5 * up, up)
+def _shortest(x: np.ndarray, tiny: bool = False):
+    """repr digits: the fewest that read back as x, the nearest of those."""
+    d, frac, k, j = _seventeen(x, tiny)
+    # Half the gap to each neighbour of x, in units of x·2^256 for a tiny
+    # x, and then of V; the gap below is half the one above at a power of
+    # two, except at 2^-1022, whose neighbours are both subnormal.
+    gap_up = np.spacing(x) * (0.5 * _TINY if tiny else 0.5)
+    power_of_two = (x.view(np.int64) & ((1 << 52) - 1)) == 0
+    if tiny:
+        power_of_two &= x > 2.0**-1022
+    gap_down = np.where(power_of_two, 0.5 * gap_up, gap_up)
+    hi_j = _HI.take(j)
+    up = gap_up * hi_j
+    down = gap_down * hi_j
     # The integers strictly inside (V - down, V + up), as [lo, hi].
-    low = frac - down
-    high = frac + up
-    lo = d + np.floor(low).astype(np.int64) + 1
-    hi = d + np.ceil(high).astype(np.int64) - 1
-    near = _bounds_on_integers(a, d, k, low, high, lo, hi)
-    # The interval is at most 22 units wide, so it holds at most one
-    # multiple of 100, which then has the most trailing zeros.
-    hundred = hi // 100 * 100
-    ten = hi // 10 * 10
-    has_hundred = hundred >= lo
-    has_ten = ten >= lo
-    # Else the multiple of 10 nearest V, else the integer nearest V.
-    tens = d // 10
-    rest = (d - tens * 10) + frac
-    nearest_ten = np.clip((tens + (rest > 5)) * 10, -(-lo // 10) * 10, ten)
-    nearest_one = np.clip(d + (frac > 0.5), lo, hi)
-    near |= np.where(has_ten, ~has_hundred & (np.abs(rest - 5) < _GUARD),
-                     np.abs(frac - 0.5) < _GUARD)
-    near |= lo > hi
-    digits = np.where(has_hundred, hundred, np.where(has_ten, nearest_ten, nearest_one))
+    if tiny:
+        # A subnormal's half-gaps reach 10^16 units: their whole units
+        # apart, and their fractions with the table's low part.
+        whole_down, whole_up = np.floor(down), np.floor(up)
+        lo_j = _LO.take(j)
+        low = frac - ((down - whole_down) + gap_down * lo_j)
+        high = frac + ((up - whole_up) + gap_up * lo_j)
+        lo = d - whole_down.astype(np.int64) + np.floor(low).astype(np.int64) + 1
+        hi = d + whole_up.astype(np.int64) + np.ceil(high).astype(np.int64) - 1
+    else:
+        low = frac - down
+        high = frac + up
+        lo = d + np.floor(low).astype(np.int64) + 1
+        hi = d + np.ceil(high).astype(np.int64) - 1
+    near = _bounds_on_integers(x, d, k, low, high, lo, hi)
+    # count integers hold a multiple of 10^s, s = ⌊log10 count⌋, and at
+    # most one of 10^(s+1), which then has the most trailing zeros.  A
+    # normal x has count <= 23: its interval is under 2^-52·V < 23 wide.
+    count = hi - lo + 1
+    if tiny:
+        s = np.searchsorted(_POW10, count, side="right")
+    else:
+        s = (count >= 10).view(np.int8)
+    coarse = _TENS.take(s + 1)
+    unique = hi // coarse * coarse
+    has_unique = unique >= lo
+    # Else the multiple of 10^s nearest V: V lies between two, and one of
+    # them is in [lo, hi].  offset is 2(V - below) - 10^s, > 0 past the middle.
+    step = _TENS.take(s)
+    below = d // step * step
+    offset = (2 * (d - below) - step) + 2 * frac
+    nearest = below + step * (offset > 0)
+    nearest += step * (nearest < lo) - step * (nearest > hi)
+    near |= ~has_unique & (np.abs(offset) < 2 * _GUARD)
+    near |= count < 1
+    digits = np.where(has_unique, unique, nearest)
     return _carry(digits, k) + (np.flatnonzero(near),)
 
 
@@ -365,10 +424,13 @@ def _digit_rows(d: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, list[np.ndarr
     low = d - high * 10**8
     lead = high // 10**8
     high -= lead * 10**8
-    groups = [low % 10**4, low // 10**4, high % 10**4, high // 10**4, lead]
+    # x - x // c * c, as numpy's % is several times slower than its //.
+    low_high = low // 10**4
+    high_high = high // 10**4
+    groups = [low - low_high * 10**4, low_high, high - high_high * 10**4, high_high, lead]
     for slot, group in zip(range(4, -1, -1), groups):
-        rows[:, slot] = _DIGITS4[group]
-    rows[:, 5] = _EXPONENT[k + 330]
+        rows[:, slot] = _DIGITS4.take(group)
+    rows[:, 5] = _EXPONENT.take(k + 330)
     rows[:, 6] = _CONST
     rows[:, 7] = 0
     return rows.view(np.uint8), groups
@@ -376,7 +438,7 @@ def _digit_rows(d: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, list[np.ndarr
 
 def _significant(groups: list[np.ndarray]) -> np.ndarray:
     """17 less the trailing zeros of the 17 digits in groups; 1 for 0."""
-    zeros = _TRAILING4[groups[0]]
+    zeros = _TRAILING4.take(groups[0])
     # Group by group, where all the lower groups are zero.
     at = np.flatnonzero(groups[0] == 0)
     for group in groups[1:4]:
@@ -389,5 +451,9 @@ def _significant(groups: list[np.ndarray]) -> np.ndarray:
 
 def _render(rows: np.ndarray, keys: np.ndarray, width: int) -> np.ndarray:
     """The first width bytes of each row's text, zero-padded."""
-    index = _LAYOUT[:, :width][keys] + np.arange(0, rows.size, 32)[:, None]
-    return rows.ravel()[index]
+    # np.take copies whole layout rows faster than a slice of them, unless
+    # the slice is much shorter, as for integers.
+    layout = _LAYOUT if 2 * width > _WIDTH else _LAYOUT[:, :width]
+    index = layout.take(keys, axis=0)
+    index += np.arange(0, rows.size, 32)[:, None]
+    return rows.ravel().take(index)[:, :width]

@@ -157,8 +157,9 @@ def _generations(start, offspring, cap, floor):
             break
         born = offspring(alive[idx])
         alive[idx] = born
-        total[idx] += born
-        over = total[idx] > cap
+        grown = total[idx] + born
+        total[idx] = grown
+        over = grown > cap
         censored[idx[over]] = True
         active[idx] = ~over & (born > floor)
     return alive, total, censored
@@ -283,7 +284,7 @@ def _chunk_mass(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, n
     if config.mode == "continuous":
         p = config.p
         last, z, censored = _generations(
-            np.ones(size), lambda x: gen.gamma(2.0 * x, p), config.cap, config.epsilon)
+            np.ones(size), lambda x: gen.standard_gamma(2.0 * x) * p, config.cap, config.epsilon)
         if p < 0.5:
             finite = ~censored
             z[finite] += last[finite] * (2.0 * p / (1.0 - 2.0 * p))
@@ -292,7 +293,7 @@ def _chunk_mass(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, n
     scale = params.q_star / (1.0 - params.q_star)
     _, atoms, censored = _generations(
         np.full(size, params.m, dtype=np.int64),
-        lambda alive: gen.poisson(gen.gamma(alive * params.r_star, scale)).astype(np.int64),
+        lambda alive: gen.poisson(gen.standard_gamma(alive * params.r_star) * scale),
         config.cap * params.m, 0)
     return atoms * params.delta, censored
 

@@ -551,6 +551,44 @@ def test_writer_edge_values_by_name():
     assert '"w": []' in blob and "Infinity" in blob and "NaN" in blob
 
 
+# Two jobs whose tails underflow: 2,863 of the pmf's 34,250 probabilities
+# are below 1e-290, 1,359 of them subnormal, and 161 of the density's
+# 4,141 values are below 1e-290.
+_UNDERFLOWING_JOBS = [
+    ("pmf", "--p", "0.775841", "--m", "6", "--n-max", "34255"),
+    ("density", "--p", "0.381764", "--x-max", "24856.2", "--steps", "4141"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _UNDERFLOWING_JOBS, ids=lambda argv: argv[0])
+@settings(max_examples=4, deadline=None)
+# Blocks of 997 times the drawn size: blocks of 1 to 3 rows would take
+# seconds on 34,255 rows, and these still put edges all over the table.
+@given(block=_BLOCKS.map(lambda rows: rows * 997))
+def test_underflowing_tables_are_written_as_python_writes_them(argv, fmt, block):
+    out = io.StringIO()
+    with mock.patch.object(cli, "_BLOCK_ROWS", block), contextlib.redirect_stdout(out):
+        assert main([*argv, "--format", fmt]) == 0
+    text = out.getvalue()
+    if fmt == "csv":
+        _, header, rows, _ = parse_csv(text)
+        values = [float(cell) for row in rows for cell in row[1:]]
+        # '%.17g' reads back exactly, so a cell is Python's iff it is the
+        # text of the float it reads as.
+        assert all(cell == "%.17g" % float(cell) for row in rows for cell in row[1:])
+        if header[0] == "n":
+            assert all(row[0] == str(int(row[0])) for row in rows)
+        else:
+            assert all(row[0] == "%.17g" % float(row[0]) for row in rows)
+    else:
+        payload = json.loads(text)
+        values = [v for key in ("pmf", "density") if key in payload for v in payload[key]]
+        _assert_same_text(text, _reference_json(payload))
+    assert any(0 < v < 1e-290 for v in values)
+    assert any(0 < v < 2.2250738585072014e-308 for v in values)
+
+
 # ---------------------------------------------------------------- simulate
 
 

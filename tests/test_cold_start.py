@@ -56,6 +56,17 @@ def test_scalar_commands_never_load_numpy(argv, code):
 
 
 @pytest.mark.parametrize("argv", [
+    ("moments", "--p", "0.25", "--format", "csv"),
+    ("moments", "--p", "0.25", "--m", "10", "--format", "csv"),
+    ("extinction", "--p", "0.7", "--format", "csv"),
+])
+def test_one_row_csv_never_loads_numpy(capsys, argv):
+    code, out, at_import, after = cold(*argv)
+    assert not at_import and not after
+    assert (code, out) == (main(list(argv)), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
     ("density", "--p", "0.3", "--steps", "300"),
     ("density", "--p", "0.6", "--steps", "50", "--format", "json"),
     ("pmf", "--p", "0.3", "--m", "10", "--n-max", "500"),

@@ -161,9 +161,10 @@ def test_exact_ties_go_to_python(style):
 @pytest.mark.parametrize("style", STYLES)
 def test_the_fast_path_stays_the_path(style):
     rng = np.random.default_rng(24)
-    values = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 10**5))
-    # The thirtieth of them outside [1e-290, 1e290] goes to Python by design.
-    inside = (values >= 1e-290) & (values <= 1e290)
+    values = np.exp(rng.uniform(math.log(5e-324), math.log(1e300), 10**5))
+    # About one in sixty, those above 1e290, go to Python by design; exact
+    # ties and decisions within 1e-9 of a boundary are all else that does.
+    inside = values <= 1e290
     assert _fallbacks(values[inside], style) < 1e-3 * inside.sum()
     assert _fallbacks(values[~inside], style) == (~inside).sum()
     _assert_same(values, style)
@@ -171,11 +172,51 @@ def test_the_fast_path_stays_the_path(style):
 
 @pytest.mark.parametrize("style", STYLES)
 def test_the_range_of_the_fast_path(style):
-    # Nonzero floats outside [1e-290, 1e290] and non-finite ones go to
-    # Python; zeros and everything inside stay on the fast path.
-    outside = np.array([math.inf, -math.inf, math.nan, 5e-324, 1e-310, 1e-291,
-                        np.nextafter(1e-290, 0), np.nextafter(1e290, np.inf), 1e300])
-    inside = np.array([0.0, -0.0, 1e-290, 1e290, -1e-290, -1e290, 1.5, 1.7e-12])
+    # Non-finite floats and those above 1e290 go to Python; zeros,
+    # subnormals and everything else stay on the fast path.
+    outside = np.array([math.inf, -math.inf, math.nan, np.nextafter(1e290, np.inf), 1e300,
+                        -1e300, 1.7976931348623157e308])
+    inside = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0**-1022, 1e-291,
+                       np.nextafter(1e-290, 0), 1e-290, 1e290, -1e-290, -1e290, 1.5, 1.7e-12])
     assert _fallbacks(outside, style) == len(outside)
     assert _fallbacks(inside, style) == 0
     _assert_same(np.concatenate([outside, inside]), style)
+
+
+# Below 1e-290 a float is scaled by 2^256 before its power of ten; a
+# subnormal's repr interval can be 10^16 units of the 17th digit wide.
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_random_subnormals(style):
+    rng = np.random.default_rng(25)
+    values = rng.integers(1, 2**52, 10**5, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([values, -values])
+    _assert_same(values, style)
+    assert _fallbacks(values, style) == 0
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_subnormal_edges(style):
+    powers = 2.0 ** np.arange(-1074, -1021)  # 5e-324 up to 2^-1022
+    few_bits = np.arange(1, 2**12, dtype=np.uint64).view(np.float64)  # the widest intervals
+    least_normal = 2.0**-1022
+    values = np.concatenate([powers, few_bits, np.nextafter(powers, 0)[1:],
+                             np.nextafter(powers, 1),
+                             [5e-324, np.nextafter(least_normal, 0), least_normal,
+                              np.nextafter(least_normal, 1)]])
+    _assert_same(np.concatenate([values, -values]), style)
+    assert _fallbacks(values, style) == 0
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_both_sides_of_the_scaling_boundary(style):
+    rng = np.random.default_rng(26)
+    boundary = floattext._LEAST
+    steps = np.arange(-500, 501)
+    neighbours = boundary + steps * np.spacing(boundary)
+    around = np.exp(rng.uniform(math.log(boundary / 1e3), math.log(boundary * 1e3), 10**4))
+    values = np.concatenate([neighbours, around])
+    assert (values < boundary).any() and (values >= boundary).any()
+    _assert_same(np.concatenate([values, -values]), style)
+    assert _fallbacks(values, style) < 1e-3 * len(values)

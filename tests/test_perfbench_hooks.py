@@ -14,9 +14,10 @@ import io
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import cascade_gamma
-from cascade_gamma import cli, continuum, discrete, numerics, simulate
+from cascade_gamma import cli, continuum, discrete, floattext, numerics, simulate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,6 +36,7 @@ def _load(name, monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -114,3 +116,22 @@ def test_microbench_calls_bind_to_the_package(monkeypatch):
     assert bound == {"log_gamma", "integrate_adaptive", "density_table", "extinction",
                      "extinction_gap_root", "cascade_log_pmf", "SimConfig", "run_campaign"}
     assert all(unit for _, unit in metrics.values())
+
+
+def test_table_cells_stay_on_the_vector_path(monkeypatch):
+    """The seed-1 `tables` jobs hand almost no cell to Python's formatter.
+
+    Before tails below 1e-290 were scaled by 2^256, 8,746 of the cells
+    these jobs write went to Python, one by one.  What is left is exact
+    ties and decisions within 1e-9 of a boundary.
+    """
+    workloads = _load("workloads", monkeypatch)
+    written = mock.patch.object(floattext, "cells", wraps=floattext.cells)
+    fallback = mock.patch.object(floattext, "_python_cells", wraps=floattext._python_cells)
+    with written as cells, fallback as python_cells, contextlib.redirect_stdout(io.StringIO()):
+        for job in workloads.generate("tables", 1):
+            assert cli.main(list(job.argv)) == 0, job.argv
+    total = sum(len(call.args[0]) for call in cells.call_args_list)
+    slow = sum(len(call.args[0]) for call in python_cells.call_args_list)
+    assert total > 10**5
+    assert slow < 1e-4 * total, (slow, total)

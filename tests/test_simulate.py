@@ -41,6 +41,9 @@ class _NoOffspring:
     def gamma(self, shape, scale, size=None):
         return np.zeros(np.shape(shape) if size is None else size)
 
+    def standard_gamma(self, shape):
+        return np.zeros(np.shape(shape))
+
     def poisson(self, rate):
         assert not np.any(rate)
         return np.zeros(np.shape(rate), dtype=np.int64)
