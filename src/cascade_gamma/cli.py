@@ -31,12 +31,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
 
 from . import continuum
 from ._lazy import np
+from ._record import Record
 from .errors import CascadeError, CriticalityError, DomainError, ToleranceError
 
 __all__ = ["main", "entrypoint"]
@@ -69,14 +69,17 @@ def _choice(*options: str) -> Callable[[str], str]:
     return convert
 
 
-@dataclass(frozen=True)
-class _Option:
-    dest: str
-    flag: str
-    convert: Callable[[str], object]
-    default: object = None
-    required: bool = False
-    help: str = ""
+class _Option(Record):
+    __slots__ = ("dest", "flag", "convert", "default", "required", "help")
+
+    def __init__(self, dest: str, flag: str, convert: Callable[[str], object],
+                 default: object = None, required: bool = False, help: str = ""):
+        object.__setattr__(self, "dest", dest)
+        object.__setattr__(self, "flag", flag)
+        object.__setattr__(self, "convert", convert)
+        object.__setattr__(self, "default", default)
+        object.__setattr__(self, "required", required)
+        object.__setattr__(self, "help", help)
 
 
 def _opt_p() -> _Option:

@@ -25,16 +25,18 @@ is O(1/x^2).  The decay rate a, of order (2p - 1)^2 near criticality,
 comes without cancellation from _tail_constants.  Accuracy contract:
 log_density is within 1e-13 of max(1, |ln g|) of the exact value for
 1 < x <= 1e13 and 1e-4 <= p <= 1e4, p = 1/2 +- 10^-k included
-(checked against 50-digit mpmath in tests/test_continuum.py).
+(checked against 50-digit mpmath in tests/test_continuum.py), and finite
+up to the largest double, where tests check it at 700 digits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 from . import numerics
 from ._lazy import np
+from ._record import Record
 from .errors import CriticalityError, DomainError
 from .numerics import Interval, QuadratureResult
 
@@ -56,14 +58,14 @@ __all__ = [
 ]
 
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
+_DBL_MAX = sys.float_info.max
 _CRITICAL_P = 0.5
 # The most rows a density or pmf table may have, checked before anything
 # is allocated.
 TABLE_ROW_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Offspring scale p > 0 for Gamma(2, p) generations.
 
     The shape is fixed at k = 2: each unit of current population
@@ -71,39 +73,38 @@ class ModelParams:
     per-unit offspring mean is 2p and criticality sits at p = 1/2.
     """
 
-    p: float
-    k: int = 2
+    __slots__ = ("p", "k")
 
-    def __post_init__(self):
-        if self.k != 2:
-            raise DomainError(f"only the shape k = 2 model is implemented, got k = {self.k!r}")
+    def __init__(self, p: float, k: int = 2):
+        if k != 2:
+            raise DomainError(f"only the shape k = 2 model is implemented, got k = {k!r}")
         try:
-            p = float(self.p)
+            value = float(p)
         except (TypeError, ValueError) as exc:
-            raise DomainError(f"p must be a positive real, got {self.p!r}") from exc
-        if not (math.isfinite(p) and p > 0.0):
-            raise DomainError(f"p must be a positive real, got {self.p!r}")
-        object.__setattr__(self, "p", p)
+            raise DomainError(f"p must be a positive real, got {p!r}") from exc
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"p must be a positive real, got {p!r}")
+        object.__setattr__(self, "p", value)
+        object.__setattr__(self, "k", k)
 
     @property
     def subcritical(self) -> bool:
         return self.p < _CRITICAL_P
 
 
-@dataclass(frozen=True)
-class Moments:
-    mean: float
-    variance: float
+class Moments(Record):
+    __slots__ = ("mean", "variance")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
+    def __init__(self, mean: float, variance: float):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", variance)
+        if not (math.isfinite(mean) and math.isfinite(variance)):
             raise DomainError(f"moments must be finite, got {self!r}")
-        if self.variance < 0.0:
-            raise DomainError(f"variance must be nonnegative, got {self.variance!r}")
+        if variance < 0.0:
+            raise DomainError(f"variance must be nonnegative, got {variance!r}")
 
 
-@dataclass(frozen=True)
-class ExtinctionReport:
+class ExtinctionReport(Record):
     """Probability that the cascade is finite.
 
     decay_gap is the nonnegative root x* of x = 2 ln(1 + p x); the
@@ -111,16 +112,17 @@ class ExtinctionReport:
     cascades die out surely, so there decay_gap = 0 and prob_finite = 1.
     """
 
-    p: float
-    decay_gap: float
+    __slots__ = ("p", "decay_gap")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p > 0.0):
-            raise DomainError(f"p must be a positive real, got {self.p!r}")
-        if not self.decay_gap >= 0.0:
-            raise DomainError(f"decay_gap must be >= 0, got {self.decay_gap!r}")
-        if self.decay_gap > 0.0 and self.p <= _CRITICAL_P:
-            raise DomainError(f"decay_gap must be 0 at p = {self.p!r} <= 1/2, got {self.decay_gap!r}")
+    def __init__(self, p: float, decay_gap: float):
+        if not (math.isfinite(p) and p > 0.0):
+            raise DomainError(f"p must be a positive real, got {p!r}")
+        if not decay_gap >= 0.0:
+            raise DomainError(f"decay_gap must be >= 0, got {decay_gap!r}")
+        if decay_gap > 0.0 and p <= _CRITICAL_P:
+            raise DomainError(f"decay_gap must be 0 at p = {p!r} <= 1/2, got {decay_gap!r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "decay_gap", decay_gap)
 
     @property
     def log_prob_finite(self) -> float:
@@ -133,8 +135,7 @@ class ExtinctionReport:
         return math.exp(-self.decay_gap)
 
 
-@dataclass(frozen=True)
-class NormalizationCheck:
+class NormalizationCheck(Record):
     """Outcome of integrating the density over its support.
 
     integral is the quadrature over the whole support [1, inf); no
@@ -142,26 +143,30 @@ class NormalizationCheck:
     which that quadrature evaluated the density.
     """
 
-    integral: float
-    x_max: float
-    quadrature: QuadratureResult
+    __slots__ = ("integral", "x_max", "quadrature")
+
+    def __init__(self, integral: float, x_max: float, quadrature: QuadratureResult):
+        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "x_max", x_max)
+        object.__setattr__(self, "quadrature", quadrature)
 
 
-@dataclass(frozen=True)
-class DensityTable:
-    params: ModelParams
-    x: np.ndarray
-    density: np.ndarray
-    asymptotic: np.ndarray
+class DensityTable(Record):
+    __slots__ = ("params", "x", "density", "asymptotic")
 
-    def __post_init__(self):
-        if not (len(self.x) == len(self.density) == len(self.asymptotic)):
+    def __init__(self, params: ModelParams, x: np.ndarray, density: np.ndarray,
+                 asymptotic: np.ndarray):
+        if not (len(x) == len(density) == len(asymptotic)):
             raise DomainError("table columns must share one length")
-        if np.any(np.diff(self.x) <= 0.0):
+        if np.any(np.diff(x) <= 0.0):
             raise DomainError("abscissas must be strictly increasing")
-        for column in (self.density, self.asymptotic):
+        for column in (density, asymptotic):
             if np.any(~np.isfinite(column)) or np.any(column < 0.0):
                 raise DomainError("density columns must be finite and nonnegative")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "asymptotic", asymptotic)
 
 
 def _on_support(x, message: str) -> np.ndarray:
@@ -199,17 +204,18 @@ def _log_density(constants: tuple[float, float], x: np.ndarray, excess: np.ndarr
     below the spacing of doubles there (2.2e-16).
     """
     log_c_minus_a, a = constants
-    two_x = 2.0 * x
     # log1p(1 / 0) = inf at x = 1.  Where p is subnormal, a = inf meets an
     # excess of 0 (nan) and 1 / excess overflows; _gk15 and DensityTable
-    # reject the values that are not finite.
+    # reject the values that are not finite.  2x overflows from x = 2^1023
+    # on, so the bracket scales by 2 last, which rounds as (2x - 1) does,
+    # and S(2x), below 1e-307 there, is taken at DBL_MAX.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return (
             (log_c_minus_a + 2.0)
             - a * excess
             - 1.5 * np.log(x)
-            - (two_x - 1.0) * np.log1p(1.0 / excess)
-            - numerics.stirling_remainder(two_x)
+            - 2.0 * ((x - 0.5) * np.log1p(1.0 / excess))
+            - numerics.stirling_remainder(np.minimum(2.0 * x, _DBL_MAX))
         )
 
 
@@ -446,9 +452,13 @@ def density_table(params: ModelParams, x_min: float, x_max: float, steps: int) -
     if steps > TABLE_ROW_CAP:
         raise DomainError(f"steps = {steps} is over the cap of {TABLE_ROW_CAP}")
     grid = np.linspace(x_min, x_max, steps)
-    return DensityTable(
-        params=params,
-        x=grid,
-        density=density(params, grid),
-        asymptotic=np.exp(asymptotic_log_density(params, grid)),
-    )
+    # Below p of about 2.8e-155, ln C - a passes ln(DBL_MAX), and the
+    # asymptote overflows near x = 1; the density itself stays finite.
+    with np.errstate(over="ignore"):
+        asymptotic = np.exp(asymptotic_log_density(params, grid))
+    over = np.isinf(asymptotic)
+    if over.any():
+        raise DomainError(f"the asymptote exceeds the largest double at x = {float(grid[over][0])!r} "
+                          f"for p = {params.p!r}")
+    return DensityTable(params=params, x=grid, density=density(params, grid),
+                        asymptotic=asymptotic)

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 from . import numerics
 from ._lazy import np
+from ._record import Record
 from .continuum import TABLE_ROW_CAP, ModelParams, Moments
 from .errors import CriticalityError, DomainError
 from .numerics import Interval
@@ -62,44 +62,38 @@ def _integer(value, name: str) -> int:
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class DiscretizationParams:
+class DiscretizationParams(Record):
     """Atom count m per unit of population; requires delta = 1/m < p.
 
     Also requires q* < 1 in doubles, which fails once delta/p is of
     order 1e-16: at q* = 1 the NB count has no law to sample or tabulate.
     """
 
-    p: float
-    m: int
-    delta: float = field(init=False)
-    r_star: float = field(init=False)
-    q_star: float = field(init=False)
+    __slots__ = ("p", "m", "delta", "r_star", "q_star")
 
-    def __post_init__(self):
-        model = ModelParams(self.p)  # validates p
-        object.__setattr__(self, "p", model.p)
-        m = _integer(self.m, "m")
+    def __init__(self, p: float, m: int):
+        p = ModelParams(p).p  # validates p
+        m = _integer(m, "m")
         if m < 1:
             raise DomainError(f"m must be >= 1, got {m}")
         delta = 1.0 / m
-        if not delta < self.p:
+        if not delta < p:
             raise DomainError(
-                f"need delta = 1/m < p, got m = {m} with p = {self.p!r}"
+                f"need delta = 1/m < p, got m = {m} with p = {p!r}"
             )
-        q_star = (self.p - delta) / self.p
+        q_star = (p - delta) / p
         if q_star == 1.0:
             raise DomainError(
-                f"q* = (p - delta)/p rounds to 1 at m = {m} with p = {self.p!r}"
+                f"q* = (p - delta)/p rounds to 1 at m = {m} with p = {p!r}"
             )
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "r_star", 2.0 * delta * self.p / (self.p - delta))
+        object.__setattr__(self, "r_star", 2.0 * delta * p / (p - delta))
         object.__setattr__(self, "q_star", q_star)
 
 
-@dataclass(frozen=True)
-class CascadePmf:
+class CascadePmf(Record):
     """Cascade-size pmf table over consecutive counts n = m_start, m_start+1, ...
 
     tail_bound dominates the mass beyond the last tabulated count
@@ -107,14 +101,11 @@ class CascadePmf:
     still above 1e-10, whether they stopped at the row cap or at n_max.
     """
 
-    params: DiscretizationParams
-    m_start: int
-    probabilities: np.ndarray
-    tail_bound: float
-    truncated: bool
+    __slots__ = ("params", "m_start", "probabilities", "tail_bound", "truncated")
 
-    def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=np.float64)
+    def __init__(self, params: DiscretizationParams, m_start: int, probabilities: np.ndarray,
+                 tail_bound: float, truncated: bool):
+        probs = np.asarray(probabilities, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise DomainError("probabilities must be a nonempty 1-d array")
         if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
@@ -122,9 +113,13 @@ class CascadePmf:
         total = float(probs.sum())
         if total > 1.0 + 1e-9:
             raise DomainError(f"pmf mass exceeds one: {total!r}")
-        if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
-            raise DomainError(f"tail_bound must be >= 0, got {self.tail_bound!r}")
+        if not (math.isfinite(tail_bound) and tail_bound >= 0.0):
+            raise DomainError(f"tail_bound must be >= 0, got {tail_bound!r}")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "m_start", m_start)
         object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "tail_bound", tail_bound)
+        object.__setattr__(self, "truncated", truncated)
 
     @property
     def n_values(self) -> np.ndarray:
@@ -138,12 +133,14 @@ class CascadePmf:
         return self.probabilities.size
 
 
-@dataclass(frozen=True)
-class DiscreteMoments:
+class DiscreteMoments(Record):
     """Exact cascade-size moments at finite delta, scaled to mass units."""
 
-    per_atom: Moments
-    total: Moments
+    __slots__ = ("per_atom", "total")
+
+    def __init__(self, per_atom: Moments, total: Moments):
+        object.__setattr__(self, "per_atom", per_atom)
+        object.__setattr__(self, "total", total)
 
 
 def _validate_counts(n, minimum: int, name: str) -> np.ndarray:

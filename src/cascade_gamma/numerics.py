@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from ._lazy import np
+from ._record import Record
 from .errors import DomainError, NoSignChangeError, ToleranceError
 
 __all__ = [
@@ -54,38 +54,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A finite closed interval [lo, hi] with lo < hi."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if not lo < hi:
-            raise DomainError(f"interval requires lo < hi, got [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo: float, hi: float):
+        low, high = float(lo), float(hi)
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise DomainError(f"interval endpoints must be finite, got [{lo}, {hi}]")
+        if not low < high:
+            raise DomainError(f"interval requires lo < hi, got [{low}, {high}]")
+        object.__setattr__(self, "lo", low)
+        object.__setattr__(self, "hi", high)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(Record):
     """Value of an integral together with its error estimate and cost."""
 
-    value: float
-    abs_error_estimate: float
-    evaluations: int
+    __slots__ = ("value", "abs_error_estimate", "evaluations")
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError(f"integral value must be finite, got {self.value!r}")
-        if not self.abs_error_estimate >= 0.0:
-            raise DomainError(f"error estimate must be >= 0, got {self.abs_error_estimate!r}")
-        if self.evaluations < 1:
-            raise DomainError(f"evaluations must be >= 1, got {self.evaluations!r}")
+    def __init__(self, value: float, abs_error_estimate: float, evaluations: int):
+        if not math.isfinite(value):
+            raise DomainError(f"integral value must be finite, got {value!r}")
+        if not abs_error_estimate >= 0.0:
+            raise DomainError(f"error estimate must be >= 0, got {abs_error_estimate!r}")
+        if evaluations < 1:
+            raise DomainError(f"evaluations must be >= 1, got {evaluations!r}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "abs_error_estimate", abs_error_estimate)
+        object.__setattr__(self, "evaluations", evaluations)
 
 
 # Stirling series coefficients: B_{2k} / (2k (2k-1)), k = 1..7.  Above 8

@@ -31,11 +31,10 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar
 
 from ._lazy import np
+from ._record import Record
 from .continuum import ModelParams
 from .discrete import DiscretizationParams, _integer
 from .errors import DomainError
@@ -74,8 +73,7 @@ def __getattr__(name: str):
 _MODES = ("continuous", "discrete", "walk")
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Campaign description; immutable and hashable so chunks can share it.
 
     m is the atom count of the discretized engines and must be absent
@@ -86,40 +84,45 @@ class SimConfig:
     stops a trial once a generation falls to it or below.
     """
 
-    epsilon: ClassVar[float] = 1e-9
+    __slots__ = ("mode", "p", "trials", "seed", "m", "cap", "workers")
 
-    mode: str
-    p: float
-    trials: int
-    seed: int
-    m: int | None = None
-    cap: float = 1e6
-    workers: int = field(default=1, compare=False)
+    epsilon = 1e-9
 
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        object.__setattr__(self, "p", ModelParams(self.p).p)
-        for name in ("trials", "seed", "workers"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.workers < 1:
-            raise DomainError(f"workers must be >= 1, got {self.workers}")
-        cap = float(self.cap)
-        if not (math.isfinite(cap) and cap > 1.0):
-            raise DomainError(f"cap must be finite and > 1, got {self.cap!r}")
-        object.__setattr__(self, "cap", cap)
-        if self.mode == "continuous":
-            if self.m is not None:
+    def __init__(self, mode: str, p: float, trials: int, seed: int, m: int | None = None,
+                 cap: float = 1e6, workers: int = 1):
+        if mode not in _MODES:
+            raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
+        p = ModelParams(p).p
+        trials = _integer(trials, "trials")
+        seed = _integer(seed, "seed")
+        workers = _integer(workers, "workers")
+        if trials < 1:
+            raise DomainError(f"trials must be >= 1, got {trials}")
+        if not 0 <= seed < 2**64:
+            raise DomainError(f"seed must fit in 64 bits, got {seed}")
+        if workers < 1:
+            raise DomainError(f"workers must be >= 1, got {workers}")
+        cap_value = float(cap)
+        if not (math.isfinite(cap_value) and cap_value > 1.0):
+            raise DomainError(f"cap must be finite and > 1, got {cap!r}")
+        if mode == "continuous":
+            if m is not None:
                 raise DomainError("continuous mode takes no atom count m")
         else:
-            if self.m is None:
-                raise DomainError(f"{self.mode} mode requires the atom count m")
-            self.discretization()  # validates m against p
-            object.__setattr__(self, "m", int(self.m))
+            if m is None:
+                raise DomainError(f"{mode} mode requires the atom count m")
+            m = int(m)
+            DiscretizationParams(p, m)  # validates m against p
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "cap", cap_value)
+        object.__setattr__(self, "workers", workers)
+
+    def _key(self) -> tuple:
+        return (self.mode, self.p, self.trials, self.seed, self.m, self.cap)
 
     @property
     def delta(self) -> float | None:
@@ -165,8 +168,7 @@ def _generations(start, offspring, cap, floor):
     return alive, total, censored
 
 
-@dataclass(frozen=True, eq=False)
-class SimSummary:
+class SimSummary(Record):
     """Mergeable campaign statistics over the finite (uncensored) trials.
 
     Sums are held as Fractions of the chunk-level float sums, so merging
@@ -180,28 +182,34 @@ class SimSummary:
     accounts for every finite trial.
     """
 
-    config: SimConfig
-    trials: int
-    n_finite: int
-    n_censored: int
-    sum_z: Fraction
-    sum_z_sq: Fraction
-    bin_counts: np.ndarray
-    overflow: int
+    __slots__ = ("config", "trials", "n_finite", "n_censored", "sum_z", "sum_z_sq",
+                 "bin_counts", "overflow")
 
-    def __post_init__(self):
-        if self.trials != self.n_finite + self.n_censored:
+    # Identity equality: a summary equals only itself.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, config: SimConfig, trials: int, n_finite: int, n_censored: int,
+                 sum_z: Fraction, sum_z_sq: Fraction, bin_counts: np.ndarray, overflow: int):
+        if trials != n_finite + n_censored:
             raise DomainError("trials must equal n_finite + n_censored")
-        if min(self.trials, self.n_finite, self.n_censored, self.overflow) < 0:
+        if min(trials, n_finite, n_censored, overflow) < 0:
             raise DomainError("summary counters must be nonnegative")
-        counts = np.asarray(self.bin_counts, dtype=np.int64)
+        counts = np.asarray(bin_counts, dtype=np.int64)
         if counts.shape != (HIST_BINS,):
             raise DomainError(f"bin_counts must have shape ({HIST_BINS},)")
         if counts.min(initial=0) < 0:
             raise DomainError("bin_counts must be nonnegative")
-        if int(counts.sum()) + self.overflow != self.n_finite:
+        if int(counts.sum()) + overflow != n_finite:
             raise DomainError("histogram does not account for every finite trial")
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "n_finite", n_finite)
+        object.__setattr__(self, "n_censored", n_censored)
+        object.__setattr__(self, "sum_z", sum_z)
+        object.__setattr__(self, "sum_z_sq", sum_z_sq)
         object.__setattr__(self, "bin_counts", counts)
+        object.__setattr__(self, "overflow", overflow)
 
     @property
     def finite_fraction(self) -> float:

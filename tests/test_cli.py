@@ -1,7 +1,7 @@
 """End-to-end tests of the command line front end.
 
 Each test drives cli.main() in-process and inspects the exit code and
-emitted text; file outputs go to pytest tmp_path.  One test runs the
+emitted text; file outputs go to pytest tmp_path.  A few tests run the
 CLI as a process, to see the stderr a user sees.
 """
 
@@ -302,16 +302,35 @@ def test_verify_below_its_smallest_p_is_a_domain_error(capsys, p):
     assert run_cli(capsys, "moments", "--p", p)[0] == 0
 
 
-def test_verify_subnormal_p_writes_one_error_line():
-    # Run as its own process: pytest would capture numpy's floating-point
-    # warnings before they reach stderr.
+def cli_process(*argv):
+    """The CLI run as its own process, whose stderr shows what a user sees.
+
+    In-process, pytest would capture numpy's floating-point warnings
+    before they reach stderr.
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "cascade_gamma", "verify", "--p", "5e-324"],
+    return subprocess.run([sys.executable, "-m", "cascade_gamma", *argv],
                           capture_output=True, text=True, env=env, check=False)
+
+
+def test_verify_subnormal_p_writes_one_error_line():
+    done = cli_process("verify", "--p", "5e-324")
     assert done.returncode == 2
     [line] = done.stderr.splitlines()
     assert line.startswith("cascade-gamma verify: ")
+
+
+def test_density_up_to_the_largest_double_writes_no_warning():
+    done = cli_process("density", "--p", "0.3", "--x-max", "1.7976931348623157e308", "--steps", "3")
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_density_where_the_asymptote_overflows_writes_one_error_line():
+    done = cli_process("density", "--p", "1e-160", "--steps", "3")
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    assert line.startswith("cascade-gamma density: the asymptote exceeds the largest double")
 
 
 @pytest.mark.parametrize("p,codes", [("1e160", {0}), ("1e300", {0}), ("1e308", {0}),

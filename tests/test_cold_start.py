@@ -4,8 +4,11 @@ In this process numpy is imported before the package, so the package
 takes it as it is.  Only a new interpreter runs the lazy binding of
 cascade_gamma._lazy: scalar commands that never load numpy, and the
 first use of numpy by the others, inside a thread pool for simulate.
+The last tests run scripts/cold_start.py, which times such starts, and
+check the names the package exports.
 """
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +18,14 @@ import pytest
 import cascade_gamma
 from cascade_gamma.cli import main
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 # As the benchmark's cold start: import the CLI, run one command.  The
 # last line of standard error says whether numpy's compiled core was
-# loaded at import and after the command.
+# loaded at import and after the command, and which of the standard
+# library modules in SLOW_STDLIB were loaded after it.
+SLOW_STDLIB = ("dataclasses", "inspect")
 COLD = (
     "import sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
@@ -27,32 +33,47 @@ COLD = (
     "core = 'numpy._core._multiarray_umath'\n"
     "at_import = core in sys.modules\n"
     "code = cli.main(sys.argv[2:])\n"
-    "print(f'numpy {at_import} {core in sys.modules}', file=sys.stderr)\n"
+    f"slow = [name for name in {SLOW_STDLIB!r} if name in sys.modules]\n"
+    "print(f'numpy {at_import} {core in sys.modules}', *slow, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
 
+@functools.cache
 def cold(*argv):
-    """(exit code, stdout, numpy loaded at import, numpy loaded after) of a fresh run."""
+    """(exit code, stdout, numpy loaded at import, numpy loaded after,
+    the modules of SLOW_STDLIB loaded after) of a fresh run."""
     done = subprocess.run([sys.executable, "-c", COLD, SRC, *argv],
                           capture_output=True, text=True, timeout=120, check=False)
     report = [line for line in done.stderr.splitlines() if line.startswith("numpy ")]
     assert report, done.stderr
-    _, at_import, after = report[-1].split()
-    return done.returncode, done.stdout, at_import == "True", after == "True"
+    _, at_import, after, *slow = report[-1].split()
+    return done.returncode, done.stdout, at_import == "True", after == "True", slow
 
 
-@pytest.mark.parametrize("argv, code", [
+SCALAR = [
     (("moments", "--p", "0.25"), 0),
     (("moments", "--p", "0.25", "--m", "10"), 0),
     (("extinction", "--p", "0.7"), 0),
     (("--help",), 0),
     (("moments",), 2),  # usage error: --p missing
-])
+]
+
+
+@pytest.mark.parametrize("argv, code", SCALAR)
 def test_scalar_commands_never_load_numpy(argv, code):
-    got_code, _, at_import, after = cold(*argv)
+    got_code, _, at_import, after, _ = cold(*argv)
     assert got_code == code
     assert not at_import and not after
+
+
+@pytest.mark.parametrize("argv, code", SCALAR)
+def test_scalar_commands_never_load_dataclasses_or_inspect(argv, code):
+    # Importing dataclasses, and inspect with it, took 12.6 ms of a cold
+    # start of about 110 ms; the package's records do without them.
+    got_code, _, _, _, slow = cold(*argv)
+    assert got_code == code
+    assert slow == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -61,7 +82,7 @@ def test_scalar_commands_never_load_numpy(argv, code):
     ("extinction", "--p", "0.7", "--format", "csv"),
 ])
 def test_one_row_csv_never_loads_numpy(capsys, argv):
-    code, out, at_import, after = cold(*argv)
+    code, out, at_import, after, _ = cold(*argv)
     assert not at_import and not after
     assert (code, out) == (main(list(argv)), capsys.readouterr().out)
 
@@ -76,9 +97,20 @@ def test_one_row_csv_never_loads_numpy(capsys, argv):
      "--seed", "5", "--workers", "2"),
 ])
 def test_cold_commands_write_the_in_process_bytes(capsys, argv):
-    code, out, at_import, after = cold(*argv)
+    code, out, at_import, after, _ = cold(*argv)
     assert not at_import and after
     assert (code, out) == (main(list(argv)), capsys.readouterr().out)
+
+
+def test_cold_start_script_times_every_command():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "cold_start.py"), "--runs", "1", SRC],
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    rows = [line.rsplit(None, 4) for line in done.stdout.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["moments --p 0.25", "moments --p 0.25 --format csv",
+                                        "moments --p 0.25 --m 10", "extinction --p 0.7", "--help"]
+    for _, median, q1, q3, src in rows:
+        assert 0.0 < float(q1) == float(median) == float(q3) and src == SRC
 
 
 # The names the package exported when its __init__ imported every module.

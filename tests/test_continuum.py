@@ -164,11 +164,11 @@ def test_density_tail_is_monotone_subcritical():
 _NEAR_CRITICAL = [0.5 + sign * 10.0**-k for k in range(1, 13) for sign in (1, -1)]
 
 
-def _mp_log_density(p: float, x: float):
-    """ln g(x) from the paper's formula, at 50 digits."""
+def _mp_log_density(p: float, x: float, digits: int = 50):
+    """ln g(x) from the paper's formula, at 50 digits unless told otherwise."""
     import mpmath
 
-    with mpmath.workdps(50):
+    with mpmath.workdps(digits):
         pm, xm = mpmath.mpf(p), mpmath.mpf(x)
         return float(
             (2 * xm - 1) * mpmath.log(xm - 1) - (1 / pm + 2 * mpmath.log(pm)) * xm + 1 / pm
@@ -190,6 +190,19 @@ def test_log_density_against_mpmath(p, x):
     x = max(x, 1.0 + 1e-6)
     expected = _mp_log_density(p, x)
     assert abs(log_density(ModelParams(p), x) - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.5 + 1e-12, 0.7])
+def test_log_density_up_to_the_largest_double(p):
+    # 2x overflows from x = 2^1023 on, inside the support.  At p = 1/2
+    # terms of size x ln x = 1e311 cancel to ln g = -1065, so the exact
+    # value takes 700 digits, not 50.
+    xs = [1e13, 8.9e307, 9e307, 1e308, 1.7976931348623157e308]
+    params = ModelParams(p)
+    for x, value in zip(xs, log_density(params, np.array(xs))):
+        expected = _mp_log_density(p, x, digits=700)
+        assert abs(log_density(params, x) - expected) <= 2e-15 * abs(expected)
+        assert value == log_density(params, x)
 
 
 @pytest.mark.parametrize("p", _NEAR_CRITICAL)
@@ -533,6 +546,16 @@ def test_density_table_shape_and_columns():
         assert a == np.exp(asymptotic_log_density(params, float(x)))
     assert np.array_equal(table.density, density(params, table.x))
     assert np.array_equal(table.asymptotic, np.exp(asymptotic_log_density(params, table.x)))
+
+
+def test_density_table_where_the_asymptote_overflows():
+    # ln C - a = -2 ln(2p) - ln(pi)/2 passes ln(DBL_MAX) below p of about
+    # 2.8e-155, so the asymptote at x = 1 is no double; the density is.
+    with pytest.raises(DomainError, match=r"^the asymptote exceeds the largest double "
+                                          r"at x = 1\.0 for p = 1e-160$"):
+        density_table(ModelParams(1e-160), 1.0, 20.0, 3)
+    table = density_table(ModelParams(2.9e-155), 1.0, 20.0, 3)
+    assert np.all(np.isfinite(table.asymptotic)) and table.asymptotic[0] > 1e307
 
 
 def test_density_table_validation():
