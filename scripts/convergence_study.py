@@ -18,6 +18,7 @@ Example:
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from cascade_gamma import (
     ModelParams,
     density,
     extinction,
-    gamma_density_limit_check,
+    log_gamma,
     martingale_alpha,
     rescaled_density_estimate,
 )
@@ -51,14 +52,16 @@ def density_gaps(p: float, ladder: list[int], grid: np.ndarray) -> list[dict]:
 
 
 def offspring_gaps(p: float, ladder: list[int], grid: np.ndarray) -> list[dict]:
+    gamma_density = grid * np.exp(-grid / p) / (p * p)
     rows = []
     for m in ladder:
-        delta = 1.0 / m
-        gaps = []
-        for x in grid:
-            got, want = gamma_density_limit_check(p, delta, float(x))
-            gaps.append(abs(got - want))
-        gaps = np.array(gaps)
+        delta = DiscretizationParams(p, m).delta  # validates m against p
+        # N ~ NB(r, q) makes delta N match Gamma(2, p) in mean and variance.
+        r, q = 2.0 * p / (p - delta), (p - delta) / p
+        n = np.floor(grid / delta + 1e-9)
+        log_pmf = (log_gamma(n + r) - log_gamma(r) - log_gamma(n + 1.0)
+                   + r * math.log1p(-q) + n * math.log(q))
+        gaps = np.abs(np.exp(log_pmf) / delta - gamma_density)
         rows.append({
             "m": m,
             "delta": delta,

@@ -1,12 +1,13 @@
 """The base of the package's immutable records.
 
 A record names its fields in __slots__, in order, and writes its own
-__init__, which validates the arguments and stores each field with
-object.__setattr__.  The base gives it what a frozen dataclass would:
-equality and hash over the fields in order (the tuple _key, which a
-subclass may narrow), a repr Name(field=value, ...) over every field,
-and AttributeError on assigning or deleting any attribute.  Copy and
-pickle rebuild a record from its stored fields.  The base does this
+__init__, which validates the arguments and ends with one call to the
+base __init__, passing a value for each field in __slots__ order; the
+base stores them.  It also gives the record what a frozen dataclass
+would: equality and hash over the fields in order (the tuple _key,
+which a subclass may narrow), a repr Name(field=value, ...) over every
+field, and AttributeError on assigning or deleting any attribute.  Copy
+and pickle rebuild a record from its stored fields.  The base does this
 without the dataclasses module, whose import and code generation cost
 a cold command more than the command itself.
 """
@@ -16,6 +17,10 @@ __all__ = ["Record"]
 
 class Record:
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

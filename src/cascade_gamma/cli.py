@@ -74,12 +74,7 @@ class _Option(Record):
 
     def __init__(self, dest: str, flag: str, convert: Callable[[str], object],
                  default: object = None, required: bool = False, help: str = ""):
-        object.__setattr__(self, "dest", dest)
-        object.__setattr__(self, "flag", flag)
-        object.__setattr__(self, "convert", convert)
-        object.__setattr__(self, "default", default)
-        object.__setattr__(self, "required", required)
-        object.__setattr__(self, "help", help)
+        super().__init__(dest, flag, convert, default, required, help)
 
 
 def _opt_p() -> _Option:

@@ -50,7 +50,6 @@ __all__ = [
     "density",
     "asymptotic_log_density",
     "moments",
-    "numeric_moments",
     "extinction",
     "extinction_gap_root",
     "verify_normalization",
@@ -84,8 +83,7 @@ class ModelParams(Record):
             raise DomainError(f"p must be a positive real, got {p!r}") from exc
         if not (math.isfinite(value) and value > 0.0):
             raise DomainError(f"p must be a positive real, got {p!r}")
-        object.__setattr__(self, "p", value)
-        object.__setattr__(self, "k", k)
+        super().__init__(value, k)
 
     @property
     def subcritical(self) -> bool:
@@ -96,8 +94,7 @@ class Moments(Record):
     __slots__ = ("mean", "variance")
 
     def __init__(self, mean: float, variance: float):
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", variance)
+        super().__init__(mean, variance)
         if not (math.isfinite(mean) and math.isfinite(variance)):
             raise DomainError(f"moments must be finite, got {self!r}")
         if variance < 0.0:
@@ -121,8 +118,7 @@ class ExtinctionReport(Record):
             raise DomainError(f"decay_gap must be >= 0, got {decay_gap!r}")
         if decay_gap > 0.0 and p <= _CRITICAL_P:
             raise DomainError(f"decay_gap must be 0 at p = {p!r} <= 1/2, got {decay_gap!r}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "decay_gap", decay_gap)
+        super().__init__(p, decay_gap)
 
     @property
     def log_prob_finite(self) -> float:
@@ -146,9 +142,7 @@ class NormalizationCheck(Record):
     __slots__ = ("integral", "x_max", "quadrature")
 
     def __init__(self, integral: float, x_max: float, quadrature: QuadratureResult):
-        object.__setattr__(self, "integral", integral)
-        object.__setattr__(self, "x_max", x_max)
-        object.__setattr__(self, "quadrature", quadrature)
+        super().__init__(integral, x_max, quadrature)
 
 
 class DensityTable(Record):
@@ -163,10 +157,7 @@ class DensityTable(Record):
         for column in (density, asymptotic):
             if np.any(~np.isfinite(column)) or np.any(column < 0.0):
                 raise DomainError("density columns must be finite and nonnegative")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "asymptotic", asymptotic)
+        super().__init__(params, x, density, asymptotic)
 
 
 def _on_support(x, message: str) -> np.ndarray:
@@ -386,27 +377,6 @@ def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[Quadra
     quadrature = numerics.integrate_adaptive(
         integrand, Interval(0.0, 1.0), abs_tol=abs_tol, breaks=_support_breaks(params, constants[1]))
     return quadrature, 1.0 + _support_excess(params, smallest_v)
-
-
-def numeric_moments(params: ModelParams) -> Moments:
-    """Mean and variance by integrating the density; subcritical only.
-
-    A quadrature cross-check for the closed forms in moments(): the
-    first and second moments are each integrated over the whole support
-    [1, inf) (see _support_integrand), with no cutoff and no tail term,
-    to 2.5e-9 max(1, E[Z^k]).  Only that tolerance comes from the closed
-    forms: near criticality the moments grow as (1 - 2p)^-k, beyond the
-    reach of any fixed absolute tolerance.
-    """
-    if not params.subcritical:
-        raise CriticalityError(
-            f"numeric moments require p < {_CRITICAL_P}, got p = {params.p!r}"
-        )
-    closed = moments(params)
-    first, _ = _support_moment(params, 1, 2.5e-9 * max(1.0, closed.mean))
-    second, _ = _support_moment(params, 2, 2.5e-9 * max(1.0, closed.variance + closed.mean**2))
-    mean = first.value
-    return Moments(mean=mean, variance=second.value - mean * mean)
 
 
 # The smallest p at which verify_normalization is right.  Below it the

@@ -36,8 +36,6 @@ __all__ = [
     "DiscretizationParams",
     "CascadePmf",
     "DiscreteMoments",
-    "nb_log_pmf",
-    "gamma_density_limit_check",
     "cascade_log_pmf",
     "cascade_pmf_table",
     "discrete_moments",
@@ -86,11 +84,7 @@ class DiscretizationParams(Record):
             raise DomainError(
                 f"q* = (p - delta)/p rounds to 1 at m = {m} with p = {p!r}"
             )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "r_star", 2.0 * delta * p / (p - delta))
-        object.__setattr__(self, "q_star", q_star)
+        super().__init__(p, m, delta, 2.0 * delta * p / (p - delta), q_star)
 
 
 class CascadePmf(Record):
@@ -115,11 +109,7 @@ class CascadePmf(Record):
             raise DomainError(f"pmf mass exceeds one: {total!r}")
         if not (math.isfinite(tail_bound) and tail_bound >= 0.0):
             raise DomainError(f"tail_bound must be >= 0, got {tail_bound!r}")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "m_start", m_start)
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "tail_bound", tail_bound)
-        object.__setattr__(self, "truncated", truncated)
+        super().__init__(params, m_start, probs, tail_bound, truncated)
 
     @property
     def n_values(self) -> np.ndarray:
@@ -139,70 +129,20 @@ class DiscreteMoments(Record):
     __slots__ = ("per_atom", "total")
 
     def __init__(self, per_atom: Moments, total: Moments):
-        object.__setattr__(self, "per_atom", per_atom)
-        object.__setattr__(self, "total", total)
+        super().__init__(per_atom, total)
 
 
-def _validate_counts(n, minimum: int, name: str) -> np.ndarray:
+def _validate_counts(n) -> np.ndarray:
+    """The counts n >= 0 as an int64 array; a float array must be integer-valued."""
     arr = np.asarray(n)
     if arr.dtype == object or not np.issubdtype(arr.dtype, np.integer):
         if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr)):
             arr = arr.astype(np.int64)
         else:
-            raise DomainError(f"{name} must be integer-valued, got dtype {arr.dtype}")
-    if arr.size and int(arr.min()) < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {int(arr.min())}")
+            raise DomainError(f"n must be integer-valued, got dtype {arr.dtype}")
+    if arr.size and int(arr.min()) < 0:
+        raise DomainError(f"n must be >= 0, got {int(arr.min())}")
     return arr.astype(np.int64)
-
-
-def nb_log_pmf(n, r: float, q: float):
-    """log P{N = n} for the negative binomial b(n; r, q).
-
-    b(n; r, q) = G(n + r) / (n! G(r)) (1 - q)^r q^n with r > 0 and
-    0 < q < 1.  Accepts a scalar count or an array of counts.
-    """
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"r must be positive, got {r!r}")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q!r}")
-    counts = _validate_counts(n, 0, "n").reshape(-1)
-    nf = counts.astype(np.float64)
-    out = (
-        numerics.log_gamma(nf + r)
-        - numerics.log_gamma(r)
-        - numerics.log_gamma(nf + 1.0)
-        + r * math.log1p(-q)
-        + nf * math.log(q)
-    )
-    # n = 0 contributes no q^n factor; log(q) * 0 is already 0, but the
-    # log-gamma pair at n = 0 cancels exactly only in exact arithmetic,
-    # so set the atom directly.
-    out[counts == 0] = r * math.log1p(-q)
-    return float(out[0]) if np.ndim(n) == 0 else out.reshape(np.shape(n))
-
-
-def gamma_density_limit_check(theta: float, delta: float, x: float) -> tuple[float, float]:
-    """Compare the rescaled NB pmf with the Gamma(2, theta) density at x.
-
-    The count N ~ NB(r, q) with r = 2 theta / (theta - delta) and
-    q = (theta - delta) / theta makes delta N match Gamma(2, theta) in
-    mean and variance exactly; delta -> 0 is the law itself.  Returns
-    (delta^{-1} P{N = floor(x / delta)}, continuum density at x); the
-    gap shrinks linearly in delta.
-    """
-    theta, delta, x = float(theta), float(delta), float(x)
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise DomainError(f"theta must be positive, got {theta!r}")
-    if not (math.isfinite(delta) and 0.0 < delta < theta):
-        raise DomainError(f"delta must lie in (0, theta), got {delta!r}")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"x must be positive, got {x!r}")
-    r = 2.0 * theta / (theta - delta)
-    q = (theta - delta) / theta
-    n = int(math.floor(x / delta + _GRID_NUDGE))
-    discrete = math.exp(nb_log_pmf(n, r, q)) / delta
-    continuum = x * math.exp(-x / theta) / (theta * theta)
-    return discrete, continuum
 
 
 def cascade_log_pmf(params: DiscretizationParams, m_start: int, n):
@@ -216,7 +156,7 @@ def cascade_log_pmf(params: DiscretizationParams, m_start: int, n):
     m_start = _integer(m_start, "m_start")
     if m_start < 1:
         raise DomainError(f"m_start must be >= 1, got {m_start}")
-    counts = _validate_counts(n, 0, "n").reshape(-1)
+    counts = _validate_counts(n).reshape(-1)
     nf = np.maximum(counts, m_start).astype(np.float64)
     r, q = params.r_star, params.q_star
     out = (

@@ -65,8 +65,7 @@ class Interval(Record):
             raise DomainError(f"interval endpoints must be finite, got [{lo}, {hi}]")
         if not low < high:
             raise DomainError(f"interval requires lo < hi, got [{low}, {high}]")
-        object.__setattr__(self, "lo", low)
-        object.__setattr__(self, "hi", high)
+        super().__init__(low, high)
 
 
 class QuadratureResult(Record):
@@ -81,9 +80,7 @@ class QuadratureResult(Record):
             raise DomainError(f"error estimate must be >= 0, got {abs_error_estimate!r}")
         if evaluations < 1:
             raise DomainError(f"evaluations must be >= 1, got {evaluations!r}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "abs_error_estimate", abs_error_estimate)
-        object.__setattr__(self, "evaluations", evaluations)
+        super().__init__(value, abs_error_estimate, evaluations)
 
 
 # Stirling series coefficients: B_{2k} / (2k (2k-1)), k = 1..7.  Above 8

@@ -111,15 +111,9 @@ class SimConfig(Record):
         else:
             if m is None:
                 raise DomainError(f"{mode} mode requires the atom count m")
-            m = int(m)
+            m = _integer(m, "m")
             DiscretizationParams(p, m)  # validates m against p
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "cap", cap_value)
-        object.__setattr__(self, "workers", workers)
+        super().__init__(mode, p, trials, seed, m, cap_value, workers)
 
     def _key(self) -> tuple:
         return (self.mode, self.p, self.trials, self.seed, self.m, self.cap)
@@ -131,7 +125,7 @@ class SimConfig(Record):
     def discretization(self) -> DiscretizationParams:
         if self.m is None:
             raise DomainError("continuous mode has no discretization")
-        return DiscretizationParams(p=self.p, m=int(self.m))
+        return DiscretizationParams(p=self.p, m=self.m)
 
 
 def _rng_stream(seed: int, stream_index: int) -> np.random.Generator:
@@ -202,14 +196,7 @@ class SimSummary(Record):
             raise DomainError("bin_counts must be nonnegative")
         if int(counts.sum()) + overflow != n_finite:
             raise DomainError("histogram does not account for every finite trial")
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "n_finite", n_finite)
-        object.__setattr__(self, "n_censored", n_censored)
-        object.__setattr__(self, "sum_z", sum_z)
-        object.__setattr__(self, "sum_z_sq", sum_z_sq)
-        object.__setattr__(self, "bin_counts", counts)
-        object.__setattr__(self, "overflow", overflow)
+        super().__init__(config, trials, n_finite, n_censored, sum_z, sum_z_sq, counts, overflow)
 
     @property
     def finite_fraction(self) -> float:

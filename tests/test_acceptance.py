@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+from scipy import stats
 from scipy.special import gammaln
 
 from cascade_gamma import (
@@ -20,16 +21,14 @@ from cascade_gamma import (
     cascade_log_pmf,
     density,
     extinction,
-    gamma_density_limit_check,
     log_density,
     martingale_alpha,
     moments,
-    nb_log_pmf,
-    numeric_moments,
     rescaled_density_estimate,
     run_campaign,
 )
 from cascade_gamma.cli import main
+from cascade_gamma.continuum import _support_moment
 from cascade_gamma.simulate import CHUNK_TRIALS, _chunk_mass
 
 P_FINITE_06 = 0.49243218436184857  # exp(-decay gap) at p = 0.6, bisection oracle
@@ -89,11 +88,13 @@ def test_criterion_03_quadrature_moments(capsys):
     for p in (0.1, 0.25, 0.4):
         params = ModelParams(p)
         closed = moments(params)
-        quad = numeric_moments(params)
+        first, _ = _support_moment(params, 1, 2.5e-9 * max(1.0, closed.mean))
+        second, _ = _support_moment(params, 2, 2.5e-9 * max(1.0, closed.variance + closed.mean**2))
+        variance = second.value - first.value**2
         worst = max(
             worst,
-            abs(quad.mean - closed.mean) / closed.mean,
-            abs(quad.variance - closed.variance) / closed.variance,
+            abs(first.value - closed.mean) / closed.mean,
+            abs(variance - closed.variance) / closed.variance,
         )
     ok = worst <= 1e-4
     report(
@@ -122,13 +123,15 @@ def test_criterion_04_discrete_to_continuum_density(capsys):
 
 def test_criterion_05_nb_to_gamma_density(capsys):
     grid = np.arange(0.1, 3.0 + 1e-12, 0.1)
+    want = stats.gamma.pdf(grid, 2, scale=0.4)
     sups = []
-    for delta in (0.1, 0.05, 0.02, 0.01):
-        gaps = []
-        for x in grid:
-            got, want = gamma_density_limit_check(0.4, delta, float(x))
-            gaps.append(abs(got - want))
-        sups.append(max(gaps))
+    for m in (10, 20, 50, 100):
+        # The m atoms of mass one bear N ~ NB(m r*, q*), and N / m matches
+        # one Gamma(2, 0.4) generation in mean and variance.
+        params = DiscretizationParams(0.4, m)
+        n = np.floor(grid * m + 1e-9)
+        got = m * stats.nbinom.pmf(n, m * params.r_star, 1.0 - params.q_star)
+        sups.append(float(np.max(np.abs(got - want))))
     decreasing = all(a > b for a, b in zip(sups, sups[1:]))
     report(
         capsys, decreasing, 5,
@@ -142,7 +145,7 @@ def test_criterion_06_pmf_recursion_and_additivity(capsys):
     params = DiscretizationParams(0.3, 10)
 
     # One founder's total is one plus its brood's total.
-    offspring = np.exp(nb_log_pmf(np.arange(0, 40), params.r_star, params.q_star))
+    offspring = stats.nbinom.pmf(np.arange(0, 40), params.r_star, 1.0 - params.q_star)
     worst_recursion = 0.0
     for n in range(1, 31):
         direct = math.exp(cascade_log_pmf(params, 1, n))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from cascade_gamma import (
     CascadePmf,
@@ -24,10 +25,8 @@ from cascade_gamma import (
     density,
     discrete_moments,
     extinction,
-    gamma_density_limit_check,
     martingale_alpha,
     moments,
-    nb_log_pmf,
     rescaled_density_estimate,
 )
 from cascade_gamma.discrete import _log_tail_ratio_limit
@@ -74,70 +73,34 @@ def test_atomic_count_mean_is_exactly_2p(p, m):
     assert abs(count_mean - 2.0 * p) <= 1e-14 * 2.0 * p
 
 
-# --------------------------------------------------------------- nb_log_pmf
-
-
-def test_nb_atom_at_zero():
-    assert nb_log_pmf(0, 0.75, 0.3) == 0.75 * math.log1p(-0.3)
-
-
-def test_nb_geometric_case():
-    assert nb_log_pmf(1, 1.0, 0.5) == pytest.approx(math.log(0.25), rel=1e-15)
-
-
-def test_nb_mass_sums_to_one():
-    params = DiscretizationParams(0.3, 100)
-    n = np.arange(0, 1500)
-    mass = float(np.exp(nb_log_pmf(n, params.r_star, params.q_star)).sum())
-    assert abs(mass - 1.0) <= 1e-10
-
-
-def test_nb_array_matches_scalar():
-    out = nb_log_pmf(np.array([0, 1, 2, 17]), 0.3, 2.0 / 3.0)
-    for n, v in zip([0, 1, 2, 17], out):
-        assert v == nb_log_pmf(int(n), 0.3, 2.0 / 3.0)
-
-
-def test_nb_domain_errors():
-    with pytest.raises(DomainError):
-        nb_log_pmf(0, 0.0, 0.5)
-    with pytest.raises(DomainError):
-        nb_log_pmf(0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        nb_log_pmf(-1, 1.0, 0.5)
-    with pytest.raises(DomainError):
-        nb_log_pmf(1.5, 1.0, 0.5)
-
-
 # ------------------------------------------------- NB -> Gamma density limit
 
 
+def rescaled_offspring_pmf(p, m, x):
+    """m P{N = floor(x m)} for the count N ~ NB(m r*, q*) born to mass one's m atoms.
+
+    delta N matches one Gamma(2, p) generation in mean and variance, so
+    this tends to the Gamma(2, p) density at x as delta = 1/m -> 0.
+    """
+    params = DiscretizationParams(p, m)
+    n = math.floor(x * m + 1e-9)
+    return m * stats.nbinom.pmf(n, m * params.r_star, 1.0 - params.q_star)
+
+
 def test_gamma_limit_pair_close_at_small_delta():
-    got, want = gamma_density_limit_check(0.4, 1e-4, 0.8)
-    assert got == pytest.approx(want, rel=1e-3)
+    got = rescaled_offspring_pmf(0.4, 10_000, 0.8)
+    assert got == pytest.approx(stats.gamma.pdf(0.8, 2, scale=0.4), rel=1e-3)
 
 
 def test_gamma_limit_closed_form_side():
-    got, want = gamma_density_limit_check(1.0, 1e-5, 2.0)
-    assert want == pytest.approx(2.0 * math.exp(-2.0), rel=1e-15)
-    assert got == pytest.approx(want, rel=1e-3)
+    # The Gamma(2, 1) density at x = 2 is 2 e^-2.
+    assert rescaled_offspring_pmf(1.0, 100_000, 2.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-3)
 
 
 def test_gamma_limit_gap_shrinks_with_delta():
-    gaps = []
-    for delta in (1e-2, 1e-3, 1e-4):
-        got, want = gamma_density_limit_check(0.4, delta, 0.8)
-        gaps.append(abs(got - want))
+    want = stats.gamma.pdf(0.8, 2, scale=0.4)
+    gaps = [abs(rescaled_offspring_pmf(0.4, m, 0.8) - want) for m in (100, 1000, 10_000)]
     assert gaps[0] > gaps[1] > gaps[2]
-
-
-def test_gamma_limit_requires_delta_below_theta():
-    with pytest.raises(DomainError):
-        gamma_density_limit_check(0.4, 0.4, 0.8)
-    with pytest.raises(DomainError):
-        gamma_density_limit_check(0.4, 0.5, 0.8)
-    with pytest.raises(DomainError):
-        gamma_density_limit_check(0.4, 1e-3, -1.0)
 
 
 # ------------------------------------------------------------ cascade pmf
@@ -146,7 +109,8 @@ def test_gamma_limit_requires_delta_below_theta():
 def test_cascade_atom_is_founders_only_probability():
     params = DiscretizationParams(0.3, 10)
     got = cascade_log_pmf(params, 10, 10)
-    assert got == pytest.approx(10.0 * nb_log_pmf(0, params.r_star, params.q_star), rel=1e-14)
+    nb_atom = stats.nbinom.logpmf(0, params.r_star, 1.0 - params.q_star)
+    assert got == pytest.approx(10.0 * nb_atom, rel=1e-14)
     # (delta/p)^(2p/(p - delta)) = (1/3)^3 for p = 0.3, delta = 0.1.
     assert math.exp(got) == pytest.approx(1.0 / 27.0, rel=1e-13)
 
@@ -180,7 +144,7 @@ def test_recursion_identity_small_counts():
     # A single founder's total is 1 plus the total spawned by its brood:
     # P{T(1) = n} = sum_y b(y) P{T(y) = n - 1}, with T(0) = 0 surely.
     params = DiscretizationParams(0.3, 10)
-    offspring = np.exp(nb_log_pmf(np.arange(0, 40), params.r_star, params.q_star))
+    offspring = stats.nbinom.pmf(np.arange(0, 40), params.r_star, 1.0 - params.q_star)
     for n in range(1, 31):
         direct = math.exp(cascade_log_pmf(params, 1, n))
         total = offspring[0] if n == 1 else 0.0

@@ -1,0 +1,71 @@
+"""The scripts run, and every public name has a caller outside the tests.
+
+The scripts under scripts/ import the package as any user would; a
+deleted or renamed name that one of them uses fails here rather than
+on its next run.  Public names that only tests use belong in the
+tests, so the guard below fails on any name in a module's __all__ that
+nothing in src/, scripts/ or perfbench/ (tests aside) refers to.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+SCRIPT_RUNS = [
+    ("convergence_study.py", "--p", "0.3", "--view", "density", "--ladder", "10,20"),
+    ("convergence_study.py", "--p", "0.3", "--view", "offspring", "--ladder", "10,20"),
+    ("convergence_study.py", "--p", "0.6", "--view", "martingale", "--ladder", "10,20"),
+    ("mc_cross_check.py", "--p", "0.3", "--m", "10", "--trials", "20000", "--seed", "7"),
+]
+
+
+@pytest.mark.parametrize("argv", SCRIPT_RUNS, ids=["density", "offspring", "martingale", "mc_cross_check"])
+def test_script_runs(argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def _public_names() -> dict[str, str]:
+    """Every name in a package module's __all__, mapped to its module."""
+    names = {}
+    for path in sorted((SRC / "cascade_gamma").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+                names.update(dict.fromkeys(ast.literal_eval(node.value), path.stem))
+    return names
+
+
+def _used_names() -> set[str]:
+    """The names loaded as variables or read as attributes outside the tests.
+
+    A definition (def, class or assignment) and an __all__ entry (a
+    string) are not uses, so a name that is only defined and exported
+    is missing here.
+    """
+    used = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            if "tests" in path.relative_to(ROOT).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    used = _used_names()
+    test_only = [f"{module}.{name}" for name, module in _public_names().items() if name not in used]
+    assert not test_only, f"public names that only tests use: {test_only}"

@@ -26,7 +26,6 @@ from cascade_gamma import (
     SimConfig,
     SimSummary,
     moments,
-    nb_log_pmf,
     run_campaign,
 )
 from cascade_gamma import simulate
@@ -128,7 +127,7 @@ def test_nb_sample_pmf_chi_square():
     n_draws = 100_000
     draws = _nb_sample(_rng_stream(106, 0), r, q, n_draws)
 
-    pmf = np.exp(nb_log_pmf(np.arange(0, 31), r, q))
+    pmf = stats.nbinom.pmf(np.arange(0, 31), r, 1.0 - q)
     expected = np.append(pmf, 1.0 - pmf.sum()) * n_draws
     observed = np.append(
         np.bincount(np.minimum(draws, 31), minlength=32)[:31], np.sum(draws > 30)
@@ -276,12 +275,12 @@ def test_censoring_event_agrees_across_engines():
 # ------------------------------------------------------------------ config
 
 
-@pytest.mark.parametrize("name", ["trials", "seed", "workers"])
+@pytest.mark.parametrize("name", ["trials", "seed", "workers", "m"])
 def test_sim_config_integers_take_numpy_integers_only(name):
-    # Checked by operator.index: a bool or an integral float is refused,
+    # Checked by operator.index: a bool, a float or a string is refused,
     # a numpy integer is stored as the int it holds.
-    fields = dict(mode="continuous", p=0.3, trials=10, seed=1)
-    for bad in (True, 2.0):
+    fields = dict(mode="discrete" if name == "m" else "continuous", p=0.3, trials=10, seed=1)
+    for bad in (True, 2.0, 10.7, "10"):
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
             SimConfig(**{**fields, name: bad})
     value = getattr(SimConfig(**{**fields, name: np.int64(10)}), name)
