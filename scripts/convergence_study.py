@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from cascade_gamma import (
+    CascadeError,
     DiscretizationParams,
     ModelParams,
     density,
@@ -123,12 +124,17 @@ def main() -> int:
     args = parser.parse_args()
 
     ladder = [int(v) for v in args.ladder.split(",")]
-    if args.view == "martingale":
-        rows = martingale_gaps(args.p, ladder)
-    else:
-        grid = np.linspace(args.x_min, args.x_max, args.points)
-        compute = density_gaps if args.view == "density" else offspring_gaps
-        rows = compute(args.p, ladder, grid)
+    try:
+        if args.view == "martingale":
+            rows = martingale_gaps(args.p, ladder)
+        else:
+            grid = np.linspace(args.x_min, args.x_max, args.points)
+            compute = density_gaps if args.view == "density" else offspring_gaps
+            rows = compute(args.p, ladder, grid)
+    except CascadeError as exc:
+        # One line and exit 2, as the command line on parameters it rejects.
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return 2
 
     emit(rows, args.csv)
 

@@ -24,6 +24,7 @@ import math
 import sys
 
 from cascade_gamma import (
+    CascadeError,
     CriticalityError,
     DiscretizationParams,
     ModelParams,
@@ -52,7 +53,16 @@ def main() -> int:
     parser.add_argument("--cap", type=float, default=1e4,
                         help="censoring threshold on the total mass")
     args = parser.parse_args()
+    try:
+        return cross_check(args)
+    except CascadeError as exc:
+        # One line and exit 2, as the command line on parameters it rejects.
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return 2
 
+
+def cross_check(args: argparse.Namespace) -> int:
+    """Run both engines, print each check and return 0 when all pass, else 1."""
     params = ModelParams(args.p)
     lattice = DiscretizationParams(args.p, args.m)
     summaries = {}

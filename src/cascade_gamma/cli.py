@@ -9,15 +9,19 @@ carry '#' comment lines echoing the parameters, a fixed header, floats
 written as '%.17g' (17 significant digits, 'inf' and 'nan' spelled so)
 and LF line endings.  JSON payloads use sorted keys and an indent of 2,
 with floats written as their shortest round-trip repr ('Infinity' and
-'NaN' for the non-finite ones).  Tables are formatted in blocks of rows
-and streamed to the output: floattext.cells writes each column of a
-block as a zero-padded byte matrix, with Python's own bytes for every
-cell, and _joined reads the rows out of the cells and separators laid
-side by side.  Outputs are byte-reproducible for identical invocations.
+'NaN' for the non-finite ones), by json's C encoder where they hold
+scalars alone.  Tables are formatted in blocks of rows and streamed to
+the output: floattext.cells writes each column of a block as a
+zero-padded byte matrix, with Python's own bytes for every cell, and
+_joined reads the rows out of the cells and separators laid side by
+side.  Outputs are byte-reproducible for identical invocations.
 
 Every option may instead be given in a --config file of `key = value`
 lines (keys match the long option names without the leading dashes);
-setting the same option in both places is an error.
+setting the same option in both places is an error.  main hands what
+follows a command name to that command's parser alone, as the top-level
+parser would; that one runs only to report an argv that names no
+command or leaves arguments over.
 
 discrete and simulate are imported by the commands that use them, and
 numpy on its first use (cascade_gamma._lazy), so moments and
@@ -99,6 +103,9 @@ _BLOCK_ROWS = 4096
 # Stands in for an array in the dumped payload until the array is spliced in.
 _ARRAY_MARK = "\0array:"
 
+# json's C encoder (no indent), which writes a flat dict's items as indent 2 does.
+_FLAT_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
+
 
 def _joined(columns: list[np.ndarray], style: str, ends: list[bytes]) -> str:
     """Row i of the text: element i of each column, each followed by its end.
@@ -162,8 +169,13 @@ def _json_text(payload: dict, arrays: dict[str, np.ndarray] | None = None) -> It
     on the pure-Python encoder.  Each array is written block by block by
     floattext.cells, items as json.dumps writes them, with the item
     separator indent 2 would use at its depth, and spliced in at its key,
-    so the bytes equal one json.dumps of the whole dict.
+    so the bytes equal one json.dumps of the whole dict.  Scalars alone
+    go through _FLAT_JSON, with the newlines inside the braces added.
     """
+    if not arrays and all(isinstance(v, (str, int, float, type(None))) for v in payload.values()):
+        text = _FLAT_JSON.encode(payload)
+        yield ("{\n  " + text[1:-1] + "\n}" if payload else text) + "\n"
+        return
     arrays = arrays or {}
     doc = dict(payload)
     for key in arrays:
@@ -536,14 +548,15 @@ _COMMANDS: dict[str, dict] = {
 
 # Built once per process: parsing leaves the parser unchanged, and building
 # its ~40 actions would cost a few milliseconds on every main() call.
+# Returns the top-level parser and, per command, its own parser and options.
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, _Option]]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     parser = argparse.ArgumentParser(
         prog="cascade-gamma",
         description="cascade-size distribution of a branching process with Gamma(2, p) generations",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    registries: dict[str, dict[str, _Option]] = {}
+    commands = {}
     for name, entry in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=entry["help"])
         sub.add_argument(
@@ -556,8 +569,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, _Optio
                              default=None, help=opt.help)
             table[opt.dest] = opt
         sub.set_defaults(handler=entry["handler"], command=name)
-        registries[name] = table
-    return parser, registries
+        commands[name] = sub, table
+    return parser, commands
 
 
 def _apply_config(ns, table: dict[str, _Option]) -> None:
@@ -599,12 +612,19 @@ def _fill_defaults(ns, table: dict[str, _Option]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, registries = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        # The command's parser alone, as the top-level one would call it;
+        # that one reports a missing command and arguments left over.
+        ns = None
+        if argv and argv[0] in commands:
+            ns, rest = commands[argv[0]][0].parse_known_args(argv[1:])
+        if ns is None or rest:
+            ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    table = registries[ns.command]
+    table = commands[ns.command][1]
     try:
         _apply_config(ns, table)
         _fill_defaults(ns, table)

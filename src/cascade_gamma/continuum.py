@@ -14,7 +14,7 @@ quadrature self-check that the density mass equals that probability.
 
 The terms of size x ln x in ln g cancel analytically.  With the
 Stirling remainder S(z) = ln G(z) - (z - 1/2) ln z + z - ln(2 pi)/2
-(numerics.stirling_remainder), ln g is evaluated as
+(numerics._remainder), ln g is evaluated as
 
     ln g(x) = (ln C - a) - a (x - 1) - (3/2) ln x
               + [2 - (2x - 1) log1p(1 / (x - 1))] - S(2x),
@@ -34,11 +34,15 @@ from __future__ import annotations
 import math
 import sys
 
-from . import numerics
 from ._lazy import np
 from ._record import Record
 from .errors import CriticalityError, DomainError
-from .numerics import Interval, QuadratureResult
+
+# numerics is imported where it is called, so moments leaves it unloaded;
+# calls go through the module, where perfbench's tracer wraps them.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .numerics import QuadratureResult
 
 __all__ = [
     "ModelParams",
@@ -194,19 +198,22 @@ def _log_density(constants: tuple[float, float], x: np.ndarray, excess: np.ndarr
     density only sees the excess, which x itself rounds away once it is
     below the spacing of doubles there (2.2e-16).
     """
+    from . import numerics
+
     log_c_minus_a, a = constants
     # log1p(1 / 0) = inf at x = 1.  Where p is subnormal, a = inf meets an
     # excess of 0 (nan) and 1 / excess overflows; _gk15 and DensityTable
     # reject the values that are not finite.  2x overflows from x = 2^1023
     # on, so the bracket scales by 2 last, which rounds as (2x - 1) does,
-    # and S(2x), below 1e-307 there, is taken at DBL_MAX.
+    # and S(2x), below 1e-307 there, is taken at DBL_MAX.  x >= 1 is
+    # finite, so the Stirling kernel takes 2x flat and unchecked.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return (
             (log_c_minus_a + 2.0)
             - a * excess
             - 1.5 * np.log(x)
             - 2.0 * ((x - 0.5) * np.log1p(1.0 / excess))
-            - numerics.stirling_remainder(np.minimum(2.0 * x, _DBL_MAX))
+            - numerics._remainder(np.minimum(2.0 * x, _DBL_MAX).reshape(-1)).reshape(x.shape)
         )
 
 
@@ -278,6 +285,8 @@ def extinction(params: ModelParams) -> ExtinctionReport:
     x* = 2 (expm1(r) + (p - 1/2)/p): two terms >= 0, nothing cancels.
     At or below criticality the cascade is finite with probability one.
     """
+    from . import numerics
+
     p = params.p
     if p <= _CRITICAL_P:
         return ExtinctionReport(p=p, decay_gap=0.0)
@@ -294,6 +303,8 @@ def extinction_gap_root(params: ModelParams) -> float:
     p x is exact and log1p(p x) = p x, so the balance is (2p - 1) x > 0,
     and at its high end it is 2 ln(1 + 2048 p) - 2048 < 2 ln(2^1035) - 2048 < 0.
     """
+    from . import numerics
+
     p = params.p
     if p <= _CRITICAL_P:
         return 0.0
@@ -304,7 +315,7 @@ def extinction_gap_root(params: ModelParams) -> float:
             return 2.0 * (math.log(p) + math.log(x)) - x
         return 2.0 * math.log1p(px) - x
 
-    return numerics.solve_bracketed(gap_balance, Interval(2.0**-1000, 2048.0))
+    return numerics.solve_bracketed(gap_balance, numerics.Interval(2.0**-1000, 2048.0))
 
 
 def _support_excess(params: ModelParams, v):
@@ -366,6 +377,8 @@ def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[Quadra
     Also returns the largest x at which the quadrature evaluated g,
     finite because no Kronrod node sits on v = 0.
     """
+    from . import numerics
+
     constants = _tail_constants(params)
     smallest_v = 1.0
 
@@ -375,7 +388,8 @@ def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[Quadra
         return _support_integrand(params, constants, k, v)
 
     quadrature = numerics.integrate_adaptive(
-        integrand, Interval(0.0, 1.0), abs_tol=abs_tol, breaks=_support_breaks(params, constants[1]))
+        integrand, numerics.Interval(0.0, 1.0), abs_tol=abs_tol,
+        breaks=_support_breaks(params, constants[1]))
     return quadrature, 1.0 + _support_excess(params, smallest_v)
 
 

@@ -16,14 +16,14 @@ Both gamma kernels rest on the Stirling remainder
 summed from its series for z >= 8.  The elements below 8 are lifted
 once by ln G(z) = ln G(z + 8) - ln(z (z+1) ... (z+7)), so the cost is a
 fixed number of numpy calls plus work on that subset only.  Contracts:
-stirling_remainder to 1e-15 absolute for z >= 8 (1e-14 of max(1, |S|)
+S (_remainder) to 1e-15 absolute for z >= 8 (1e-14 of max(1, |S|)
 below), log_gamma to 1e-13 of max(1, |ln G|) for every positive double
 up to 1e8.  Callers that need ln G(z) only inside a difference of
 terms of size z ln z, as the cascade density does, use S and cancel
 those terms analytically (Loader 2000, "Fast and Accurate Computation
-of Binomial Probabilities").
+of Binomial Probabilities"), through _remainder on a bounded array.
 
-log_gamma, stirling_remainder and the quadrature work on arrays: the
+log_gamma, _remainder and the quadrature work on arrays: the
 gamma kernels map an ndarray elementwise, and integrate_adaptive works
 in rounds (the design of quadgk: Shampine 2008, "Vectorized adaptive
 quadrature in MATLAB").  It calls its integrand once with the nodes of
@@ -47,7 +47,6 @@ __all__ = [
     "Interval",
     "QuadratureResult",
     "log_gamma",
-    "stirling_remainder",
     "lambert_w_m1",
     "solve_bracketed",
     "integrate_adaptive",
@@ -99,20 +98,6 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _STIRLING_SHIFT = 8.0
 
 
-def _positive(z, name: str) -> np.ndarray:
-    """z flattened to float64; DomainError names the first element not finite and > 0."""
-    work = np.asarray(z, dtype=np.float64).reshape(-1)
-    if work.size and not (work.min() > 0.0 and work.max() < math.inf):
-        bad = work[~((work > 0.0) & (work < math.inf))][0]
-        raise DomainError(f"{name} requires z > 0 and finite, got {bad!r}")
-    return work
-
-
-def _shaped(out: np.ndarray, z):
-    """out as a float for a scalar z, else in the shape of z."""
-    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
-
-
 def _stirling_series(w: np.ndarray) -> np.ndarray:
     """The Stirling remainder S(w) from its series, accurate for w >= 8."""
     inv = 1.0 / w
@@ -124,7 +109,7 @@ def _stirling_series(w: np.ndarray) -> np.ndarray:
 
 
 def _remainder(z: np.ndarray) -> np.ndarray:
-    """S(z) on a flat array of positive finite doubles.
+    """S(z) on a flat array of positive finite doubles, which it does not check.
 
     The elements below 8 are gathered once, lifted to w = z + 8 and
     scattered back, so the series runs once on the whole array; from
@@ -147,31 +132,23 @@ def _remainder(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def stirling_remainder(z):
-    """S(z) = ln G(z) - (z - 1/2) ln z + z - ln(2 pi)/2 for real z > 0.
-
-    Accepts a scalar or an ndarray and returns the matching shape.  For
-    z >= 8 S is its series, about 1/(12 z), with no term of size z ln z
-    to cancel: absolute error below 1e-15.  Below 8 it comes through the
-    lift described in _remainder, with absolute error below 1e-14 times
-    max(1, |S(z)|).
-    """
-    return _shaped(_remainder(_positive(z, "stirling_remainder")), z)
-
-
 def log_gamma(z):
     """Natural log of the gamma function for real z > 0.
 
     Accepts a scalar or an ndarray and returns the matching shape.
     Computed as (z - 1/2) ln z - z + ln(2 pi)/2 + S(z) with the Stirling
-    remainder S of stirling_remainder: one array pass with a fixed
+    remainder S of _remainder: one array pass with a fixed
     number of numpy calls, whatever the size of z or how many of its
     elements lie below 8.  Error stays below 1e-13 relative to
     max(1, |ln G|) for every positive double from 5e-324 up to 1e8, and
     beyond while the result is finite.
     """
-    work = _positive(z, "log_gamma")
-    return _shaped((work - 0.5) * np.log(work) - work + _HALF_LOG_TWO_PI + _remainder(work), z)
+    work = np.asarray(z, dtype=np.float64).reshape(-1)
+    if work.size and not (work.min() > 0.0 and work.max() < math.inf):
+        bad = work[~((work > 0.0) & (work < math.inf))][0]
+        raise DomainError(f"log_gamma requires z > 0 and finite, got {bad!r}")
+    out = (work - 0.5) * np.log(work) - work + _HALF_LOG_TWO_PI + _remainder(work)
+    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 # e^r - 1 - r below r = 1 as r^2 sum_k r^k / (k + 2)!, all terms positive;

@@ -541,6 +541,34 @@ def test_json_writer_splices_nested_arrays(scalars, inner, counts, floats, block
     assert json.dumps(payload, sort_keys=True) == before
 
 
+_FLAT_VALUES = st.one_of(
+    _FLOATS, st.sampled_from([-0.0, -5e-324, 1e-310, -math.inf]),
+    st.integers(-(2**70), 2**70), st.booleans(), st.none(),
+    st.text(max_size=8), st.sampled_from(['say "no"', "two\nlines", "naïve ∑ 😀", "back\\slash"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=6), _FLAT_VALUES, max_size=8))
+def test_flat_json_is_the_indent_encoder(payload):
+    # Scalar payloads take the C encoder; the bytes are indent 2's.
+    assert "".join(_json_text(payload)) == _reference_json(payload)
+
+
+def test_scalar_commands_write_json_without_the_indent_encoder(capsys):
+    # verify, extinction and moments without --m write flat payloads,
+    # which never reach json.dumps; simulate's nested one does.
+    with mock.patch.object(json, "dumps", side_effect=AssertionError("json.dumps called")):
+        for argv in (("verify", "--p", "0.6"), ("extinction", "--p", "0.7"),
+                     ("moments", "--p", "0.25")):
+            assert run_cli(capsys, *argv)[0] == 0, argv
+    with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+        argv = ("simulate", "--mode", "discrete", "--p", "0.3", "--m", "10", "--trials", "50",
+                "--seed", "1")
+        assert run_cli(capsys, *argv)[0] == 0
+    assert {"indent": 2, "sort_keys": True} in [call.kwargs for call in dumps.call_args_list]
+
+
 @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
 def test_writer_matches_the_reference_at_block_edges(rows):
     # Real block size.  The named extremes plus random bit patterns, which
@@ -713,6 +741,60 @@ def test_unknown_command_and_flags(capsys):
     assert run_cli(capsys, "sample")[0] == 2
     assert run_cli(capsys, "density", "--p", "0.4", "--bogus", "1")[0] == 2
     assert run_cli(capsys, "density")[0] == 2  # missing required --p
+
+
+class _NoDispatch(dict):
+    """The commands of _build_parser, with no argv[0] found among them."""
+
+    def __contains__(self, name):
+        return False
+
+
+# Argvs for every way the parse can end: a run, a usage error at either
+# parser, help at either parser, leftovers, abbreviations and "--".
+DISPATCH_ARGVS = [
+    ("moments", "--p", "0.25"),
+    ("moments", "--p=0.25", "--format=csv"),
+    ("extinction", "--p", "0.7", "--form=csv"),
+    ("verify", "--abs", "1e-7", "--p=0.6"),
+    ("density", "--p", "0.3", "--st", "5", "--x-max", "3"),
+    ("moments", "--fo", "csv", "--p", "0.25", "--p", "0.3"),
+    ("simulate", "--c", "1"),
+    ("moments", "--p", "0.25", "--bogus", "1"),
+    ("moments", "--p", "0.25", "extra"),
+    ("moments", "-x"),
+    ("moments", "--p", "abc"),
+    ("verify", "--p", "nan"),
+    ("moments", "--format", "xml", "--p", "0.25"),
+    ("moments", "--p"),
+    ("moments",),
+    ("moments", "--", "--p", "0.25"),
+    ("moments", "--p", "0.25", "--"),
+    ("--", "moments", "--p", "0.25"),
+    ("-h",),
+    ("--help",),
+    ("-h", "moments"),
+    ("moments", "-h"),
+    ("verify", "--p", "0.6", "--help"),
+    ("simulate", "-h", "--bogus"),
+    (),
+    ("sample",),
+    ("--p", "0.25"),
+    ("-x", "moments"),
+    ("Moments", "--p", "0.25"),
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_dispatch_matches_the_top_level_parse(capsys, argv):
+    # main hands argv[1:] to the command's parser; with that turned off it
+    # parses every argv at the top level.  Codes and bytes must agree.
+    dispatched = run_cli(capsys, *argv)
+    parser, commands = _build_parser()
+    with mock.patch.object(cli, "_build_parser", return_value=(parser, _NoDispatch(commands))):
+        full = run_cli(capsys, *argv)
+    assert dispatched == full
+    assert full[0] in (0, 2) and full[1] + full[2]
 
 
 def test_invalid_values(capsys):

@@ -102,6 +102,23 @@ def test_cold_commands_write_the_in_process_bytes(capsys, argv):
     assert (code, out) == (main(list(argv)), capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_moments_never_loads_numerics(fmt):
+    # continuum binds numerics in the functions that call it, none of
+    # which moments reaches, so a cold moments never compiles it.
+    check = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from cascade_gamma import cli\n"
+        "code = cli.main(sys.argv[2:])\n"
+        "print('cascade_gamma.numerics' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", check, SRC, "moments", "--p", "0.25", "--format", fmt],
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert (done.returncode, done.stderr) == (0, "False\n")
+
+
 def test_cold_start_script_times_every_command():
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "cold_start.py"), "--runs", "1", SRC],
                           capture_output=True, text=True, timeout=300, check=False)
@@ -116,8 +133,8 @@ def test_cold_start_script_times_every_command():
 # The names the package exports, in the order an eager import of its modules gave.
 EXPORTS = [
     "CascadeError", "DomainError", "NoSignChangeError", "ToleranceError", "CriticalityError",
-    "Interval", "QuadratureResult", "log_gamma", "stirling_remainder", "lambert_w_m1",
-    "solve_bracketed", "integrate_adaptive",
+    "Interval", "QuadratureResult", "log_gamma", "lambert_w_m1", "solve_bracketed",
+    "integrate_adaptive",
     "ModelParams", "Moments", "ExtinctionReport", "NormalizationCheck", "DensityTable",
     "log_density", "density", "asymptotic_log_density", "moments", "extinction",
     "extinction_gap_root", "verify_normalization", "density_table",

@@ -24,14 +24,32 @@ SCRIPT_RUNS = [
     ("mc_cross_check.py", "--p", "0.3", "--m", "10", "--trials", "20000", "--seed", "7"),
 ]
 
+# Parameters the package rejects: m = 10 puts the lattice step 1/m above p.
+REJECTED_RUNS = [
+    ("convergence_study.py", "--p", "0.05", "--ladder", "10,20"),
+    ("mc_cross_check.py", "--p", "0.05", "--m", "10", "--trials", "100", "--seed", "1"),
+]
+
+
+def _run_script(argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+
 
 @pytest.mark.parametrize("argv", SCRIPT_RUNS, ids=["density", "offspring", "martingale", "mc_cross_check"])
 def test_script_runs(argv):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]], env=env,
-                          capture_output=True, text=True, timeout=120, check=False)
+    done = _run_script(argv)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("argv", REJECTED_RUNS, ids=["convergence_study", "mc_cross_check"])
+def test_script_rejects_parameters_with_one_line(argv):
+    # Exit 2 and one line naming the script, as the command line does; no traceback.
+    done = _run_script(argv)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == f"{argv[0]}: need delta = 1/m < p, got m = 10 with p = 0.05\n"
 
 
 def _public_names() -> dict[str, str]:
