@@ -110,27 +110,38 @@ def emit(rows: list[dict], csv_path: str | None) -> None:
         print(f"wrote {csv_path}", file=sys.stderr)
 
 
+def m_ladder(text: str) -> list[int]:
+    """A comma-separated list of m values, at least one."""
+    return [int(v) for v in text.split(",")]
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--p", type=float, required=True, help="offspring scale p > 0")
     parser.add_argument("--view", choices=("density", "offspring", "martingale"),
                         default="density")
-    parser.add_argument("--ladder", default="10,20,50,100",
+    parser.add_argument("--ladder", type=m_ladder, default="10,20,50,100",
                         help="comma-separated m values, coarse to fine")
     parser.add_argument("--x-min", type=float, default=1.5)
     parser.add_argument("--x-max", type=float, default=20.0)
-    parser.add_argument("--points", type=int, default=38)
+    parser.add_argument("--points", type=positive_int, default=38, help="grid points (>= 1)")
     parser.add_argument("--csv", default=None, help="also write the table here")
     args = parser.parse_args()
 
-    ladder = [int(v) for v in args.ladder.split(",")]
     try:
         if args.view == "martingale":
-            rows = martingale_gaps(args.p, ladder)
+            rows = martingale_gaps(args.p, args.ladder)
         else:
             grid = np.linspace(args.x_min, args.x_max, args.points)
             compute = density_gaps if args.view == "density" else offspring_gaps
-            rows = compute(args.p, ladder, grid)
+            rows = compute(args.p, args.ladder, grid)
     except CascadeError as exc:
         # One line and exit 2, as the command line on parameters it rejects.
         print(f"{parser.prog}: {exc}", file=sys.stderr)

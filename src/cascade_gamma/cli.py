@@ -9,12 +9,12 @@ carry '#' comment lines echoing the parameters, a fixed header, floats
 written as '%.17g' (17 significant digits, 'inf' and 'nan' spelled so)
 and LF line endings.  JSON payloads use sorted keys and an indent of 2,
 with floats written as their shortest round-trip repr ('Infinity' and
-'NaN' for the non-finite ones), by json's C encoder where they hold
-scalars alone.  Tables are formatted in blocks of rows and streamed to
-the output: floattext.cells writes each column of a block as a
-zero-padded byte matrix, with Python's own bytes for every cell, and
-_joined reads the rows out of the cells and separators laid side by
-side.  Outputs are byte-reproducible for identical invocations.
+'NaN' for the non-finite ones): _json_text writes each run of scalar
+items by json's C encoder and each array as tables are written.  Tables
+are formatted in blocks of rows and streamed to the output:
+floattext.cells writes each column of a block as a zero-padded byte
+matrix, with Python's own bytes for every cell, and _joined reads the
+rows out of the cells and separators laid side by side.  Outputs are byte-reproducible for identical invocations.
 
 Every option may instead be given in a --config file of `key = value`
 lines (keys match the long option names without the leading dashes);
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -100,12 +101,6 @@ def _opt_format(default: str) -> _Option:
 # enough that a block's byte matrices stay under 1 MB.
 _BLOCK_ROWS = 4096
 
-# Stands in for an array in the dumped payload until the array is spliced in.
-_ARRAY_MARK = "\0array:"
-
-# json's C encoder (no indent), which writes a flat dict's items as indent 2 does.
-_FLAT_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
-
 
 def _joined(columns: list[np.ndarray], style: str, ends: list[bytes]) -> str:
     """Row i of the text: element i of each column, each followed by its end.
@@ -138,7 +133,7 @@ def _csv_text(comments: list[str], header: list[str], columns,
     written as '%d', float columns as '%.17g' (equal to format(v, '.17g')
     for every float) and any other column as text, by floattext.cells;
     a one-row table, as the scalar commands write, by the same rule in
-    Python, which leaves numpy unloaded.  No cell needs CSV quoting.
+    Python, which leaves numpy unloaded.  Cells are written unquoted.
     """
     yield "".join(f"# {line}\n" for line in comments) + ",".join(header) + "\n"
     if len(columns[0]) == 1:
@@ -160,49 +155,51 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _json_text(payload: dict, arrays: dict[str, np.ndarray] | None = None) -> Iterator[str]:
-    """payload plus the arrays as sorted-key, indent-2 JSON, in pieces.
+# A payload value that json's C encoder writes as it stands.
+_SCALARS = (str, int, float, type(None))
 
-    An array's key is its path of payload keys joined by dots: "x" is
-    payload["x"] and "histogram.counts" is payload["histogram"]["counts"].
-    The rest goes through json.dumps(indent=2), which any indent keeps
-    on the pure-Python encoder.  Each array is written block by block by
-    floattext.cells, items as json.dumps writes them, with the item
-    separator indent 2 would use at its depth, and spliced in at its key,
-    so the bytes equal one json.dumps of the whole dict.  Scalars alone
-    go through _FLAT_JSON, with the newlines inside the braces added.
+
+@functools.cache
+def _items_encoder(depth: int) -> json.JSONEncoder:
+    """json's C encoder (no indent), writing a dict's items as indent 2 does at depth."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+
+
+def _json_text(payload: dict, depth: int = 1) -> Iterator[str]:
+    """payload as json.dumps(payload, indent=2, sort_keys=True) writes it, in pieces.
+
+    A value is a scalar, a dict or an array (a list or 1-d numpy array
+    of numbers, as np.asarray makes it); depth counts the indents of the
+    items.  The keys are walked in sorted order.  Each run of consecutive
+    scalar items is one call of _items_encoder with the braces stripped,
+    so a flat payload is one C-encoder call; a dict recurses one level
+    deeper; an array is written block by block by floattext.cells, items
+    as json.dumps writes them.
     """
-    if not arrays and all(isinstance(v, (str, int, float, type(None))) for v in payload.values()):
-        text = _FLAT_JSON.encode(payload)
-        yield ("{\n  " + text[1:-1] + "\n}" if payload else text) + "\n"
-        return
-    arrays = arrays or {}
-    doc = dict(payload)
-    for key in arrays:
-        *parents, leaf = key.split(".")
-        node = doc
-        for name in parents:
-            inner = dict(node[name])
-            node[name] = inner
-            node = inner
-        node[leaf] = _ARRAY_MARK + key
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    # sort_keys writes the arrays in the order of their sorted key paths.
-    for key in sorted(arrays, key=lambda key: key.split(".")):
-        head, text = text.split(json.dumps(_ARRAY_MARK + key), 1)
-        values = arrays[key]
-        if not len(values):
-            yield head + "[]"
+    indent = "\n" + "  " * depth
+    lead = "{" + indent
+    for scalar, keys in itertools.groupby(sorted(payload),
+                                          lambda key: isinstance(payload[key], _SCALARS)):
+        if scalar:
+            yield lead + _items_encoder(depth).encode({key: payload[key] for key in keys})[1:-1]
+            lead = "," + indent
             continue
-        indent = "\n" + "  " * (key.count(".") + 1)
-        separator = "," + indent + "  "
-        ends = [separator.encode()]
-        yield head + "[" + indent + "  "
-        for start in range(0, len(values), _BLOCK_ROWS):
-            block = _joined([values[start:start + _BLOCK_ROWS]], "json", ends)
-            yield block if start + _BLOCK_ROWS < len(values) else block[:-len(separator)]
-        yield indent + "]"
-    yield text + "\n"
+        for key in keys:
+            value = payload[key]
+            yield lead + json.dumps(key) + ": "
+            lead = "," + indent
+            if isinstance(value, dict):
+                yield from _json_text(value, depth + 1)
+            elif not len(value):
+                yield "[]"
+            else:
+                values, item = np.asarray(value), "," + indent + "  "
+                yield "[" + item[1:]
+                for start in range(0, len(values), _BLOCK_ROWS):
+                    block = _joined([values[start:start + _BLOCK_ROWS]], "json", [item.encode()])
+                    yield block if start + _BLOCK_ROWS < len(values) else block[:-len(item)]
+                yield indent + "]"
+    yield (indent[:-2] + "}" if payload else "{}") + ("\n" if depth == 1 else "")
 
 
 def _emit(pieces: Iterable[str], out: str) -> None:
@@ -227,10 +224,10 @@ def _cmd_density(ns) -> int:
         text = _csv_text(comments, ["x", "density", "asymptotic"],
                          [table.x, table.density, table.asymptotic])
     else:
-        text = _json_text(
-            {"p": params.p, "x_min": ns.x_min, "x_max": ns.x_max, "steps": ns.steps},
-            {"x": table.x, "density": table.density, "asymptotic": table.asymptotic},
-        )
+        text = _json_text({
+            "p": params.p, "x_min": ns.x_min, "x_max": ns.x_max, "steps": ns.steps,
+            "x": table.x, "density": table.density, "asymptotic": table.asymptotic,
+        })
     _emit(text, ns.out)
     return 0
 
@@ -256,20 +253,19 @@ def _cmd_pmf(ns) -> int:
                          [table.n_values, table.probabilities, rescaled],
                          [f"cumulative-mass = {table.total_mass!r}"])
     else:
-        text = _json_text(
-            {
-                "p": params.p,
-                "m": params.m,
-                "delta": params.delta,
-                "r_star": params.r_star,
-                "q_star": params.q_star,
-                "n_start": params.m,
-                "cumulative_mass": table.total_mass,
-                "tail_bound": table.tail_bound,
-                "truncated": table.truncated,
-            },
-            {"pmf": table.probabilities, "rescaled_density": rescaled},
-        )
+        text = _json_text({
+            "p": params.p,
+            "m": params.m,
+            "delta": params.delta,
+            "r_star": params.r_star,
+            "q_star": params.q_star,
+            "n_start": params.m,
+            "cumulative_mass": table.total_mass,
+            "tail_bound": table.tail_bound,
+            "truncated": table.truncated,
+            "pmf": table.probabilities,
+            "rescaled_density": rescaled,
+        })
     _emit(text, ns.out)
     return 0
 
@@ -393,7 +389,7 @@ def _cmd_simulate(ns) -> int:
     if ns.format == "csv":
         text = histogram
     else:
-        text = _json_text(summary.to_json_dict(), {"histogram.counts": summary.bin_counts})
+        text = _json_text(summary.to_json_dict())
     _emit(text, ns.out)
     fraction_se = math.sqrt(
         max(summary.finite_fraction * (1.0 - summary.finite_fraction), 0.0) / summary.trials
@@ -442,33 +438,24 @@ def _cmd_verify(ns) -> int:
         )
     payload["passed"] = passed
     if ns.format == "csv":
-        text = _csv_text(["cascade-gamma verify"], *_verify_columns(payload))
+        row = {key: float(payload.get(key, math.nan)) for key in _VERIFY_FLOATS}
+        if "error" in payload:
+            row["error"] = '"%s"' % payload["error"].replace('"', '""')
+        row = dict(sorted(row.items()), passed=str(passed).lower())
+        text = _row_csv("cascade-gamma verify", row)
     else:
         text = _json_text(payload)
     _emit(text, ns.out)
     return 0 if passed else 3
 
 
-# The columns of a verify run that ends its quadrature; one that stops
-# short of the tolerance writes nan where it has no value, plus its error.
+# The float columns of verify's CSV row: those of a run that ends its
+# quadrature, nan where a run that stops short has no value.  Such a run
+# adds its error, quoted since it can hold commas; "passed" comes last.
 _VERIFY_FLOATS = (
     "abs_tol", "integral", "lambert_target", "p", "quadrature_error", "quadrature_evaluations",
     "residual_vs_lambert", "residual_vs_root", "root_target", "route_gap", "x_max",
 )
-
-
-def _verify_columns(payload: dict) -> tuple[list[str], list]:
-    """Sorted header and one-row columns of a verify payload, "passed" last.
-
-    The error message is the one text cell; it is quoted, since it can
-    hold commas.
-    """
-    cells = {key: [float(payload.get(key, math.nan))] for key in _VERIFY_FLOATS}
-    if "error" in payload:
-        cells["error"] = ['"%s"' % payload["error"].replace('"', '""')]
-    header = sorted(cells) + ["passed"]
-    cells["passed"] = [str(payload["passed"]).lower()]
-    return header, [cells[key] for key in header]
 
 
 _COMMANDS: dict[str, dict] = {
@@ -574,11 +561,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
 
 
 def _apply_config(ns, table: dict[str, _Option]) -> None:
-    if not ns.config:
+    if ns.config is None:
         return
     try:
         text = Path(ns.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config file {ns.config!r}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

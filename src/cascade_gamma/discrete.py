@@ -133,13 +133,10 @@ class DiscreteMoments(Record):
 
 
 def _validate_counts(n) -> np.ndarray:
-    """The counts n >= 0 as an int64 array; a float array must be integer-valued."""
+    """The counts n >= 0, of an integer dtype (as _integer takes no float), as int64."""
     arr = np.asarray(n)
-    if arr.dtype == object or not np.issubdtype(arr.dtype, np.integer):
-        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr)):
-            arr = arr.astype(np.int64)
-        else:
-            raise DomainError(f"n must be integer-valued, got dtype {arr.dtype}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise DomainError(f"n must be of an integer dtype, got dtype {arr.dtype}")
     if arr.size and int(arr.min()) < 0:
         raise DomainError(f"n must be >= 0, got {int(arr.min())}")
     return arr.astype(np.int64)

@@ -406,10 +406,10 @@ def test_every_command_ends_in_a_verdict(p, m):
 
 # ------------------------------------------------------------ table writer
 #
-# The writer formats blocks of rows with one % operation and splices float
-# arrays written by json's C encoder into the indent-2 layout.  The
-# reference below writes cell by cell: csv.writer over format(v, ".17g")
-# cells, and json.dumps(indent=2) over float lists.
+# The writers format blocks of rows through floattext.cells; the JSON one
+# writes each run of scalar items with json's C encoder and recurses into
+# dicts.  The reference below writes cell by cell: csv.writer over
+# format(v, ".17g") cells, and json.dumps(indent=2) over Python lists.
 
 
 def _reference_csv(comments, header, rows, trailer=()):
@@ -471,10 +471,16 @@ def _assert_csv_matches(comments, n, a, b, flag=None):
     _assert_same_text(got, _reference_csv(comments, header, cells, trailer))
 
 
-def _assert_json_matches(scalars, arrays):
-    got = "".join(_json_text(scalars, arrays))
-    lists = {key: [float(v) for v in values] for key, values in arrays.items()}
-    _assert_same_text(got, _reference_json({**scalars, **lists}))
+def _as_lists(payload):
+    """payload with each numpy array replaced by the list of its items."""
+    return {key: _as_lists(value) if isinstance(value, dict)
+            else value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in payload.items()}
+
+
+def _assert_json_matches(payload):
+    got = "".join(_json_text(payload))
+    _assert_same_text(got, _reference_json(_as_lists(payload)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -496,6 +502,12 @@ def test_csv_writer_matches_the_per_cell_writer(block, rows, counts, floats, fla
                             _column(floats[::-1], rows, np.float64), flag)
 
 
+def _array(values, dtype, as_list):
+    """values as a numpy array of dtype, or as the Python list of its items."""
+    array = np.array(values, dtype=dtype)
+    return array.tolist() if as_list else array
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     scalars=st.dictionaries(
@@ -504,17 +516,17 @@ def test_csv_writer_matches_the_per_cell_writer(block, rows, counts, floats, fla
                   st.dictionaries(_KEYS, _FLOATS, max_size=2)),
         max_size=5,
     ),
-    arrays=st.dictionaries(_KEYS, st.lists(_FLOATS, max_size=30), max_size=3),
+    arrays=st.dictionaries(_KEYS, st.tuples(st.lists(_FLOATS, max_size=30), st.booleans()),
+                           max_size=3),
     block=_BLOCKS,
 )
 def test_json_writer_matches_the_indent_encoder(scalars, arrays, block):
-    # Empty arrays included; array keys may share a prefix with scalar keys.
+    # Empty arrays included; the random keys put arrays and dicts between
+    # scalar items, so that runs of scalars are broken anywhere.
+    payload = {**scalars, **{key: _array(values, np.float64, as_list)
+                             for key, (values, as_list) in arrays.items()}}
     with mock.patch.object(cli, "_BLOCK_ROWS", block):
-        _assert_json_matches(scalars, {
-            key: np.array(values, dtype=np.float64)
-            for key, values in arrays.items()
-            if key not in scalars
-        })
+        _assert_json_matches(payload)
 
 
 @settings(max_examples=80, deadline=None)
@@ -523,22 +535,19 @@ def test_json_writer_matches_the_indent_encoder(scalars, arrays, block):
     inner=st.dictionaries(_KEYS, st.one_of(_FLOATS, st.integers(-(2**53), 2**53)), max_size=3),
     counts=st.lists(st.integers(0, 2**53), max_size=30),
     floats=st.lists(_FLOATS, max_size=30),
+    as_list=st.booleans(),
     block=_BLOCKS,
 )
-def test_json_writer_splices_nested_arrays(scalars, inner, counts, floats, block):
-    # Arrays inside objects, at depths 1 to 3, as simulate's histogram
-    # counts; the payload handed in is left as it was.
-    payload = {**scalars, "h": {**inner, "deep": {"v": 1}}}
-    before = json.dumps(payload, sort_keys=True)
-    arrays = {"h.counts": np.array(counts, dtype=np.int64),
-              "h.deep.w": np.array(floats, dtype=np.float64),
-              "top": np.array(floats[::-1], dtype=np.float64)}
+def test_json_writer_nests_arrays(scalars, inner, counts, floats, as_list, block):
+    # Arrays inside objects at depths 1 to 3, as simulate's histogram
+    # counts, beside empty objects; the payload handed in is left as it was.
+    payload = {**scalars, "top": _array(floats[::-1], np.float64, not as_list), "e": {},
+               "h": {**inner, "counts": _array(counts, np.int64, as_list),
+                     "deep": {"v": 1, "w": _array(floats, np.float64, as_list), "z": {}}}}
+    before = json.dumps(_as_lists(payload), sort_keys=True)
     with mock.patch.object(cli, "_BLOCK_ROWS", block):
-        got = "".join(_json_text(payload, arrays))
-    want = {**scalars, "top": [float(v) for v in floats[::-1]],
-            "h": {**inner, "counts": counts, "deep": {"v": 1, "w": [float(v) for v in floats]}}}
-    _assert_same_text(got, _reference_json(want))
-    assert json.dumps(payload, sort_keys=True) == before
+        _assert_json_matches(payload)
+    assert json.dumps(_as_lists(payload), sort_keys=True) == before
 
 
 _FLAT_VALUES = st.one_of(
@@ -555,18 +564,24 @@ def test_flat_json_is_the_indent_encoder(payload):
     assert "".join(_json_text(payload)) == _reference_json(payload)
 
 
-def test_scalar_commands_write_json_without_the_indent_encoder(capsys):
-    # verify, extinction and moments without --m write flat payloads,
-    # which never reach json.dumps; simulate's nested one does.
-    with mock.patch.object(json, "dumps", side_effect=AssertionError("json.dumps called")):
+def test_no_command_reaches_the_python_json_encoder(capsys):
+    # Every indent, and any other call that json's C encoder cannot take,
+    # goes through json.encoder._make_iterencode; no command's JSON does.
+    with mock.patch.object(json.encoder, "_make_iterencode",
+                           side_effect=AssertionError("pure-Python encoder")) as guard:
+        with pytest.raises(AssertionError):
+            json.dumps({"p": 0.5}, indent=2)
+        guard.reset_mock()
         for argv in (("verify", "--p", "0.6"), ("extinction", "--p", "0.7"),
-                     ("moments", "--p", "0.25")):
-            assert run_cli(capsys, *argv)[0] == 0, argv
-    with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
-        argv = ("simulate", "--mode", "discrete", "--p", "0.3", "--m", "10", "--trials", "50",
-                "--seed", "1")
-        assert run_cli(capsys, *argv)[0] == 0
-    assert {"indent": 2, "sort_keys": True} in [call.kwargs for call in dumps.call_args_list]
+                     ("moments", "--p", "0.25"), ("moments", "--p", "0.25", "--m", "10"),
+                     ("density", "--p", "0.3", "--steps", "20", "--format", "json"),
+                     ("pmf", "--p", "0.3", "--m", "10", "--format", "json"),
+                     ("simulate", "--mode", "discrete", "--p", "0.3", "--m", "10",
+                      "--trials", "50", "--seed", "1")):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert json.loads(out), argv
+    assert not guard.called
 
 
 @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
@@ -580,8 +595,8 @@ def test_writer_matches_the_reference_at_block_edges(rows):
     a = _column(floats, rows, np.float64)
     b = np.roll(a, 3)
     _assert_csv_matches(["cascade-gamma pmf"], _column(counts, rows, np.int64), a, b)
-    _assert_json_matches({"p": 0.5, "truncated": True}, {"pmf": a, "rescaled_density": b,
-                                                          "x": a[:0]})
+    _assert_json_matches({"p": 0.5, "truncated": True, "pmf": a, "rescaled_density": b,
+                          "x": a[:0]})
 
 
 def test_writer_edge_values_by_name():
@@ -594,7 +609,7 @@ def test_writer_edge_values_by_name():
     assert [row[1] for row in rows] == ["0", "-0", "4.9406564584124654e-324",
                                         "2.2250738585072014e-308", "1e-300",
                                         "1.7976931348623157e+308", "inf", "nan"]
-    blob = "".join(_json_text({"p": 0.5}, {"v": values, "w": values[:0]}))
+    blob = "".join(_json_text({"p": 0.5, "v": values, "w": values[:0]}))
     assert '"w": []' in blob and "Infinity" in blob and "NaN" in blob
 
 
@@ -656,8 +671,8 @@ def test_simulate_json_and_stderr(tmp_path, capsys):
 
 
 def test_simulate_json_is_the_indent_encoder_layout(capsys):
-    # The histogram counts are spliced in at their nested key; the bytes
-    # are those of one json.dumps(indent=2, sort_keys=True) of the payload.
+    # The histogram counts are written at their nested key; the bytes are
+    # those of one json.dumps(indent=2, sort_keys=True) of the payload.
     code, out, _ = run_cli(capsys, "simulate", "--mode", "discrete", "--p", "0.3", "--m", "10",
                            "--trials", "2000", "--seed", "99")
     assert code == 0
@@ -836,6 +851,21 @@ def test_config_missing_file_is_an_error(tmp_path, capsys):
     assert "cannot read config file" in err
 
 
+def test_config_file_not_utf8_is_an_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"p = 0.4\n\xff\n")
+    code, out, err = run_cli(capsys, "density", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith("cascade-gamma density: cannot read config file") and "Traceback" not in err
+
+
+def test_config_empty_path_is_read_as_a_path(capsys):
+    # '' names no file, as --out '' names none; it is not taken as unset.
+    code, out, err = run_cli(capsys, "density", "--p", "0.4", "--config", "")
+    assert (code, out) == (2, "")
+    assert "cannot read config file ''" in err
+
+
 def test_repeat_invocations_are_deterministic(capsys):
     _, first, _ = run_cli(capsys, "density", "--p", "0.3", "--steps", "50")
     _, second, _ = run_cli(capsys, "density", "--p", "0.3", "--steps", "50")
@@ -889,9 +919,14 @@ def test_verify_csv_format_when_the_tolerance_is_not_met(capsys):
     assert "exceeds abs_tol" in cells["error"]
     assert float(cells["integral"]) == pytest.approx(1.0, abs=1e-6)
     assert math.isnan(float(cells["x_max"]))
-    # A message with commas and quotes survives as one cell.
+    # A message with commas and quotes survives as one cell; a run that
+    # stops with no result writes nan in every float column.
     message = 'panel [0.25, 0.5] cannot be split further ("tolerance")'
-    columns = cli._verify_columns({"p": 0.3, "error": message, "passed": False})
-    text = "".join(_csv_text(["x"], *columns))
-    header, row = list(csv.reader(text.splitlines()[1:]))
-    assert len(row) == len(header) and dict(zip(header, row))["error"] == message
+    with mock.patch.object(continuum, "verify_normalization",
+                           side_effect=ToleranceError(message)):
+        code, out, _ = run_cli(capsys, "verify", "--p", "0.3", "--format", "csv")
+    assert code == 3
+    header, row = list(csv.reader(out.splitlines()[1:]))
+    cells = dict(zip(header, row))
+    assert len(row) == len(header) and cells["error"] == message
+    assert math.isnan(float(cells["integral"])) and cells["passed"] == "false"

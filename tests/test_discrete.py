@@ -138,6 +138,9 @@ def test_cascade_log_pmf_validation():
         cascade_log_pmf(params, 1.5, 5)
     with pytest.raises(DomainError):
         cascade_log_pmf(params, 1, -2)
+    # Counts take an integer dtype only, as m_start takes no integral float.
+    with pytest.raises(DomainError):
+        cascade_log_pmf(params, 10, np.array([12.0]))
 
 
 def test_recursion_identity_small_counts():

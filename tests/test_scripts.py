@@ -52,6 +52,17 @@ def test_script_rejects_parameters_with_one_line(argv):
     assert done.stderr == f"{argv[0]}: need delta = 1/m < p, got m = 10 with p = 0.05\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("convergence_study.py", "--p", "0.3", "--ladder", "10,abc"),
+    ("convergence_study.py", "--p", "0.3", "--ladder", ""),
+    ("convergence_study.py", "--p", "0.3", "--points", "0"),
+], ids=["ladder-not-int", "ladder-empty", "points-zero"])
+def test_script_rejects_malformed_arguments_with_a_usage_line(argv):
+    done = _run_script(argv)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("usage: ") and "Traceback" not in done.stderr
+
+
 def _public_names() -> dict[str, str]:
     """Every name in a package module's __all__, mapped to its module."""
     names = {}
