@@ -9,7 +9,8 @@ numpy's __init__ on its first attribute access (importlib.util.LazyLoader).
 On Python 3.11 that first access is not thread-safe: a second thread
 that touches np while the first is executing it sees a half-built
 module.  Code that hands numpy work to threads touches np first on the
-thread that starts them (see simulate.run_campaign).
+thread that starts them: simulate builds HIST_EDGES when it is imported,
+before run_campaign starts any pool thread.
 """
 
 from __future__ import annotations

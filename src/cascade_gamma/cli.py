@@ -16,12 +16,15 @@ floattext.cells writes each column of a block as a zero-padded byte
 matrix, with Python's own bytes for every cell, and _joined reads the
 rows out of the cells and separators laid side by side.  Outputs are byte-reproducible for identical invocations.
 
-Every option may instead be given in a --config file of `key = value`
-lines (keys match the long option names without the leading dashes);
-setting the same option in both places is an error.  main hands what
-follows a command name to that command's parser alone, as the top-level
-parser would; that one runs only to report an argv that names no
-command or leaves arguments over.
+Every command takes --config, --p, --format and --out, which
+_build_parser adds; _COMMANDS declares only each command's own options
+and its default format.  An option's dest is its flag without the
+dashes, "_" for "-", so a --config file of `key = value` lines names
+every option by its long name without the dashes; setting the same
+option in both places is an error.  main hands what follows a command
+name to that command's parser alone, as the top-level parser would;
+that one runs only to report an argv that names no command or leaves
+arguments over.
 
 discrete and simulate are imported by the commands that use them, and
 numpy on its first use (cascade_gamma._lazy), so moments and
@@ -64,6 +67,10 @@ def _integer(text: str) -> int:
     return int(text, 10)
 
 
+# argparse names the converter in its message: "invalid real value: 'abc'".
+_real.__name__, _integer.__name__ = "real", "integer"
+
+
 def _choice(*options: str) -> Callable[[str], str]:
     def convert(text: str) -> str:
         if text not in options:
@@ -75,26 +82,18 @@ def _choice(*options: str) -> Callable[[str], str]:
 
 
 class _Option(Record):
-    __slots__ = ("dest", "flag", "convert", "default", "required", "help")
+    """A command option: its --flag, the converter of its text, and the value it takes unset."""
 
-    def __init__(self, dest: str, flag: str, convert: Callable[[str], object],
-                 default: object = None, required: bool = False, help: str = ""):
-        super().__init__(dest, flag, convert, default, required, help)
+    __slots__ = ("flag", "convert", "default", "required", "help")
 
+    def __init__(self, flag: str, convert: Callable[[str], object], default: object = None,
+                 required: bool = False, help: str = ""):
+        super().__init__(flag, convert, default, required, help)
 
-def _opt_p() -> _Option:
-    return _Option("p", "--p", _real, required=True, help="offspring scale p > 0")
-
-
-def _opt_out() -> _Option:
-    return _Option("out", "--out", str, default="-", help="output path, or - for stdout")
-
-
-def _opt_format(default: str) -> _Option:
-    return _Option(
-        "format", "--format", _choice("csv", "json"), default=default,
-        help=f"output format (default {default})",
-    )
+    @property
+    def dest(self) -> str:
+        """The namespace attribute: the flag's name with "_" for "-", as a config key reads."""
+        return self.flag[2:].replace("-", "_")
 
 
 # Rows formatted at once: enough that the per-block cost vanishes, few
@@ -458,76 +457,63 @@ _VERIFY_FLOATS = (
 )
 
 
+# Each command's own options and default format; _build_parser adds the rest.
 _COMMANDS: dict[str, dict] = {
     "density": {
         "help": "tabulate the exact density and its tail asymptote",
         "handler": _cmd_density,
+        "format": "csv",
         "options": [
-            _opt_p(),
-            _Option("x_min", "--x-min", _real, default=1.0, help="grid start (>= 1)"),
-            _Option("x_max", "--x-max", _real, default=20.0, help="grid end"),
-            _Option("steps", "--steps", _integer, default=200, help="grid points (>= 2)"),
-            _opt_format("csv"),
-            _opt_out(),
+            _Option("--x-min", _real, default=1.0, help="grid start (>= 1)"),
+            _Option("--x-max", _real, default=20.0, help="grid end"),
+            _Option("--steps", _integer, default=200, help="grid points (>= 2)"),
         ],
     },
     "pmf": {
         "help": "tabulate the atomized cascade-size pmf",
         "handler": _cmd_pmf,
+        "format": "csv",
         "options": [
-            _opt_p(),
-            _Option("m", "--m", _integer, required=True, help="atoms per unit mass (1/m < p)"),
-            _Option("n_max", "--n-max", _integer, help="last count to tabulate (default: auto)"),
-            _opt_format("csv"),
-            _opt_out(),
+            _Option("--m", _integer, required=True, help="atoms per unit mass (1/m < p)"),
+            _Option("--n-max", _integer, help="last count to tabulate (default: auto)"),
         ],
     },
     "moments": {
         "help": "subcritical mean and variance (optionally the finite-delta ones)",
         "handler": _cmd_moments,
+        "format": "json",
         "options": [
-            _opt_p(),
-            _Option("m", "--m", _integer, help="also report the atomized moments for this m"),
-            _opt_format("json"),
-            _opt_out(),
+            _Option("--m", _integer, help="also report the atomized moments for this m"),
         ],
     },
     "extinction": {
         "help": "finite-cascade probability by two independent routes",
         "handler": _cmd_extinction,
-        "options": [
-            _opt_p(),
-            _opt_format("json"),
-            _opt_out(),
-        ],
+        "format": "json",
+        "options": [],
     },
     "simulate": {
         "help": "run a Monte Carlo campaign",
         "handler": _cmd_simulate,
+        "format": "json",
         "options": [
-            _Option("mode", "--mode", _choice("continuous", "discrete", "walk"),
-                    required=True,
+            _Option("--mode", _choice("continuous", "discrete", "walk"), required=True,
                     help="engine; walk and discrete share one kernel (Dwass identity), "
                          "so equal seeds give equal numbers"),
-            _opt_p(),
-            _Option("trials", "--trials", _integer, required=True, help="number of trials"),
-            _Option("seed", "--seed", _integer, required=True, help="64-bit campaign seed"),
-            _Option("m", "--m", _integer, help="atoms per unit mass (discrete/walk)"),
-            _Option("cap", "--cap", _real, help="censoring cap on total mass"),
-            _Option("workers", "--workers", _integer, help="worker thread count"),
-            _opt_format("json"),
-            _opt_out(),
-            _Option("hist_out", "--hist-out", str, help="also write the histogram CSV here"),
+            _Option("--trials", _integer, required=True, help="number of trials"),
+            _Option("--seed", _integer, required=True, help="64-bit campaign seed"),
+            _Option("--m", _integer, help="atoms per unit mass (discrete/walk)"),
+            _Option("--cap", _real, help="censoring cap on total mass"),
+            _Option("--workers", _integer, help="worker thread count"),
+            _Option("--hist-out", str, help="also write the histogram CSV here"),
         ],
     },
     "verify": {
         "help": "integrate the density and compare with the extinction routes",
         "handler": _cmd_verify,
+        "format": "json",
         "options": [
-            _opt_p(),
-            _Option("abs_tol", "--abs-tol", _real, default=1e-6, help="residual tolerance"),
-            _opt_format("json"),
-            _opt_out(),
+            _Option("--abs-tol", _real, default=1e-6, help="residual tolerance"),
         ],
     },
 }
@@ -535,7 +521,8 @@ _COMMANDS: dict[str, dict] = {
 
 # Built once per process: parsing leaves the parser unchanged, and building
 # its ~40 actions would cost a few milliseconds on every main() call.
-# Returns the top-level parser and, per command, its own parser and options.
+# Returns the top-level parser and, per command, its own parser and its
+# options by dest, in help order: --p, its own, --format and --out.
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     parser = argparse.ArgumentParser(
@@ -546,14 +533,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     commands = {}
     for name, entry in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=entry["help"])
-        sub.add_argument(
-            "--config", default=None, metavar="FILE",
-            help="read options from a key = value file",
-        )
+        sub.add_argument("--config", metavar="FILE", help="read options from a key = value file")
         table: dict[str, _Option] = {}
-        for opt in entry["options"]:
-            sub.add_argument(opt.flag, dest=opt.dest, type=opt.convert,
-                             default=None, help=opt.help)
+        for opt in (_Option("--p", _real, required=True, help="offspring scale p > 0"),
+                    *entry["options"],
+                    _Option("--format", _choice("csv", "json"), default=entry["format"],
+                            help=f"output format (default {entry['format']})"),
+                    _Option("--out", str, default="-", help="output path, or - for stdout")):
+            sub.add_argument(opt.flag, dest=opt.dest, type=opt.convert, help=opt.help)
             table[opt.dest] = opt
         sub.set_defaults(handler=entry["handler"], command=name)
         commands[name] = sub, table

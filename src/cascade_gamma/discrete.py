@@ -63,8 +63,10 @@ def _integer(value, name: str) -> int:
 class DiscretizationParams(Record):
     """Atom count m per unit of population; requires delta = 1/m < p.
 
-    Also requires q* < 1 in doubles, which fails once delta/p is of
-    order 1e-16: at q* = 1 the NB count has no law to sample or tabulate.
+    Also requires delta to be a positive double, which fails once m
+    rounds to 2**1024 or more, and q* < 1 in doubles, which fails once
+    delta/p is of order 1e-16: at q* = 1 the NB count has no law to
+    sample or tabulate.
     """
 
     __slots__ = ("p", "m", "delta", "r_star", "q_star")
@@ -74,7 +76,10 @@ class DiscretizationParams(Record):
         m = _integer(m, "m")
         if m < 1:
             raise DomainError(f"m must be >= 1, got {m}")
-        delta = 1.0 / m
+        try:
+            delta = 1.0 / m
+        except OverflowError:
+            raise DomainError(f"need delta = 1/m to be a positive double, got m = {m}") from None
         if not delta < p:
             raise DomainError(
                 f"need delta = 1/m < p, got m = {m} with p = {p!r}"
@@ -200,7 +205,8 @@ def cascade_pmf_table(
     """Tabulate P{T = n} for n = m_start .. n_last, at most max_rows rows.
 
     With n_max given the table runs exactly to n_max, and an n_max that
-    asks for more than max_rows rows is a DomainError.  Otherwise it
+    asks for more than max_rows rows is a DomainError, as is a last
+    count n_max, or m_start + max_rows - 1, above 2**63 - 1.  Otherwise it
     grows in blocks until the certified bound on the untabulated mass,
     last pmf value times rho / (1 - rho) with rho the larger of the
     observed and limiting ratios, drops below 1e-10 or max_rows is
@@ -218,6 +224,8 @@ def cascade_pmf_table(
             raise DomainError(f"n_max must be >= m_start = {m_start}, got {n_max}")
         if rows > max_rows:
             raise DomainError(f"n_max = {n_max} asks for {rows} rows, over the cap of {max_rows}")
+    if m_start + rows > 2**63:
+        raise DomainError(f"the table's last count {m_start + rows - 1} exceeds 2**63 - 1")
 
     rho_limit = math.exp(min(_log_tail_ratio_limit(params), 0.0))
 

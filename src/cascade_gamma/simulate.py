@@ -28,7 +28,6 @@ count, and byte-identical once serialized.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -55,19 +54,9 @@ CHUNK_TRIALS = 16384
 HIST_LO = 1.0
 HIST_HI = 50.0
 HIST_BINS = 980  # bin width 0.05 across [1, 50]; mass beyond goes to overflow
-
-
-@functools.cache
-def _hist_edges() -> np.ndarray:
-    return np.linspace(HIST_LO, HIST_HI, HIST_BINS + 1)
-
-
-def __getattr__(name: str):
-    # HIST_EDGES is built on first use, so that importing the module
-    # leaves numpy unloaded (PEP 562).
-    if name == "HIST_EDGES":
-        return _hist_edges()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Built at import, which loads a lazily bound numpy on the importing thread,
+# before run_campaign starts any pool thread (see _lazy).
+HIST_EDGES = np.linspace(HIST_LO, HIST_HI, HIST_BINS + 1)
 
 
 _MODES = ("continuous", "discrete", "walk")
@@ -78,10 +67,11 @@ class SimConfig(Record):
 
     m is the atom count of the discretized engines and must be absent
     for the continuous one.  cap bounds the accumulated mass of one
-    trial before it is censored.  workers is an execution detail: it
-    never affects the drawn numbers, so it is excluded from config
-    identity.  epsilon is not a field: the continuous engine always
-    stops a trial once a generation falls to it or below.
+    trial before it is censored; with m, max(1, 2p) cap m must stay
+    below 2**62.  workers is an execution detail: it never affects the
+    drawn numbers, so it is excluded from config identity.  epsilon is
+    not a field: the continuous engine always stops a trial once a
+    generation falls to it or below.
     """
 
     __slots__ = ("mode", "p", "trials", "seed", "m", "cap", "workers")
@@ -113,6 +103,12 @@ class SimConfig(Record):
                 raise DomainError(f"{mode} mode requires the atom count m")
             m = _integer(m, "m")
             DiscretizationParams(p, m)  # validates m against p
+            # A live generation holds at most cap m atoms and draws about
+            # 2p times as many; numpy's Poisson sampler and the int64
+            # totals take counts below 2**63.
+            if not max(1.0, 2.0 * p) * cap_value * m < 2.0**62:
+                raise DomainError(f"{mode} mode needs max(1, 2p) cap m < 2**62, got p = {p!r}, "
+                                  f"cap = {cap_value!r}, m = {m}")
         super().__init__(mode, p, trials, seed, m, cap_value, workers)
 
     def _key(self) -> tuple:
@@ -307,7 +303,7 @@ def _run_chunk(task: tuple[SimConfig, int, int]) -> SimSummary:
         n_censored=int(np.count_nonzero(censored)),
         sum_z=Fraction(float(z_finite.sum())),
         sum_z_sq=Fraction(float(np.square(z_finite).sum())),
-        bin_counts=np.histogram(z_finite[in_range], bins=_hist_edges())[0].astype(np.int64),
+        bin_counts=np.histogram(z_finite[in_range], bins=HIST_EDGES)[0].astype(np.int64),
         overflow=int(z_finite.size - np.count_nonzero(in_range)),
     )
 
@@ -321,10 +317,6 @@ def run_campaign(config: SimConfig) -> SimSummary:
     full, remainder = divmod(config.trials, CHUNK_TRIALS)
     sizes = [CHUNK_TRIALS] * full + ([remainder] if remainder else [])
     tasks = [(config, index, size) for index, size in enumerate(sizes)]
-    # Built here, before any pool thread starts: building the edges is
-    # also what loads numpy, and on Python 3.11 two threads that reach a
-    # lazily bound numpy at once can see it half executed (see _lazy).
-    _hist_edges()
     if config.workers == 1 or len(tasks) == 1:
         parts = [_run_chunk(task) for task in tasks]
     else:

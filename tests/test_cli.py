@@ -179,6 +179,45 @@ def test_lattice_where_q_star_rounds_to_one_is_a_usage_error(capsys, p):
             assert "q*" in err, (argv, m, err)
 
 
+_CAMPAIGN = ("--trials", "10", "--seed", "1")
+_MAX_DOUBLE_INT = int(sys.float_info.max)  # 2**1024 - 2**971
+
+
+# (refused argv, the argv nearest to it that still runs).
+@pytest.mark.parametrize("refused, runs", [
+    # The last count leaves int64; past m = 2**52 the table's doubles lose
+    # the count, so the int64 bound is not the one that binds first.
+    (("pmf", "--p", "1e-10", "--m", str(10**20)),
+     ("pmf", "--p", "1e-10", "--m", str(2**52), "--n-max", str(2**52 + 9))),
+    (("pmf", "--p", "1e-10", "--m", str(2**63 - 10), "--n-max", str(2**63)),
+     ("pmf", "--p", "1e-10", "--m", str(2**52), "--n-max", str(2**52 + 9))),
+    # A lattice campaign needs max(1, 2p) cap m < 2**62 = 4.61e18.
+    (("simulate", "--mode", "discrete", "--p", "1e-10", "--m", str(10**20), *_CAMPAIGN),
+     ("simulate", "--mode", "discrete", "--p", "1e-10", "--m", "4611686018427", *_CAMPAIGN)),
+    (("simulate", "--mode", "discrete", "--p", "1e-10", "--m", "4611686018428", *_CAMPAIGN),
+     ("simulate", "--mode", "discrete", "--p", "1e-10", "--m", "4611686018427", *_CAMPAIGN)),
+    (("simulate", "--mode", "discrete", "--p", "0.6", "--m", "10", "--cap", "1e18", *_CAMPAIGN),
+     ("simulate", "--mode", "discrete", "--p", "0.6", "--m", "10", "--cap", "3.84e17", *_CAMPAIGN)),
+    (("simulate", "--mode", "walk", "--p", "0.6", "--m", "10", "--cap", "3.85e17", *_CAMPAIGN),
+     ("simulate", "--mode", "walk", "--p", "0.6", "--m", "10", "--cap", "3.84e17", *_CAMPAIGN)),
+    (("simulate", "--mode", "discrete", "--p", "0.3", "--m", "10", "--cap", "1e300", *_CAMPAIGN),
+     ("simulate", "--mode", "discrete", "--p", "0.3", "--m", "10", "--cap", "4.6e17", *_CAMPAIGN)),
+    # 1/m is no double once m rounds to 2**1024.
+    (("moments", "--p", "1e-320", "--m", str(10**309)),
+     ("moments", "--p", "1e-300", "--m", str(_MAX_DOUBLE_INT))),
+    (("moments", "--p", "1e-300", "--m", str(2**1024 - 2**970)),
+     ("moments", "--p", "1e-300", "--m", str(_MAX_DOUBLE_INT))),
+], ids=["pmf-m", "pmf-n-max", "simulate-m", "simulate-m-edge", "simulate-cap", "walk-cap-edge",
+        "simulate-subcritical-cap", "moments-m", "moments-m-edge"])
+def test_counts_past_int64_or_the_sampler_are_usage_errors(capsys, refused, runs):
+    code, out, err = run_cli(capsys, *refused)
+    assert (code, out) == (2, ""), err
+    [line] = err.splitlines()
+    assert line.startswith(f"cascade-gamma {refused[0]}: ") and "Traceback" not in err
+    code, out, err = run_cli(capsys, *runs)
+    assert code == 0 and out, err
+
+
 # ----------------------------------------------------------------- moments
 
 
@@ -756,6 +795,35 @@ def test_unknown_command_and_flags(capsys):
     assert run_cli(capsys, "sample")[0] == 2
     assert run_cli(capsys, "density", "--p", "0.4", "--bogus", "1")[0] == 2
     assert run_cli(capsys, "density")[0] == 2  # missing required --p
+    # --p comes first in every command's options, so it is reported first.
+    code, out, err = run_cli(capsys, "simulate")
+    assert (code, out, err) == (2, "", "cascade-gamma simulate: missing required option --p\n")
+
+
+_DEFAULT_FORMATS = {"density": "csv", "pmf": "csv", "moments": "json", "extinction": "json",
+                    "simulate": "json", "verify": "json"}
+
+
+@pytest.mark.parametrize("command", _DEFAULT_FORMATS)
+def test_every_command_has_the_shared_options_and_config_keys_reach_every_dest(tmp_path, command):
+    sub, table = _build_parser()[1][command]
+    flags = [action.option_strings[-1] for action in sub._actions][1:]  # -h, --help first
+    assert flags == ["--config", *(opt.flag for opt in table.values())]
+    assert flags[1] == "--p" and flags[-2:] == ["--format", "--out"]
+    assert len(set(flags)) == len(flags)
+    assert table["p"].required and table["out"].default == "-"
+    assert table["format"].default == _DEFAULT_FORMATS[command]
+    # A config file names each option by its flag; the value lands on ns.<dest>.
+    texts = {cli._real: "5", cli._integer: "7", str: "h.csv"}
+    lines = {opt.flag[2:]: texts.get(opt.convert, opt.convert.__name__.split("|")[0])
+             for opt in table.values()}
+    config = tmp_path / "every.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
+    ns = sub.parse_args(["--config", str(config)])
+    cli._apply_config(ns, table)
+    assert set(vars(ns)) == {"config", "handler", "command", *table}
+    for opt in table.values():
+        assert getattr(ns, opt.dest) == opt.convert(lines[opt.flag[2:]]), opt.flag
 
 
 class _NoDispatch(dict):
@@ -817,6 +885,11 @@ def test_invalid_values(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "density", "--p", "nan")
     assert code == 2
+    # argparse names the type it expected after the converter.
+    code, _, err = run_cli(capsys, "density", "--p", "abc")
+    assert code == 2 and err.endswith("error: argument --p: invalid real value: 'abc'\n")
+    code, _, err = run_cli(capsys, "pmf", "--p", "0.3", "--m", "1e0")
+    assert code == 2 and err.endswith("error: argument --m: invalid integer value: '1e0'\n")
 
 
 def test_config_file_supplies_options(tmp_path, capsys):

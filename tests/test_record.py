@@ -36,9 +36,9 @@ _PMF = np.array([0.5, 0.25])
 
 # (class, positional arguments, the same as keywords, repr).
 RECORDS = [
-    (_Option, ("out", "--out", str, "-", False, "output path"),
-     dict(dest="out", flag="--out", convert=str, default="-", required=False, help="output path"),
-     "_Option(dest='out', flag='--out', convert=<class 'str'>, default='-', required=False, "
+    (_Option, ("--out", str, "-", False, "output path"),
+     dict(flag="--out", convert=str, default="-", required=False, help="output path"),
+     "_Option(flag='--out', convert=<class 'str'>, default='-', required=False, "
      "help='output path')"),
     (ModelParams, (0.3,), dict(p=0.3), "ModelParams(p=0.3, k=2)"),
     (Moments, (2.0, 1.0), dict(mean=2.0, variance=1.0), "Moments(mean=2.0, variance=1.0)"),

@@ -9,6 +9,7 @@ nothing in src/, scripts/ or perfbench/ (tests aside) refers to.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,20 @@ def test_script_rejects_malformed_arguments_with_a_usage_line(argv):
     done = _run_script(argv)
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
     assert done.stderr.startswith("usage: ") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("options", [(), ("--format", "csv")], ids=["own-format", "csv"])
+def test_output_digest_lists_every_verify_job(options):
+    # 40 timed jobs of the verify workload at seed 1, then its 13
+    # known-defect jobs; each line is "<sha256> <exit> <argv>".
+    argv = ("output_digest.py", *options, "verify", "1")
+    first, second = _run_script(argv), _run_script(argv)
+    assert first.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
+    assert len(lines) == 53
+    assert all(re.fullmatch(r"[0-9a-f]{64} -?[0-9]+ [a-z].*", line) for line in lines), lines
+    assert [line.split()[1] for line in lines[:40]] == ["0"] * 40
+    assert second.stdout == first.stdout
 
 
 def _public_names() -> dict[str, str]:
