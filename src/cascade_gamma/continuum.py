@@ -346,33 +346,56 @@ def _support_integrand(params: ModelParams, constants: tuple[float, float], k: i
     return np.exp(log_terms)
 
 
-def _support_breaks(params: ModelParams, a: float) -> list[float]:
-    """The points sqrt(a s) 2^j, j >= -6, that lie in (0, 1), ascending; a is the decay rate.
+# The seed octaves towards v = 1 stop at the edge 1 - 2^-_TOP_OCTAVES.
+_TOP_OCTAVES = 5
 
-    Empty where sqrt(a s) >= 1 (p above about 3.2): there the cutoff
-    lies beyond v = 1, and the graded panels would only add nodes.  Also
-    empty at p = 1/2, where a = 0 and there is no cutoff.
+
+def _support_breaks(params: ModelParams, a: float) -> list[float]:
+    """The seed edges of the support quadrature, strictly ascending in (0, 1); a is the decay rate.
+
+    Octaves towards both places where a panel converges slowly:
+
+    - the e^(-a x) cutoff at v of about sqrt(a s): the points
+      sqrt(a s) 2^j, j >= -6, that lie in (0, 1).  There are none where
+      sqrt(a s) >= 1 (p above about 3.2), since the cutoff then lies
+      beyond v = 1, and none at p = 1/2, where a = 0;
+    - v = 1, that is x = 1, where the density's factor
+      (x - 1)^(2x - 1) = (x - 1) exp(2 (x - 1) ln(x - 1)) is not
+      analytic: the points 1 - 2^-k, k = 1 ... _TOP_OCTAVES, that lie
+      above the last of those, so the two never meet (at p = 1e-300 the
+      last cutoff point is one ulp below 1).
+
+    A round of integrate_adaptive costs far more than a node: one call
+    of the support integrand with its Kronrod sums takes 55 to 80 us on
+    one panel's 15 nodes and about 0.1 us more per further node.  So
+    the quadrature starts from 6 to 20 panels (up to about 50 near
+    p = 1/2), and most verify quadratures end in their first call.
+    Halving every one of these panels as well ended a few more in their
+    first call, but the nodes it added cost the many that already did
+    about 15 us each, more than it saved.
     """
     cutoff = math.sqrt(a * min(params.p, _CRITICAL_P))
-    if cutoff >= 1.0:
-        return []
-    # cutoff = m 2^e with m in [1/2, 1), so cutoff 2^j < 1 up to j = -e.
-    edges = (math.ldexp(cutoff, j) for j in range(-6, 1 - math.frexp(cutoff)[1]))
-    return [edge for edge in edges if 0.0 < edge < 1.0]
+    edges = []
+    if cutoff < 1.0:
+        # cutoff = m 2^e with m in [1/2, 1), so cutoff 2^j < 1 up to j = -e.
+        graded = (math.ldexp(cutoff, j) for j in range(-6, 1 - math.frexp(cutoff)[1]))
+        edges = [edge for edge in graded if 0.0 < edge < 1.0]
+    top = edges[-1] if edges else 0.0
+    return edges + [edge for edge in (1.0 - 2.0**-k for k in range(1, _TOP_OCTAVES + 1)) if edge > top]
 
 
 def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[QuadratureResult, float]:
     """The integral of x^k g(x) over [1, inf), as one quadrature on v in (0, 1].
 
     The quadrature starts from panels graded towards the e^(-a x)
-    cutoff, which sits at v of about sqrt(a s): its seed edges are
-    _support_breaks, the points sqrt(a s) 2^j that lie in (0, 1).  Near
-    criticality the cutoff is at v of order |2p - 1|, where a single
-    panel on (0, 1] never places a node: it would integrate the flat
-    critical tail down to v = 0 and report a small error estimate for a
-    result off by about 2 |2p - 1|.  The edges run on up to v = 1: past
-    the last one the cutoff factor still differs from 1 by about
-    a s / v^2, a deficit that a panel reaching far beyond it can miss.
+    cutoff, which sits at v of about sqrt(a s), and towards v = 1: its
+    seed edges are _support_breaks.  Near criticality the cutoff is at v
+    of order |2p - 1|, where a single panel on (0, 1] never places a
+    node: it would integrate the flat critical tail down to v = 0 and
+    report a small error estimate for a result off by about 2 |2p - 1|.
+    The cutoff octaves run on up to v = 1: past the last one the cutoff
+    factor still differs from 1 by about a s / v^2, a deficit that a
+    panel reaching far beyond it can miss.
 
     Also returns the largest x at which the quadrature evaluated g,
     finite because no Kronrod node sits on v = 0.

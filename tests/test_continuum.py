@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascade_gamma import (
@@ -33,7 +33,12 @@ from cascade_gamma import (
     numerics,
     verify_normalization,
 )
-from cascade_gamma.continuum import _support_integrand, _support_moment, _tail_constants
+from cascade_gamma.continuum import (
+    _support_breaks,
+    _support_integrand,
+    _support_moment,
+    _tail_constants,
+)
 
 # ln g(2) at p = 0.4, mpmath evaluation of the exact formula.
 LOG_G_2_P04 = -1.3197437222913800
@@ -511,6 +516,43 @@ def test_failing_quadratures_fail_fast(monkeypatch, run):
     assert len(calls) <= 12
     panels = int(re.search(r"after (\d+) panels", str(info.value)).group(1))
     assert numerics._MAX_PANELS - 3 < panels <= numerics._MAX_PANELS
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.floats(min_value=-305.0, max_value=300.0).map(lambda e: 10.0**e),
+    st.builds(lambda k, sign: 0.5 + sign * 10.0**-k, st.integers(1, 15), st.sampled_from((-1, 1))),
+))
+@example(1e-300)
+def test_support_breaks_ascend_strictly_inside_the_unit_interval(p):
+    # The octaves towards the cutoff and those towards v = 1 must not
+    # meet: at p = 1e-300 the last cutoff point is one ulp below 1.
+    params = ModelParams(p)
+    edges = [0.0, *_support_breaks(params, _tail_constants(params)[1]), 1.0]
+    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+
+
+# The strata of the benchmark's verify jobs: p log-uniform on [1e-2, 1e3]
+# and 1/2 +- 10^-k for k = 1, 2, each at abs_tol 1e-6 ... 1e-10.
+CALL_COUNT_GRID = [(10.0 ** (-2.0 + 5.0 * i / 23), 10.0**-j) for i in range(24) for j in range(6, 11)] + [
+    (0.5 + sign * 10.0**-k, 10.0**-j) for k in (1, 2) for sign in (1, -1) for j in range(6, 11)]
+
+
+def test_verify_mostly_ends_in_its_first_integrand_call(monkeypatch):
+    # A round of the quadrature costs far more than its nodes, so the seed
+    # panels are many.  Over the 140 runs of this grid the integrand was
+    # called 259 times with seed octaves towards the cutoff alone and 177
+    # times with octaves towards v = 1 as well.
+    calls = []
+    integrate = numerics.integrate_adaptive
+
+    def counted(f, *args, **kwargs):
+        return integrate(lambda x: calls.append(x.size) or f(x), *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate_adaptive", counted)
+    for p, abs_tol in CALL_COUNT_GRID:
+        verify_normalization(ModelParams(p), abs_tol)
+    assert len(calls) <= 0.75 * 259
 
 
 @pytest.mark.parametrize("p", [0.5, 0.5 + 1e-8, 0.5 - 1e-8])

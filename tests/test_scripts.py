@@ -8,6 +8,8 @@ nothing in src/, scripts/ or perfbench/ (tests aside) refers to.
 """
 
 import ast
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -57,7 +59,9 @@ def test_script_rejects_parameters_with_one_line(argv):
     ("convergence_study.py", "--p", "0.3", "--ladder", "10,abc"),
     ("convergence_study.py", "--p", "0.3", "--ladder", ""),
     ("convergence_study.py", "--p", "0.3", "--points", "0"),
-], ids=["ladder-not-int", "ladder-empty", "points-zero"])
+    ("output_digest.py", "--drop", "", "verify", "1"),
+    ("output_digest.py", "--drop", "integral,,x_max", "verify", "1"),
+], ids=["ladder-not-int", "ladder-empty", "points-zero", "drop-empty", "drop-empty-key"])
 def test_script_rejects_malformed_arguments_with_a_usage_line(argv):
     done = _run_script(argv)
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
@@ -113,3 +117,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     used = _used_names()
     test_only = [f"{module}.{name}" for name, module in _public_names().items() if name not in used]
     assert not test_only, f"public names that only tests use: {test_only}"
+
+
+def test_output_digest_drops_top_level_keys_of_json_outputs():
+    # --drop digests each JSON object without the named top-level keys,
+    # written again with sorted keys; a CSV output is digested as it is.
+    drop = ("integral", "x_max")
+    plain, dropped, csv, csv_dropped = (_run_script(("output_digest.py", *options, "verify", "1"))
+                                        for options in ((), ("--drop", ",".join(drop)),
+                                                        ("--format", "csv"),
+                                                        ("--format", "csv", "--drop", ",".join(drop))))
+    assert all(done.returncode == 0 for done in (plain, dropped, csv, csv_dropped))
+    # Same jobs, exit codes and argvs; every output of the verify
+    # workload is a JSON object, so every digest moves.
+    pairs = list(zip(plain.stdout.splitlines(), dropped.stdout.splitlines(), strict=True))
+    assert all(a.split(" ", 1)[1] == b.split(" ", 1)[1] and a[:64] != b[:64] for a, b in pairs)
+    sha, _, *argv = dropped.stdout.splitlines()[0].split()
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "cascade_gamma", *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=60, check=False).stdout
+    kept = {key: value for key, value in json.loads(out).items() if key not in drop}
+    assert sha == hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
+    assert csv_dropped.stdout == csv.stdout
