@@ -388,7 +388,11 @@ def _cmd_simulate(ns) -> int:
     if ns.format == "csv":
         text = histogram
     else:
-        text = _json_text(summary.to_json_dict())
+        payload = summary.to_json_dict()
+        # _json_text writes an int64 array as it writes the list, without
+        # making an array of the list again.
+        payload["histogram"]["counts"] = summary.bin_counts
+        text = _json_text(payload)
     _emit(text, ns.out)
     fraction_se = math.sqrt(
         max(summary.finite_fraction * (1.0 - summary.finite_fraction), 0.0) / summary.trials

@@ -365,14 +365,9 @@ def _support_breaks(params: ModelParams, a: float) -> list[float]:
       above the last of those, so the two never meet (at p = 1e-300 the
       last cutoff point is one ulp below 1).
 
-    A round of integrate_adaptive costs far more than a node: one call
-    of the support integrand with its Kronrod sums takes 55 to 80 us on
-    one panel's 15 nodes and about 0.1 us more per further node.  So
-    the quadrature starts from 6 to 20 panels (up to about 50 near
-    p = 1/2), and most verify quadratures end in their first call.
-    Halving every one of these panels as well ended a few more in their
-    first call, but the nodes it added cost the many that already did
-    about 15 us each, more than it saved.
+    A round of integrate_adaptive costs far more than a node, so the
+    quadrature starts from more panels than the integrand needs, and most
+    verify quadratures end in their first call.
     """
     cutoff = math.sqrt(a * min(params.p, _CRITICAL_P))
     edges = []

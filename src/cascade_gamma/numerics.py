@@ -279,8 +279,6 @@ def _gk_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _EPS = 2.220446049250313e-16
 _MAX_PANELS = 10_000
-# Up to this many panels, _gk15 forms its rows in Python, not numpy.
-_PYTHON_PANELS = 16
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], pairs) -> list[tuple[float, float, float, float]]:
@@ -301,10 +299,9 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], pairs) -> list[tuple[float, flo
     # einsum sums each panel's row on its own, in an order that does not
     # depend on the other rows; a matrix product need not.
     sums = np.einsum("ij,kj->ki", values, weights)
-    kronrod = sums[0].tolist()
     # Every Kronrod weight is positive, so a value that is not finite
     # makes the Kronrod sum not finite; the elementwise check runs only then.
-    if not all(map(math.isfinite, kronrod)):
+    if not all(map(math.isfinite, sums[0].tolist())):
         i = int(np.argmin(np.isfinite(sums[0])))
         finite = np.isfinite(values[i])
         if finite.all():
@@ -312,19 +309,8 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], pairs) -> list[tuple[float, flo
         bad = int(np.argmin(finite))
         raise DomainError(
             f"integrand returned {float(values[i, bad])!r} at node {float(nodes[15 * i + bad])!r}")
-    # Honest floor: a panel can never certify better than a few ulps.
-    # Python floats round each step as numpy does, and up to
-    # _PYTHON_PANELS panels they skip the dispatch of five array operations.
-    if len(kronrod) <= _PYTHON_PANELS:
-        rows = []
-        for a, b, h, k, d in zip(lo.tolist(), hi.tolist(), half.tolist(), kronrod, sums[1].tolist()):
-            value = k * h
-            floor = 50.0 * _EPS * abs(value)
-            # np.maximum gives nan for a nan floor (0 * inf, a panel wider
-            # than the largest double), where max would give its first argument.
-            rows.append((a, b, value, max(abs(d * h), floor) if floor == floor else floor))
-        return rows
     value, diff = sums * half
+    # Honest floor: a panel can never certify better than a few ulps.
     err = np.maximum(np.abs(diff), 50.0 * _EPS * np.abs(value))
     return list(zip(lo.tolist(), hi.tolist(), value.tolist(), err.tolist()))
 

@@ -263,7 +263,7 @@ class SimSummary(Record):
                 "lo": HIST_LO,
                 "hi": HIST_HI,
                 "bins": HIST_BINS,
-                "counts": self.bin_counts,  # the int64 array, which the JSON writer takes as it is
+                "counts": self.bin_counts.tolist(),
                 "overflow": self.overflow,
             },
         }

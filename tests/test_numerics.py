@@ -7,7 +7,6 @@ quadrature cross-checks.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from cascade_gamma import (
     log_gamma,
     solve_bracketed,
 )
-from cascade_gamma import numerics
 from cascade_gamma.numerics import _remainder
 
 # mpmath.loggamma to 50 digits, rounded to nearest double.
@@ -385,42 +383,6 @@ def test_gk15_gives_each_panel_the_bits_of_its_own_call():
     edges = np.sort(rng.uniform(-3.0, 3.0, 65))
     pairs = list(zip(edges[:-1], edges[1:]))
     assert _gk15(f, pairs) == [row for pair in pairs for row in _gk15(f, [pair])]
-
-
-def _rows_on_both_paths(monkeypatch, f, pairs):
-    """repr of _gk15's rows formed in Python and in numpy; repr tells -0.0 from 0.0 and shows nan."""
-    from cascade_gamma.numerics import _gk15
-
-    rows = []
-    for limit in (len(pairs), 0):
-        monkeypatch.setattr(numerics, "_PYTHON_PANELS", limit)
-        rows.append(repr(_gk15(f, pairs)))
-    return rows
-
-
-def test_gk15_rows_are_the_same_from_python_and_numpy(monkeypatch):
-    from cascade_gamma.numerics import _gk_tables
-
-    dbl_max = sys.float_info.max
-    rng = np.random.default_rng(11)
-    edges = np.sort(rng.uniform(-3.0, 3.0, 17)).tolist()
-    pairs = list(zip(edges, edges[1:]))
-    kronrod, excess = _gk_tables()[1]
-    # 1e308 with opposite signs on the Kronrod-only and the Gauss nodes:
-    # a finite Kronrod sum and a Kronrod-minus-Gauss sum of inf.
-    opposed = np.where(excess > 0.0, 1e308, -1e308)
-    integrands = [lambda x: np.exp(-x) * np.cos(40.0 * x) - 0.5, np.zeros_like,
-                  lambda x: np.tile(opposed, x.size // 15)]
-    for f in integrands:
-        python, array = _rows_on_both_paths(monkeypatch, f, pairs)
-        assert python == array
-    # A panel wider than the largest double has a half width of inf, and a
-    # Kronrod sum of exactly 0 makes its value and floor nan.
-    values = np.zeros(15)
-    values[0], values[7] = kronrod[7], -kronrod[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        python, array = _rows_on_both_paths(monkeypatch, lambda x: values, [(-dbl_max, dbl_max)])
-    assert python == array == repr([(-dbl_max, dbl_max, math.nan, math.nan)])
 
 
 def test_integrand_is_called_once_per_round_with_its_nodes():

@@ -10,6 +10,7 @@ atom per step and lives only in this file.
 """
 
 import hashlib
+import json
 import math
 import sys
 import threading
@@ -396,8 +397,8 @@ def test_summary_json_dict_round_trip_fields():
     assert payload["config"]["delta"] == 0.1
     assert payload["trials"] == 500
     assert payload["n_finite"] == summary.n_finite
-    # The summary's own int64 array, with no round trip through a list.
-    assert payload["histogram"]["counts"] is summary.bin_counts
+    # Plain lists and numbers, so the dict goes through json.dumps.
+    assert json.loads(json.dumps(payload)) == payload
     assert len(payload["histogram"]["counts"]) == HIST_BINS
     assert sum(payload["histogram"]["counts"]) + payload["histogram"]["overflow"] == summary.n_finite
 
@@ -415,7 +416,6 @@ def test_campaign_workers_do_not_change_the_result():
     b = parallel.to_json_dict()
     assert a["config"].pop("workers") == 1
     assert b["config"].pop("workers") == 3
-    assert np.array_equal(a["histogram"].pop("counts"), b["histogram"].pop("counts"))
     assert a == b
 
 
@@ -456,7 +456,6 @@ def test_walk_and_discrete_campaigns_are_identical():
         walk = run_campaign(SimConfig(mode="walk", **base)).to_json_dict()
         assert branch["config"].pop("mode") == "discrete"
         assert walk["config"].pop("mode") == "walk"
-        assert np.array_equal(walk["histogram"].pop("counts"), branch["histogram"].pop("counts"))
         assert walk == branch
 
 
