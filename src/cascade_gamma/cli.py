@@ -7,7 +7,10 @@ above tolerance, or the two extinction routes of extinction and verify
 more than 1e-10 apart; the payload is still written).  CSV payloads
 carry '#' comment lines echoing the parameters, a fixed header, floats
 written as '%.17g' (17 significant digits, 'inf' and 'nan' spelled so)
-and LF line endings.  JSON payloads use sorted keys and an indent of 2,
+and LF line endings.  A table command states each parameter once, in a
+dict whose items JSON writes as they stand and _comments writes as
+'# key = value' lines: "-" for "_" in the key, a bool as JSON writes it
+('true', 'false'), a str as it stands and any other value as its repr.  JSON payloads use sorted keys and an indent of 2,
 with floats written as their shortest round-trip repr ('Infinity' and
 'NaN' for the non-finite ones): _json_text writes each run of scalar
 items by json's C encoder and each array as tables are written.  Tables
@@ -50,10 +53,6 @@ from .errors import CascadeError, CriticalityError, DomainError, ToleranceError
 __all__ = ["main", "entrypoint"]
 
 _ROUTE_GAP_TOL = 1e-10
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _real(text: str) -> float:
@@ -209,24 +208,24 @@ def _emit(pieces: Iterable[str], out: str) -> None:
             stream.writelines(pieces)
 
 
+def _comments(scalars: dict) -> list[str]:
+    """The 'key = value' comment lines of scalars, by the rule of the module docstring."""
+    return [f"{key.replace('_', '-')} = "
+            + (json.dumps(value) if isinstance(value, bool) else
+               value if isinstance(value, str) else repr(value))
+            for key, value in scalars.items()]
+
+
 def _cmd_density(ns) -> int:
     params = continuum.ModelParams(ns.p)
     table = continuum.density_table(params, ns.x_min, ns.x_max, ns.steps)
+    scalars = {"p": params.p, "x_min": ns.x_min, "x_max": ns.x_max, "steps": ns.steps}
+    columns = {"x": table.x, "density": table.density, "asymptotic": table.asymptotic}
     if ns.format == "csv":
-        comments = [
-            "cascade-gamma density",
-            f"p = {params.p!r}",
-            f"x-min = {ns.x_min!r}",
-            f"x-max = {ns.x_max!r}",
-            f"steps = {ns.steps!r}",
-        ]
-        text = _csv_text(comments, ["x", "density", "asymptotic"],
-                         [table.x, table.density, table.asymptotic])
+        text = _csv_text(["cascade-gamma density", *_comments(scalars)], list(columns),
+                         list(columns.values()))
     else:
-        text = _json_text({
-            "p": params.p, "x_min": ns.x_min, "x_max": ns.x_max, "steps": ns.steps,
-            "x": table.x, "density": table.density, "asymptotic": table.asymptotic,
-        })
+        text = _json_text(scalars | columns)
     _emit(text, ns.out)
     return 0
 
@@ -236,35 +235,17 @@ def _cmd_pmf(ns) -> int:
 
     params = discrete.DiscretizationParams(ns.p, ns.m)
     table = discrete.cascade_pmf_table(params, params.m, n_max=ns.n_max)
-    rescaled = params.m * table.probabilities
+    scalars = {"p": params.p, "m": params.m, "delta": params.delta, "r_star": params.r_star,
+               "q_star": params.q_star, "tail_bound": table.tail_bound,
+               "truncated": table.truncated}
+    columns = {"pmf": table.probabilities, "rescaled_density": params.m * table.probabilities}
+    # The mass closes the CSV table, and JSON also gives the first count.
+    mass = {"cumulative_mass": table.total_mass}
     if ns.format == "csv":
-        comments = [
-            "cascade-gamma pmf",
-            f"p = {params.p!r}",
-            f"m = {params.m!r}",
-            f"delta = {params.delta!r}",
-            f"r-star = {params.r_star!r}",
-            f"q-star = {params.q_star!r}",
-            f"tail-bound = {table.tail_bound!r}",
-            f"truncated = {str(table.truncated).lower()}",
-        ]
-        text = _csv_text(comments, ["n", "pmf", "rescaled_density"],
-                         [table.n_values, table.probabilities, rescaled],
-                         [f"cumulative-mass = {table.total_mass!r}"])
+        text = _csv_text(["cascade-gamma pmf", *_comments(scalars)], ["n", *columns],
+                         [table.n_values, *columns.values()], _comments(mass))
     else:
-        text = _json_text({
-            "p": params.p,
-            "m": params.m,
-            "delta": params.delta,
-            "r_star": params.r_star,
-            "q_star": params.q_star,
-            "n_start": params.m,
-            "cumulative_mass": table.total_mass,
-            "tail_bound": table.tail_bound,
-            "truncated": table.truncated,
-            "pmf": table.probabilities,
-            "rescaled_density": rescaled,
-        })
+        text = _json_text(scalars | mass | columns | {"n_start": params.m})
     _emit(text, ns.out)
     return 0
 
@@ -280,10 +261,15 @@ def _flat(payload: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _row_csv(title: str, payload: dict) -> Iterator[str]:
-    """payload as a one-row CSV table under the comment title."""
-    flat = _flat(payload)
-    return _csv_text([title], list(flat), [[value] for value in flat.values()])
+def _emit_row(ns, payload: dict, row: dict | None = None) -> None:
+    """payload as JSON, or row (by default payload flattened) as a one-row CSV table."""
+    if ns.format == "csv":
+        row = _flat(payload) if row is None else row
+        text = _csv_text([f"cascade-gamma {ns.command}"], list(row),
+                         [[value] for value in row.values()])
+    else:
+        text = _json_text(payload)
+    _emit(text, ns.out)
 
 
 def _cmd_moments(ns) -> int:
@@ -295,21 +281,11 @@ def _cmd_moments(ns) -> int:
 
         dparams = discrete.DiscretizationParams(ns.p, ns.m)
         dmoments = discrete.discrete_moments(dparams)
-        payload["m"] = dparams.m
-        payload["delta"] = dparams.delta
-        payload["per_atom"] = {
-            "mean": dmoments.per_atom.mean,
-            "variance": dmoments.per_atom.variance,
-        }
-        payload["total"] = {
-            "mean": dmoments.total.mean,
-            "variance": dmoments.total.variance,
-        }
-    if ns.format == "csv":
-        text = _row_csv("cascade-gamma moments", payload)
-    else:
-        text = _json_text(payload)
-    _emit(text, ns.out)
+        payload |= {"m": dparams.m, "delta": dparams.delta}
+        for key in ("per_atom", "total"):
+            moments = getattr(dmoments, key)
+            payload[key] = {"mean": moments.mean, "variance": moments.variance}
+    _emit_row(ns, payload)
     return 0
 
 
@@ -331,11 +307,7 @@ def _cmd_extinction(ns) -> int:
         "decay_gap_fixed_point": fixed_point,
         "route_gap": route_gap,
     }
-    if ns.format == "csv":
-        text = _row_csv("cascade-gamma extinction", payload)
-    else:
-        text = _json_text(payload)
-    _emit(text, ns.out)
+    _emit_row(ns, payload)
     return 0 if route_gap <= _ROUTE_GAP_TOL else 3
 
 
@@ -344,21 +316,9 @@ def _histogram_csv(summary) -> Iterator[str]:
     from . import simulate
 
     config = summary.config
-    comments = [
-        "cascade-gamma simulate histogram",
-        f"mode = {config.mode}",
-        f"p = {config.p!r}",
-        f"m = {config.m!r}",
-        f"trials = {config.trials!r}",
-        f"seed = {config.seed!r}",
-        f"cap = {config.cap!r}",
-        f"epsilon = {config.epsilon!r}",
-        f"workers = {config.workers!r}",
-        f"n-finite = {summary.n_finite!r}",
-        f"n-censored = {summary.n_censored!r}",
-        f"mean = {summary.mean!r}",
-        f"variance = {summary.variance!r}",
-    ]
+    scalars = {key: getattr(config, key)
+               for key in ("mode", "p", "m", "trials", "seed", "cap", "epsilon", "workers")}
+    scalars |= {key: getattr(summary, key) for key in ("n_finite", "n_censored", "mean", "variance")}
     # The last row is the overflow bucket [HIST_HI, inf).
     edges = simulate.HIST_EDGES
     columns = [
@@ -366,7 +326,8 @@ def _histogram_csv(summary) -> Iterator[str]:
         np.append(edges[1:], math.inf),
         np.append(summary.bin_counts, summary.overflow),
     ]
-    return _csv_text(comments, ["bin_lo", "bin_hi", "count"], columns)
+    return _csv_text(["cascade-gamma simulate histogram", *_comments(scalars)],
+                     ["bin_lo", "bin_hi", "count"], columns)
 
 
 def _cmd_simulate(ns) -> int:
@@ -440,15 +401,13 @@ def _cmd_verify(ns) -> int:
             and route_gap <= _ROUTE_GAP_TOL
         )
     payload["passed"] = passed
+    row = None
     if ns.format == "csv":
         row = {key: float(payload.get(key, math.nan)) for key in _VERIFY_FLOATS}
         if "error" in payload:
             row["error"] = '"%s"' % payload["error"].replace('"', '""')
         row = dict(sorted(row.items()), passed=str(passed).lower())
-        text = _row_csv("cascade-gamma verify", row)
-    else:
-        text = _json_text(payload)
-    _emit(text, ns.out)
+    _emit_row(ns, payload, row)
     return 0 if passed else 3
 
 
@@ -557,26 +516,24 @@ def _apply_config(ns, table: dict[str, _Option]) -> None:
     try:
         text = Path(ns.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read config file {ns.config!r}: {exc}") from exc
+        raise DomainError(f"cannot read config file {ns.config!r}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise _UsageError(f"{ns.config}:{lineno}: expected key = value")
+            raise DomainError(f"{ns.config}:{lineno}: expected key = value")
         key, value = key.strip(), value.strip()
         dest = key.replace("-", "_")
         if dest not in table:
-            raise _UsageError(f"{ns.config}:{lineno}: unknown option {key!r}")
+            raise DomainError(f"{ns.config}:{lineno}: unknown option {key!r}")
         if getattr(ns, dest) is not None:
-            raise _UsageError(
-                f"option --{key} is set more than once (command line or config)"
-            )
+            raise DomainError(f"option --{key} is set more than once (command line or config)")
         try:
             setattr(ns, dest, table[dest].convert(value))
         except (TypeError, ValueError) as exc:
-            raise _UsageError(
+            raise DomainError(
                 f"{ns.config}:{lineno}: bad value {value!r} for {key!r}: {exc}"
             ) from exc
 
@@ -585,7 +542,7 @@ def _fill_defaults(ns, table: dict[str, _Option]) -> None:
     for dest, opt in table.items():
         if getattr(ns, dest) is None:
             if opt.required:
-                raise _UsageError(f"missing required option {opt.flag}")
+                raise DomainError(f"missing required option {opt.flag}")
             setattr(ns, dest, opt.default)
 
 
@@ -606,20 +563,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(ns, table)
         _fill_defaults(ns, table)
-    except _UsageError as exc:
-        print(f"cascade-gamma {ns.command}: {exc}", file=sys.stderr)
-        return 2
-    try:
         return ns.handler(ns)
-    except (DomainError, CriticalityError) as exc:
-        print(f"cascade-gamma {ns.command}: {exc}", file=sys.stderr)
-        return 2
+    except (DomainError, CriticalityError, OSError) as exc:
+        error, code = exc, 2
     except CascadeError as exc:
-        print(f"cascade-gamma {ns.command}: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"cascade-gamma {ns.command}: {exc}", file=sys.stderr)
-        return 2
+        error, code = exc, 3
+    print(f"cascade-gamma {ns.command}: {error}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:
