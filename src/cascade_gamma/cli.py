@@ -10,10 +10,11 @@ written as '%.17g' (17 significant digits, 'inf' and 'nan' spelled so)
 and LF line endings.  A table command states each parameter once, in a
 dict whose items JSON writes as they stand and _comments writes as
 '# key = value' lines: "-" for "_" in the key, a bool as JSON writes it
-('true', 'false'), a str as it stands and any other value as its repr.  JSON payloads use sorted keys and an indent of 2,
-with floats written as their shortest round-trip repr ('Infinity' and
-'NaN' for the non-finite ones): _json_text writes each run of scalar
-items by json's C encoder and each array as tables are written.  Tables
+('true', 'false'), a str as it stands and any other value as its repr.
+JSON payloads use sorted keys and an indent of 2, with floats written
+as their shortest round-trip repr ('Infinity' and 'NaN' for the
+non-finite ones): _json_text writes each run of scalar items by json's
+C encoder and each array as tables are written.  Tables
 are formatted in blocks of rows and streamed to the output:
 floattext.cells writes each column of a block as a zero-padded byte
 matrix, with Python's own bytes for every cell, and _joined reads the

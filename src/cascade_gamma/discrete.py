@@ -29,7 +29,7 @@ from . import numerics
 from ._lazy import np
 from ._record import Record
 from .continuum import TABLE_ROW_CAP, ModelParams, Moments
-from .errors import CriticalityError, DomainError
+from .errors import CriticalityError, DomainError, ToleranceError
 from .numerics import Interval
 
 __all__ = [
@@ -109,9 +109,6 @@ class CascadePmf(Record):
             raise DomainError("probabilities must be a nonempty 1-d array")
         if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
             raise DomainError("probabilities must be finite and nonnegative")
-        total = float(probs.sum())
-        if total > 1.0 + 1e-9:
-            raise DomainError(f"pmf mass exceeds one: {total!r}")
         if not (math.isfinite(tail_bound) and tail_bound >= 0.0):
             raise DomainError(f"tail_bound must be >= 0, got {tail_bound!r}")
         super().__init__(params, m_start, probs, tail_bound, truncated)
@@ -192,6 +189,7 @@ def _log_tail_ratio_limit(params: DiscretizationParams) -> float:
 
 
 _TABLE_BLOCK = 4096
+_EPS = 2.0**-52
 _TABLE_TAIL_MASS = 1e-10
 
 
@@ -214,6 +212,17 @@ def cascade_pmf_table(
     when tabulation stopped (always the case at criticality, where the
     ratio tends to one and the tail is a power law); a bound that does
     not exist, as for a one-row table, is reported as 1 - mass.
+
+    The table then checks itself against alpha^m_start, the chance that
+    the cascade is finite, which martingale_alpha finds without the pmf
+    formula.  It raises ToleranceError unless mass - tol <= alpha^m_start
+    <= mass + tail_bound + tol, and at once for a row whose log is above
+    0 (a row above one, whose exp() could overflow).  tol =
+    8 eps (rows + m_start) is the table's own rounding: each row's log
+    forms a count n (1 + r*) - m_start from terms of at least m_start, at
+    a few eps m_start, and the sum adds eps per row.  Measured misses stay
+    below 3 eps (rows + m_start) up to m_start = 2e5 where r* < 1; where
+    r* is large, as for p just above 1/m, the formula cancels far more.
     """
     if max_rows < 2:
         raise DomainError(f"max_rows must be >= 2, got {max_rows!r}")
@@ -240,6 +249,10 @@ def cascade_pmf_table(
     while n_next < n_end:
         ns = np.arange(n_next, min(n_next + block, n_end), dtype=np.int64)
         logs = cascade_log_pmf(params, m_start, ns)
+        if logs.max() > 0.0:  # tested before exp(), which may overflow there
+            row = int(np.argmax(logs))
+            raise ToleranceError(f"pmf table misses alpha^{m_start} <= 1: row n = {n_next + row} "
+                                 f"has log-probability {float(logs[row])!r} > 0")
         blocks.append(np.exp(logs))
         last_two = (last_two + tuple(logs[-2:].tolist()))[-2:]
         bound = tail_bound(*last_two)
@@ -249,11 +262,18 @@ def cascade_pmf_table(
             break
 
     probs = np.concatenate(blocks)
+    mass = float(probs.sum())
     truncated = not bound <= _TABLE_TAIL_MASS
     if math.isinf(bound):
         # Report something conservative yet finite: all unseen mass.
-        bound = max(0.0, 1.0 - float(probs.sum()))
-    return CascadePmf(params, m_start, probs, bound, truncated)
+        bound = max(0.0, 1.0 - mass)
+    table = CascadePmf(params, m_start, probs, bound, truncated)
+    alpha_m = martingale_alpha(params) ** m_start
+    tol = 8.0 * _EPS * (probs.size + m_start)
+    if not mass - tol <= alpha_m <= mass + bound + tol:
+        raise ToleranceError(f"pmf table misses alpha^{m_start}: mass = {mass!r}, "
+                             f"tail bound = {bound!r}, alpha^{m_start} = {alpha_m!r}")
+    return table
 
 
 def discrete_moments(params: DiscretizationParams) -> DiscreteMoments:

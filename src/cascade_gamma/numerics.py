@@ -321,6 +321,9 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod (7, 15) quadrature over a finite interval.
 
+    The width hi - lo must be a finite double too, or DomainError is
+    raised; Interval itself takes wider ones, which solve_bracketed bisects.
+
     The integrand takes an ascending float64 array of abscissae and
     returns an array of the same shape.  Every value must be finite, or
     DomainError is raised; it names the first bad node of the leftmost
@@ -351,6 +354,8 @@ def integrate_adaptive(
     """
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
+    if interval.hi - interval.lo == math.inf:
+        raise DomainError(f"interval width must be finite, got [{interval.lo!r}, {interval.hi!r}]")
     edges = [interval.lo, *map(float, breaks), interval.hi]
     if not all(a < b for a, b in zip(edges, edges[1:])):
         raise DomainError(f"breaks must ascend strictly inside [{interval.lo!r}, {interval.hi!r}]")

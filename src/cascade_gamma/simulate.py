@@ -55,8 +55,10 @@ HIST_LO = 1.0
 HIST_HI = 50.0
 HIST_BINS = 980  # bin width 0.05 across [1, 50]; mass beyond goes to overflow
 # Built at import, which loads a lazily bound numpy on the importing thread,
-# before run_campaign starts any pool thread (see _lazy).
-HIST_EDGES = np.linspace(HIST_LO, HIST_HI, HIST_BINS + 1)
+# before run_campaign starts any pool thread (see _lazy).  Edge j is
+# (20 + j) / 20 rounded once, as the discrete engines' masses atoms / m
+# are, so a mass on an edge is that edge's double and opens its bin.
+HIST_EDGES = np.arange(20.0 * HIST_LO, 20.0 * HIST_HI + 1.0) / 20.0
 
 
 _MODES = ("continuous", "discrete", "walk")
@@ -274,8 +276,11 @@ def _chunk_mass(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, n
     gen = _rng_stream(config.seed, index)
     if config.mode == "continuous":
         p = config.p
-        last, z, censored = _generations(
-            np.ones(size), lambda x: gen.standard_gamma(2.0 * x) * p, config.cap, config.epsilon)
+        # At huge p a draw times p overflows to inf, which censors its trial.
+        with np.errstate(over="ignore"):
+            last, z, censored = _generations(
+                np.ones(size), lambda x: gen.standard_gamma(2.0 * x) * p, config.cap,
+                config.epsilon)
         if p < 0.5:
             finite = ~censored
             z[finite] += last[finite] * (2.0 * p / (1.0 - 2.0 * p))
@@ -286,7 +291,9 @@ def _chunk_mass(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, n
         np.full(size, params.m, dtype=np.int64),
         lambda alive: gen.poisson(gen.standard_gamma(alive * params.r_star) * scale),
         config.cap * params.m, 0)
-    return atoms * params.delta, censored
+    # atoms / m, not atoms * delta: m * (1/m) rounds below 1 at m = 49, 98, ...,
+    # and the founders alone must weigh exactly 1.
+    return atoms / params.m, censored
 
 
 def _run_chunk(task: tuple[SimConfig, int, int]) -> SimSummary:

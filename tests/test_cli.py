@@ -141,6 +141,25 @@ def test_pmf_json_supercritical_mass(capsys):
     assert payload["cumulative_mass"] == pytest.approx(0.4932052916366, abs=1e-4)
 
 
+@pytest.mark.parametrize("p", [0.1 + 1e-12, 0.1 + 1e-11, 0.1 + 1e-13, 0.1 + 1e-14])
+def test_pmf_that_misses_alpha_power_is_a_numerical_failure(capsys, p):
+    # Rows where the formula cancels (p just above 1/m) once exited 0;
+    # their mass misses alpha^m = 1 and one line says so.
+    code, out, err = run_cli(capsys, "pmf", "--p", repr(p), "--m", "10")
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert line.startswith("cascade-gamma pmf: pmf table misses alpha^10: mass = ")
+
+
+def test_pmf_whose_logs_pass_the_double_range_writes_one_error_line():
+    # Rows above one, with logs up to 2612, past exp's range: numpy once
+    # warned of the overflow, and the command exited 2.
+    done = cli_process("pmf", "--p", "0.50000000000001", "--m", "2")
+    assert (done.returncode, done.stdout) == (3, "")
+    [line] = done.stderr.splitlines()
+    assert line.startswith("cascade-gamma pmf: pmf table misses alpha^2 <= 1: row n = ")
+
+
 def test_pmf_rejects_coarse_lattice(capsys):
     code, _, err = run_cli(capsys, "pmf", "--p", "0.3", "--m", "3")
     assert code == 2
@@ -638,6 +657,39 @@ def test_writer_matches_the_reference_at_block_edges(rows):
                           "x": a[:0]})
 
 
+def test_comment_lines_keep_the_form_of_each_type():
+    # The right-hand sides are the f-strings each line once had: a bool
+    # as str(v).lower(), a str as {v}, anything else as {v!r}.
+    truncated, mode, m, steps, p, cap = False, "walk", None, 200, 4.2e134, 1000000.0
+    scalars = {"truncated": truncated, "passed": True, "mode": mode, "m": m, "steps": steps,
+               "p": p, "cap": cap, "x_max": 20.0, "epsilon": 1e-09, "n_censored": 0}
+    assert cli._comments(scalars) == [
+        f"truncated = {str(truncated).lower()}", "passed = true", f"mode = {mode}",
+        f"m = {m!r}", f"steps = {steps!r}", f"p = {p!r}", f"cap = {cap!r}",
+        "x-max = 20.0", "epsilon = 1e-09", "n-censored = 0",
+    ]
+
+
+@pytest.mark.parametrize("argv, comments", [
+    (("density", "--p", "0.4", "--steps", "3"),
+     ["cascade-gamma density", "p = 0.4", "x-min = 1.0", "x-max = 20.0", "steps = 3"]),
+    (("pmf", "--p", "0.6", "--m", "3", "--n-max", "5"),
+     ["cascade-gamma pmf", "p = 0.6", "m = 3", "delta = 0.3333333333333333", "r-star = 1.5",
+      "q-star = 0.4444444444444445", "tail-bound = 4.539375512583855", "truncated = true",
+      "cumulative-mass = 0.1757979956666838"]),
+    (("simulate", "--mode", "continuous", "--p", "4.2e134", "--cap", "1.7e308", "--trials", "10",
+      "--seed", "1", "--format", "csv"),
+     ["cascade-gamma simulate histogram", "mode = continuous", "p = 4.2e+134", "m = None",
+      "trials = 10", "seed = 1", "cap = 1.7e+308", "epsilon = 1e-09", "workers = 1",
+      "n-finite = 0", "n-censored = 10", "mean = None", "variance = None"]),
+])
+def test_table_comment_lines_are_pinned(capsys, argv, comments):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("#")] == [
+        f"# {line}" for line in comments]
+
+
 def test_writer_edge_values_by_name():
     # The named extremes in one table, read back exactly.
     values = np.array(_EDGE_FLOATS)
@@ -746,6 +798,17 @@ def test_simulate_histogram_csv(tmp_path, capsys):
     assert rows[-1][1] == "inf"
     assert sum(int(row[2]) for row in rows) == 1000
     assert hist.read_text() == out
+
+
+def test_simulate_at_huge_p_writes_only_its_summary_line():
+    # Each draw times p overflows to inf and censors its trial; numpy's
+    # overflow warning once came before the summary line.
+    done = cli_process("simulate", "--mode", "continuous", "--p", "4.2e134", "--cap", "1.7e308",
+                       "--trials", "10", "--seed", "1")
+    assert done.returncode == 0
+    assert done.stderr == ("cascade-gamma simulate: mean = None +- None, "
+                           "finite fraction = 0.0 +- 0.0, censored = 10\n")
+    assert json.loads(done.stdout)["n_censored"] == 10
 
 
 def test_simulate_epsilon_validation(capsys):

@@ -20,6 +20,7 @@ from cascade_gamma import (
     DiscretizationParams,
     DomainError,
     ModelParams,
+    ToleranceError,
     cascade_log_pmf,
     cascade_pmf_table,
     density,
@@ -194,6 +195,31 @@ def test_pmf_table_supercritical_mass_approaches_alpha_power():
     assert limit == pytest.approx(extinction(ModelParams(0.6)).prob_finite, abs=5e-3)
 
 
+# Where p is just above 1/m the formula's log-gammas cancel terms of
+# size n r* ln(n r*) (r* = 2e10 at the first): the masses are 0.999391,
+# 1.0000063, 0.997103 and 0.986855 against alpha^10 = 1, and at the last
+# the logs pass 0 (and exp's range) from row 23 on.
+_TABLES_THAT_MISS = [(0.1 + 1e-12, 10), (0.1 + 1e-11, 10), (0.1 + 1e-13, 10), (0.1 + 1e-14, 10),
+                     (0.50000000000001, 2)]
+
+
+@pytest.mark.parametrize("p, m", _TABLES_THAT_MISS)
+def test_pmf_table_that_misses_alpha_power_is_refused(p, m):
+    with pytest.raises(ToleranceError, match=rf"pmf table misses alpha\^{m}"):
+        cascade_pmf_table(DiscretizationParams(p, m), m)
+
+
+@pytest.mark.parametrize("p, m", [(0.01, 10_000), (100.0, 10_000), (0.3, 10_000),
+                                  (1.5e-5, 100_000), (0.0166, 2554), (0.55, 2), (0.6, 100)])
+def test_pmf_table_check_passes_rows_that_keep_their_digits(p, m):
+    # Residuals of up to 2.6 eps (rows + m) here and in a random sweep
+    # up to m = 2e5, against the check's 8 eps (rows + m).
+    params = DiscretizationParams(p, m)
+    table = cascade_pmf_table(params, m)
+    alpha_m = martingale_alpha(params) ** m
+    assert table.total_mass <= alpha_m + 8.0 * 2.0**-52 * (len(table) + m)
+
+
 def test_pmf_table_explicit_n_max_marks_truncation():
     params = DiscretizationParams(0.3, 10)
     table = cascade_pmf_table(params, 10, n_max=40)
@@ -315,9 +341,6 @@ def test_cascade_pmf_type_validation():
     params = DiscretizationParams(0.3, 10)
     with pytest.raises(DomainError):
         CascadePmf(params=params, m_start=10, probabilities=np.array([0.5, -0.1]),
-                   tail_bound=0.0, truncated=False)
-    with pytest.raises(DomainError):
-        CascadePmf(params=params, m_start=10, probabilities=np.array([0.9, 0.2]),
                    tail_bound=0.0, truncated=False)
     with pytest.raises(DomainError):
         CascadePmf(params=params, m_start=10, probabilities=np.array([0.9]),

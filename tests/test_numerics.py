@@ -7,6 +7,7 @@ quadrature cross-checks.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,18 @@ def test_interval_validation():
         Interval(0.0, math.inf)
     with pytest.raises(DomainError):
         Interval(math.nan, 1.0)
+
+
+def test_quadrature_refuses_an_infinite_width_without_a_warning():
+    # hi - lo = inf once reached _gk15, which warned of the overflow in
+    # its subtraction and called the integrand at nan and inf nodes.
+    # Interval takes such a bracket: solve_bracketed bisects it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="width"):
+            integrate_adaptive(np.zeros_like, Interval(-1e308, 1e308), abs_tol=1.0)
+        result = integrate_adaptive(np.zeros_like, Interval(-8e307, 8e307), abs_tol=1.0)
+    assert result.value == 0.0
 
 
 def test_quadrature_result_validation():

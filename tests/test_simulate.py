@@ -159,8 +159,8 @@ def test_continuous_trial_is_deterministic():
 # counts.  Any change to an engine that moves a draw shows here, and so
 # does a numpy release that changes its gamma or Poisson sampler.  Walk
 # runs the discrete engine, so its pin is the discrete one.
-_DISCRETE_PIN = ("0x1.5ef599999999ap+14", "0x1.7565e66666667p+17", 14055,
-                 "78e2f4a99ca8ce0c4d912e7a477ef63713754dd47cbe8692d6ca79d3b65abec5")
+_DISCRETE_PIN = ("0x1.5ef599999999ap+14", "0x1.7565e66666666p+17", 14055,
+                 "d10450fb0a8af3c299bafc624367b1f4e65f674bbc2e45ef72f66bc8a13d2e8a")
 
 
 @pytest.mark.parametrize("mode, p, m, pin", [
@@ -225,6 +225,29 @@ def test_walk_trial_no_offspring_stops_at_founder_count(monkeypatch):
         z, censored = _chunk_mass(SimConfig(mode=mode, p=0.3, m=m, trials=5, seed=1), 0, 5)
         assert z.tolist() == [1.0] * 5
         assert not censored.any()
+
+
+@pytest.mark.parametrize("mode", ["discrete", "walk"])
+@pytest.mark.parametrize("m", [49, 98])
+def test_founders_alone_weigh_exactly_one(mode, m):
+    # m * (1/m) rounds to 0.9999999999999999 at these m, which once made
+    # every founders-only trial fail the engine's founder-mass check.
+    # About 0.3% (m = 49) and 0.09% (m = 98) of the trials are founders only.
+    config = SimConfig(mode=mode, p=0.3, m=m, trials=20_000, seed=1)
+    z, censored = _chunk_mass(config, 0, config.trials)
+    assert not censored.any()
+    assert z.min() == 1.0 and np.count_nonzero(z == 1.0) >= 5
+    assert run_campaign(config).n_finite == config.trials
+
+
+@pytest.mark.parametrize("m", [10, 20, 40, 49, 98])
+def test_lattice_masses_fall_in_the_bin_their_edge_opens(m):
+    # Every mass k/m of [1, 50), as the discrete engines compute it; the
+    # bin is counted in integers.  Edges from np.linspace once put 7 of
+    # m = 10's masses (k * delta) a bin low, and 161 of them as k / m.
+    atoms = np.arange(m, 50 * m)
+    counts = np.histogram(atoms / m, bins=HIST_EDGES)[0]
+    assert counts.tolist() == np.bincount((atoms - m) * 20 // m, minlength=HIST_BINS).tolist()
 
 
 def test_walk_law_matches_reference_walk():
