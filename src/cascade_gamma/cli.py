@@ -4,21 +4,23 @@ Subcommands mirror the library surface: density, pmf, moments,
 extinction, simulate, verify.  Exit codes: 0 success, 2 usage or domain
 errors, 3 numerical failures (tolerance not met, verification residual
 above tolerance, or the two extinction routes of extinction and verify
-more than 1e-10 apart; the payload is still written).  CSV payloads
-carry '#' comment lines echoing the parameters, a fixed header, floats
-written as '%.17g' (17 significant digits, 'inf' and 'nan' spelled so)
-and LF line endings.  A table command states each parameter once, in a
-dict whose items JSON writes as they stand and _comments writes as
+more than 1e-10 apart; the payload is still written).  This module alone
+names what each command writes: the library's records carry values, not
+output names, and no written value has two sources.  CSV payloads carry
+'#' comment lines echoing the parameters, a fixed header, floats written
+as '%.17g' (17 significant digits, 'inf' and 'nan' spelled so) and LF
+line endings.  A table command states each parameter once, in a dict
+whose items JSON writes as they stand and _comments writes as
 '# key = value' lines: "-" for "_" in the key, a bool as JSON writes it
 ('true', 'false'), a str as it stands and any other value as its repr.
-JSON payloads use sorted keys and an indent of 2, with floats written
-as their shortest round-trip repr ('Infinity' and 'NaN' for the
-non-finite ones): _json_text writes each run of scalar items by json's
-C encoder and each array as tables are written.  Tables
-are formatted in blocks of rows and streamed to the output:
-floattext.cells writes each column of a block as a zero-padded byte
-matrix, with Python's own bytes for every cell, and _joined reads the
-rows out of the cells and separators laid side by side.  Outputs are byte-reproducible for identical invocations.
+JSON payloads use sorted keys and an indent of 2, with floats written as
+their shortest round-trip repr ('Infinity' and 'NaN' for the non-finite
+ones): _json_text writes each run of scalar items by json's C encoder
+and each array as tables are written.  Tables are formatted in blocks of
+rows and streamed to the output: floattext.cells writes each column of a
+block as a zero-padded byte matrix, with Python's own bytes for every
+cell, and _joined reads the rows out of the cells and separators laid
+side by side.  Outputs are byte-reproducible for identical invocations.
 
 Every command takes --config, --p, --format and --out, which
 _build_parser adds; _COMMANDS declares only each command's own options
@@ -281,11 +283,10 @@ def _cmd_moments(ns) -> int:
         from . import discrete
 
         dparams = discrete.DiscretizationParams(ns.p, ns.m)
-        dmoments = discrete.discrete_moments(dparams)
-        payload |= {"m": dparams.m, "delta": dparams.delta}
-        for key in ("per_atom", "total"):
-            moments = getattr(dmoments, key)
-            payload[key] = {"mean": moments.mean, "variance": moments.variance}
+        per_atom = discrete.discrete_moments(dparams)
+        payload |= {"m": dparams.m, "delta": dparams.delta,
+                    "per_atom": {"mean": per_atom.mean, "variance": per_atom.variance},
+                    "total": {"mean": result.mean, "variance": result.variance}}
     _emit_row(ns, payload)
     return 0
 
@@ -312,14 +313,10 @@ def _cmd_extinction(ns) -> int:
     return 0 if route_gap <= _ROUTE_GAP_TOL else 3
 
 
-def _histogram_csv(summary) -> Iterator[str]:
-    """The histogram of a simulate.SimSummary as CSV, the overflow bucket last."""
+def _histogram_csv(summary, scalars: dict) -> Iterator[str]:
+    """The histogram of a simulate.SimSummary as CSV under scalars, the overflow bucket last."""
     from . import simulate
 
-    config = summary.config
-    scalars = {key: getattr(config, key)
-               for key in ("mode", "p", "m", "trials", "seed", "cap", "epsilon", "workers")}
-    scalars |= {key: getattr(summary, key) for key in ("n_finite", "n_censored", "mean", "variance")}
     # The last row is the overflow bucket [HIST_HI, inf).
     edges = simulate.HIST_EDGES
     columns = [
@@ -341,20 +338,29 @@ def _cmd_simulate(ns) -> int:
         **{name: value for name, value in optional.items() if value is not None},
     )
     summary = simulate.run_campaign(config)
+    echo = {key: getattr(config, key)
+            for key in ("mode", "p", "m", "trials", "seed", "cap", "epsilon", "workers")}
+    stats = {key: getattr(summary, key) for key in ("n_finite", "n_censored", "mean", "variance")}
     histogram = None
     if ns.format == "csv" or ns.hist_out is not None:
         # Formatted once, when both the output and --hist-out want it.
-        histogram = list(_histogram_csv(summary))
+        histogram = list(_histogram_csv(summary, echo | stats))
     if ns.hist_out is not None:
         _emit(histogram, ns.hist_out)
     if ns.format == "csv":
         text = histogram
     else:
-        payload = summary.to_json_dict()
-        # _json_text writes an int64 array as it writes the list, without
-        # making an array of the list again.
-        payload["histogram"]["counts"] = summary.bin_counts
-        text = _json_text(payload)
+        text = _json_text(stats | {
+            "config": echo | {"delta": None if config.m is None else 1.0 / config.m},
+            "trials": summary.trials,
+            "finite_fraction": summary.finite_fraction,
+            "se_mean": summary.se_mean,
+            "sum_z": float(summary.sum_z),
+            "sum_z_sq": float(summary.sum_z_sq),
+            "histogram": {"lo": simulate.HIST_LO, "hi": simulate.HIST_HI,
+                          "bins": simulate.HIST_BINS, "counts": summary.bin_counts,
+                          "overflow": summary.overflow},
+        })
     _emit(text, ns.out)
     fraction_se = math.sqrt(
         max(summary.finite_fraction * (1.0 - summary.finite_fraction), 0.0) / summary.trials
@@ -388,17 +394,18 @@ def _cmd_verify(ns) -> int:
             payload["quadrature_error"] = exc.result.abs_error_estimate
         passed = False
     else:
-        payload["integral"] = check.integral
-        payload["x_max"] = check.x_max
-        payload["quadrature_error"] = check.quadrature.abs_error_estimate
-        payload["quadrature_evaluations"] = check.quadrature.evaluations
-        residual_lambert = abs(check.integral - lambert_report.prob_finite)
-        residual_root = abs(check.integral - root_target)
-        payload["residual_vs_lambert"] = residual_lambert
-        payload["residual_vs_root"] = residual_root
+        integral = check.quadrature.value
+        payload |= {
+            "integral": integral,
+            "x_max": check.x_max,
+            "quadrature_error": check.quadrature.abs_error_estimate,
+            "quadrature_evaluations": check.quadrature.evaluations,
+            "residual_vs_lambert": abs(integral - lambert_report.prob_finite),
+            "residual_vs_root": abs(integral - root_target),
+        }
         passed = (
-            residual_lambert <= ns.abs_tol
-            and residual_root <= ns.abs_tol
+            payload["residual_vs_lambert"] <= ns.abs_tol
+            and payload["residual_vs_root"] <= ns.abs_tol
             and route_gap <= _ROUTE_GAP_TOL
         )
     payload["passed"] = passed

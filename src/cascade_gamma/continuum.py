@@ -138,15 +138,15 @@ class ExtinctionReport(Record):
 class NormalizationCheck(Record):
     """Outcome of integrating the density over its support.
 
-    integral is the quadrature over the whole support [1, inf); no
-    cutoff or tail term enters it.  x_max is the largest abscissa at
-    which that quadrature evaluated the density.
+    quadrature covers the whole support [1, inf), and its value is the
+    integral; no cutoff or tail term enters it.  x_max is the largest
+    abscissa at which that quadrature evaluated the density.
     """
 
-    __slots__ = ("integral", "x_max", "quadrature")
+    __slots__ = ("x_max", "quadrature")
 
-    def __init__(self, integral: float, x_max: float, quadrature: QuadratureResult):
-        super().__init__(integral, x_max, quadrature)
+    def __init__(self, x_max: float, quadrature: QuadratureResult):
+        super().__init__(x_max, quadrature)
 
 
 class DensityTable(Record):
@@ -438,7 +438,7 @@ def verify_normalization(params: ModelParams, abs_tol: float) -> NormalizationCh
             f"the normalization check requires p >= {_VERIFY_MIN_P!r}, got p = {params.p!r}: "
             "below that the density near x = 1 is lost to underflow")
     quadrature, x_max = _support_moment(params, 0, abs_tol * 0.5)
-    return NormalizationCheck(integral=quadrature.value, x_max=x_max, quadrature=quadrature)
+    return NormalizationCheck(x_max=x_max, quadrature=quadrature)
 
 
 def density_table(params: ModelParams, x_min: float, x_max: float, steps: int) -> DensityTable:

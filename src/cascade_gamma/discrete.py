@@ -14,10 +14,10 @@ ever born, starting from m_start of them, has the explicit pmf
                (1 - q*)^(r* n) q*^(n - m),   n >= m,
 
 with G the gamma function.  This module evaluates that pmf in log
-space, tabulates it with a certified geometric tail bound, carries the
-exact finite-delta moments, and finds the per-atom extinction
-probability as the smallest fixed point of the offspring generating
-function.
+space, tabulates it with a certified geometric tail bound, gives the
+exact moments of one atom's cascade at finite delta (m of them make
+the continuum moments), and finds the per-atom extinction probability
+as the smallest fixed point of the offspring generating function.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .numerics import Interval
 __all__ = [
     "DiscretizationParams",
     "CascadePmf",
-    "DiscreteMoments",
     "cascade_log_pmf",
     "cascade_pmf_table",
     "discrete_moments",
@@ -123,15 +122,6 @@ class CascadePmf(Record):
 
     def __len__(self) -> int:
         return self.probabilities.size
-
-
-class DiscreteMoments(Record):
-    """Exact cascade-size moments at finite delta, scaled to mass units."""
-
-    __slots__ = ("per_atom", "total")
-
-    def __init__(self, per_atom: Moments, total: Moments):
-        super().__init__(per_atom, total)
 
 
 def _validate_counts(n) -> np.ndarray:
@@ -276,28 +266,21 @@ def cascade_pmf_table(
     return table
 
 
-def discrete_moments(params: DiscretizationParams) -> DiscreteMoments:
-    """Exact finite-delta moments of the cascade size in mass units.
+def discrete_moments(params: DiscretizationParams) -> Moments:
+    """Exact moments of the mass delta T_1 of one founding atom's cascade.
 
-    Per founding atom the mass delta T_1 has mean delta / (1 - 2p) and
-    variance 2 delta p^2 / (1 - 2p)^3; the mass-one start is a sum of
-    m independent copies, so its moments reproduce the continuum mean
-    1 / (1 - 2p) and variance 2 p^2 / (1 - 2p)^3 exactly at every
-    delta.  Subcritical only.
+    Its mean is delta / (1 - 2p) and its variance 2 delta p^2 / (1 - 2p)^3.
+    The mass-one start is a sum of m independent copies, so its moments
+    are m times these: the continuum mean 1 / (1 - 2p) and variance
+    2 p^2 / (1 - 2p)^3 of continuum.moments, exactly at every delta.
+    Subcritical only.
     """
     p = params.p
     if not p < 0.5:
         raise CriticalityError(f"discrete moments require p < 0.5, got p = {p!r}")
     shortfall = 1.0 - 2.0 * p
-    per_atom = Moments(
-        mean=params.delta / shortfall,
-        variance=2.0 * params.delta * p * p / shortfall**3,
-    )
-    total = Moments(
-        mean=1.0 / shortfall,
-        variance=2.0 * p * p / shortfall**3,
-    )
-    return DiscreteMoments(per_atom=per_atom, total=total)
+    return Moments(mean=params.delta / shortfall,
+                   variance=2.0 * params.delta * p * p / shortfall**3)
 
 
 def martingale_alpha(params: DiscretizationParams) -> float:
@@ -308,19 +291,25 @@ def martingale_alpha(params: DiscretizationParams) -> float:
     only root is 1; above it the interior root is found by a bracketed
     solve for t = ln alpha of
 
-        t + r* log1p(-odds expm1(t)) = 0,   odds = q*/(1 - q*) = (p - delta)/delta,
+        t + r* log1p(x) = t - 2p expm1(t) L(x) = 0,
+        x = -odds expm1(t),   odds = q*/(1 - q*) = (p - delta)/delta,
 
-    on [-745, -1e-300]: alpha = exp(t) keeps its relative precision both
-    near criticality (t = -8e-10 at p = 0.5000001, m = 1000) and far above
-    it (alpha = 1e-16 at p = 1e8, m = 1).
+    with L(x) = log1p(x)/x and L(0) = 1, on [-745, -1e-300].  r* odds is
+    exactly 2p, which the second form uses as such: as a rounded product
+    it lost the sign of the gap at t = -1e-300 just above p = 1/2, where
+    x is subnormal and 2p - 1 is 2e-14.  alpha = exp(t) keeps its
+    relative precision both near criticality (t = -8e-10 at p = 0.5000001,
+    m = 1000) and far above it (alpha = 1e-16 at p = 1e8, m = 1).
     """
     if params.p <= 0.5:
         return 1.0
-    r = params.r_star
     odds = (params.p - params.delta) / params.delta
+    two_p = 2.0 * params.p
 
     def fixed_point_gap(t: float) -> float:
-        return t + r * math.log1p(-odds * math.expm1(t))
+        shrink = math.expm1(t)
+        x = -odds * shrink
+        return t - two_p * shrink * (math.log1p(x) / x if x else 1.0)
 
     t = numerics.solve_bracketed(fixed_point_gap, Interval(-745.0, -1e-300))
     return math.exp(t)

@@ -76,30 +76,21 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, x - high
 
 
-def _whole_powers(js, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """10^j·2^-shift = hi + lo for j >= 0, each rounded from integers."""
-    hi, lo = [], []
-    for j in js:
-        num = 10**j
-        h = num / 2**shift  # int / int rounds correctly
-        hi.append(h)
-        lo.append((num - int(h) * 2**shift) / 2**shift)
-    return np.array(hi), np.array(lo)
-
-
 def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
-    hi, lo = _whole_powers(range(_J_MAX + 1), 0)
-    # j < 0 as the double-double reciprocal r + c of 10^-j = h + l, good
-    # to about 2^-104: h·r = p + e exactly (Dekker), so the residual
-    # 1 - (h + l)·r is (1 - p) - e - l·r.
-    h, l = hi[-_J_MIN:0:-1], lo[-_J_MIN:0:-1]
-    r = 1.0 / h
-    p = h * r
-    (hh, hl), (rh, rl) = _split(h), _split(r)
-    e = ((hh * rh - p) + hh * rl + hl * rh) + hl * rl
-    c = r * (((1.0 - p) - e) - l * r)
-    tiny_hi, tiny_lo = _whole_powers(_J_TINY, 256)  # 10^j / _TINY
-    return np.concatenate([r, hi, tiny_hi]), np.concatenate([c, lo, tiny_lo])
+    """10^j·2^-shift = hi + lo, both parts rounded once from exact integers.
+
+    10^j·2^-shift is num/den with num = 10^max(j, 0) and den =
+    10^max(-j, 0)·2^shift; int / int rounds correctly, so hi = num/den
+    and, with hi = a/b exactly, lo = (num·b - a·den)/(den·b).
+    """
+    hi, lo = [], []
+    for j, shift in [(j, 0) for j in range(_J_MIN, _J_MAX + 1)] + [(j, 256) for j in _J_TINY]:
+        num, den = 10**max(j, 0), 10**max(-j, 0) << shift
+        h = num / den
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    return np.array(hi), np.array(lo)
 
 
 _HI, _LO = _powers_of_ten()

@@ -23,7 +23,9 @@ censored trials never enter the sums or the histogram.
 Reproducibility contract: trials are processed in fixed chunks of
 CHUNK_TRIALS, chunk i drawing from its own PCG64 stream spawned as
 (seed, i).  Campaign results are therefore identical for any worker
-count, and byte-identical once serialized.
+count.  A campaign returns a SimSummary of exact sums and counts; which
+of its values are written, and under what names, cascade_gamma.cli
+alone decides.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ _MODES = ("continuous", "discrete", "walk")
 
 
 class SimConfig(Record):
-    """Campaign description; immutable and hashable so chunks can share it.
+    """Campaign description, immutable: the chunks, run on threads, share this one object.
 
     m is the atom count of the discretized engines and must be absent
     for the continuous one.  cap bounds the accumulated mass of one
@@ -115,15 +117,6 @@ class SimConfig(Record):
 
     def _key(self) -> tuple:
         return (self.mode, self.p, self.trials, self.seed, self.m, self.cap)
-
-    @property
-    def delta(self) -> float | None:
-        return None if self.m is None else 1.0 / self.m
-
-    def discretization(self) -> DiscretizationParams:
-        if self.m is None:
-            raise DomainError("continuous mode has no discretization")
-        return DiscretizationParams(p=self.p, m=self.m)
 
 
 def _rng_stream(seed: int, stream_index: int) -> np.random.Generator:
@@ -238,38 +231,6 @@ class SimSummary(Record):
             overflow=self.overflow + other.overflow,
         )
 
-    def to_json_dict(self) -> dict:
-        config = {
-            "mode": self.config.mode,
-            "p": self.config.p,
-            "m": self.config.m,
-            "delta": self.config.delta,
-            "trials": self.config.trials,
-            "seed": self.config.seed,
-            "cap": self.config.cap,
-            "epsilon": self.config.epsilon,
-            "workers": self.config.workers,
-        }
-        return {
-            "config": config,
-            "trials": self.trials,
-            "n_finite": self.n_finite,
-            "n_censored": self.n_censored,
-            "finite_fraction": self.finite_fraction,
-            "mean": self.mean,
-            "variance": self.variance,
-            "se_mean": self.se_mean,
-            "sum_z": float(self.sum_z),
-            "sum_z_sq": float(self.sum_z_sq),
-            "histogram": {
-                "lo": HIST_LO,
-                "hi": HIST_HI,
-                "bins": HIST_BINS,
-                "counts": self.bin_counts.tolist(),
-                "overflow": self.overflow,
-            },
-        }
-
 
 def _chunk_mass(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Total mass and censoring flag of each trial of chunk index."""
@@ -285,7 +246,7 @@ def _chunk_mass(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, n
             finite = ~censored
             z[finite] += last[finite] * (2.0 * p / (1.0 - 2.0 * p))
         return z, censored
-    params = config.discretization()
+    params = DiscretizationParams(config.p, config.m)
     scale = params.q_star / (1.0 - params.q_star)
     _, atoms, censored = _generations(
         np.full(size, params.m, dtype=np.int64),

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascade_gamma import (
@@ -160,6 +160,16 @@ def test_pmf_whose_logs_pass_the_double_range_writes_one_error_line():
     assert line.startswith("cascade-gamma pmf: pmf table misses alpha^2 <= 1: row n = ")
 
 
+def test_pmf_just_above_one_half_finds_its_alpha(capsys):
+    # The table's check against alpha^2 once failed to solve for alpha
+    # here ("no sign change"); the rows themselves pass it.
+    code, out, err = run_cli(capsys, "pmf", "--p", "0.50000000000001", "--m", "2", "--n-max", "5")
+    assert (code, err) == (0, "")
+    _, header, rows, _ = parse_csv(out)
+    assert header == ["n", "pmf", "rescaled_density"]
+    assert [row[0] for row in rows] == ["2", "3", "4", "5"]
+
+
 def test_pmf_rejects_coarse_lattice(capsys):
     code, _, err = run_cli(capsys, "pmf", "--p", "0.3", "--m", "3")
     assert code == 2
@@ -254,6 +264,27 @@ def test_moments_with_lattice_block(capsys):
     assert payload["per_atom"]["mean"] == pytest.approx(0.02, rel=1e-15)
     assert payload["total"]["mean"] == 2.0
     assert payload["total"]["variance"] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.0011, max_value=0.4999))
+@example(0.210457)
+@example(0.357579)
+def test_moments_total_is_the_top_level_moments(p):
+    # total is the mass-one start, whose moments are the continuum ones:
+    # one result, written twice.  At p = 0.210457 and 0.357579 (m = 1000)
+    # two formulas once wrote variances a last bit apart.
+    for fmt in ("json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["moments", "--p", repr(p), "--m", "1000", "--format", fmt]) == 0
+        if fmt == "json":
+            payload = json.loads(out.getvalue())
+            assert payload["total"] == {"mean": payload["mean"], "variance": payload["variance"]}
+        else:
+            _, header, [row], _ = parse_csv(out.getvalue())
+            cells = dict(zip(header, row))
+            assert (cells["total_mean"], cells["total_variance"]) == (cells["mean"], cells["variance"])
 
 
 def test_moments_csv(capsys):

@@ -138,7 +138,7 @@ EXPORTS = [
     "ModelParams", "Moments", "ExtinctionReport", "NormalizationCheck", "DensityTable",
     "log_density", "density", "asymptotic_log_density", "moments", "extinction",
     "extinction_gap_root", "verify_normalization", "density_table",
-    "DiscretizationParams", "CascadePmf", "DiscreteMoments", "cascade_log_pmf",
+    "DiscretizationParams", "CascadePmf", "cascade_log_pmf",
     "cascade_pmf_table", "discrete_moments", "martingale_alpha", "rescaled_density_estimate",
     "CHUNK_TRIALS", "HIST_LO", "HIST_HI", "HIST_BINS", "HIST_EDGES", "SimConfig", "SimSummary",
     "run_campaign",

@@ -455,7 +455,7 @@ def test_verify_normalization(p, target):
     params = ModelParams(p)
     check = verify_normalization(params, abs_tol=1e-8)
     assert extinction(params).prob_finite == pytest.approx(target, rel=1e-12)
-    assert abs(check.integral - target) <= 1e-6
+    assert abs(check.quadrature.value - target) <= 1e-6
     assert check.quadrature.abs_error_estimate <= 1e-8
 
 
@@ -465,7 +465,7 @@ def test_verify_normalization_critical_power_tail():
     params = ModelParams(0.5)
     check = verify_normalization(params, abs_tol=1e-7)
     assert extinction(params).prob_finite == 1.0
-    assert abs(check.integral - 1.0) <= 1e-6
+    assert abs(check.quadrature.value - 1.0) <= 1e-6
 
 
 # Tiny p (narrow peak, overflowing tail constant), both sides of
@@ -487,8 +487,8 @@ NORMALIZATION_GRID = [
 def test_verify_normalization_over_the_whole_support(p, abs_tol):
     params = ModelParams(p)
     check = verify_normalization(params, abs_tol=abs_tol)
-    assert abs(check.integral - math.exp(-extinction_gap_root(params))) <= abs_tol
-    assert abs(check.integral - extinction(params).prob_finite) <= abs_tol
+    assert abs(check.quadrature.value - math.exp(-extinction_gap_root(params))) <= abs_tol
+    assert abs(check.quadrature.value - extinction(params).prob_finite) <= abs_tol
     assert math.isfinite(check.x_max) and check.x_max > 1.0
 
 

@@ -351,20 +351,24 @@ def test_cascade_pmf_type_validation():
 
 
 def test_discrete_moments_per_atom_and_total():
-    result = discrete_moments(DiscretizationParams(0.25, 100))
-    assert result.per_atom.mean == pytest.approx(0.02, rel=1e-15)
-    assert result.per_atom.variance == pytest.approx(0.01, rel=1e-14)
+    # One atom's cascade: delta / (1 - 2p) and 2 delta p^2 / (1 - 2p)^3.
+    # The mass-one total, m such cascades, is continuum.moments itself,
+    # which moments --m writes (test_cli.py checks that bit for bit).
+    per_atom = discrete_moments(DiscretizationParams(0.25, 100))
+    assert per_atom.mean == pytest.approx(0.02, rel=1e-15)
+    assert per_atom.variance == pytest.approx(0.01, rel=1e-14)
     continuum = moments(ModelParams(0.25))
-    assert result.total.mean == continuum.mean
-    assert result.total.variance == continuum.variance
+    assert 100 * per_atom.mean == continuum.mean
+    assert 100 * per_atom.variance == continuum.variance
 
 
 @pytest.mark.parametrize("p,m", [(0.1, 11), (0.3, 10), (0.45, 50)])
 def test_discrete_totals_equal_continuum_at_every_delta(p, m):
-    result = discrete_moments(DiscretizationParams(p, m))
+    # m independent atoms' cascades make the continuum moments at every delta.
+    per_atom = discrete_moments(DiscretizationParams(p, m))
     continuum = moments(ModelParams(p))
-    assert result.total.mean == pytest.approx(continuum.mean, rel=1e-15)
-    assert result.total.variance == pytest.approx(continuum.variance, rel=1e-15)
+    assert m * per_atom.mean == pytest.approx(continuum.mean, rel=1e-15)
+    assert m * per_atom.variance == pytest.approx(continuum.variance, rel=1e-15)
 
 
 def test_discrete_moments_reject_critical():
@@ -375,8 +379,8 @@ def test_discrete_moments_reject_critical():
 
 
 def test_discrete_moments_small_p():
-    result = discrete_moments(DiscretizationParams(0.01, 1000))
-    assert result.total.mean == pytest.approx(1.0, abs=0.03)
+    per_atom = discrete_moments(DiscretizationParams(0.01, 1000))
+    assert 1000 * per_atom.mean == pytest.approx(1.0, abs=0.03)
 
 
 # ---------------------------------------------------------- martingale root
@@ -437,6 +441,20 @@ def test_martingale_alpha_near_criticality(k, m):
     alpha = martingale_alpha(DiscretizationParams(p, m))
     assert 0.0 < alpha < 1.0
     assert abs(alpha - _mp_martingale_alpha(p, m)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 10])
+@pytest.mark.parametrize("k", range(1, 16))
+def test_martingale_alpha_just_above_one_half_and_delta(k, m):
+    # p = max(1/2, delta) + 10^-k.  r* odds is 2p; formed as a product
+    # its rounding outweighed 2p - 1 = 2e-14 at m = 2, where the gap at
+    # t = -1e-300 lost its sign and the solve found no root.  The largest
+    # error seen is 4.3e-16.
+    p = max(0.5, 1.0 / m) + 10.0**-k
+    alpha = martingale_alpha(DiscretizationParams(p, m))
+    expected = _mp_martingale_alpha(p, m)
+    assert 0.0 < alpha < 1.0
+    assert abs(alpha - expected) <= 1e-15 * expected
 
 
 @pytest.mark.parametrize("p", [1e5, 1e8])

@@ -24,7 +24,7 @@ from cascade_gamma.continuum import (
     Moments,
     NormalizationCheck,
 )
-from cascade_gamma.discrete import CascadePmf, DiscreteMoments, DiscretizationParams
+from cascade_gamma.discrete import CascadePmf, DiscretizationParams
 from cascade_gamma.numerics import Interval, QuadratureResult
 from cascade_gamma.simulate import HIST_BINS, SimConfig, SimSummary
 
@@ -44,9 +44,8 @@ RECORDS = [
     (Moments, (2.0, 1.0), dict(mean=2.0, variance=1.0), "Moments(mean=2.0, variance=1.0)"),
     (ExtinctionReport, (0.7, 0.5), dict(p=0.7, decay_gap=0.5),
      "ExtinctionReport(p=0.7, decay_gap=0.5)"),
-    (NormalizationCheck, (0.5, 80.0, _QUADRATURE),
-     dict(integral=0.5, x_max=80.0, quadrature=_QUADRATURE),
-     "NormalizationCheck(integral=0.5, x_max=80.0, quadrature=QuadratureResult(value=0.5, "
+    (NormalizationCheck, (80.0, _QUADRATURE), dict(x_max=80.0, quadrature=_QUADRATURE),
+     "NormalizationCheck(x_max=80.0, quadrature=QuadratureResult(value=0.5, "
      "abs_error_estimate=1e-12, evaluations=15))"),
     (DensityTable, (ModelParams(0.3), _X, _G, _ASYMPTOTE),
      dict(params=ModelParams(0.3), x=_X, density=_G, asymptotic=_ASYMPTOTE),
@@ -62,10 +61,6 @@ RECORDS = [
           truncated=False),
      "CascadePmf(params=DiscretizationParams(p=0.5, m=10, delta=0.1, r_star=0.25, q_star=0.8), "
      "m_start=10, probabilities=array([0.5 , 0.25]), tail_bound=0.0, truncated=False)"),
-    (DiscreteMoments, (Moments(2.0, 1.0), Moments(0.2, 0.01)),
-     dict(per_atom=Moments(2.0, 1.0), total=Moments(0.2, 0.01)),
-     "DiscreteMoments(per_atom=Moments(mean=2.0, variance=1.0), "
-     "total=Moments(mean=0.2, variance=0.01))"),
     (SimConfig, ("discrete", 0.3, 100, 7, 10, 1e3, 2),
      dict(mode="discrete", p=0.3, trials=100, seed=7, m=10, cap=1e3, workers=2),
      "SimConfig(mode='discrete', p=0.3, trials=100, seed=7, m=10, cap=1000.0, workers=2)"),

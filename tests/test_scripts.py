@@ -4,7 +4,9 @@ The scripts under scripts/ import the package as any user would; a
 deleted or renamed name that one of them uses fails here rather than
 on its next run.  Public names that only tests use belong in the
 tests, so the guard below fails on any name in a module's __all__ that
-nothing in src/, scripts/ or perfbench/ (tests aside) refers to.
+nothing in src/, scripts/ or perfbench/ (tests aside) refers to, and on
+any public method or property of an exported class that nothing there
+reads as an attribute.
 """
 
 import ast
@@ -82,41 +84,53 @@ def test_output_digest_lists_every_verify_job(options):
     assert second.stdout == first.stdout
 
 
-def _public_names() -> dict[str, str]:
-    """Every name in a package module's __all__, mapped to its module."""
-    names = {}
+def _public_names() -> tuple[dict[str, str], dict[str, str]]:
+    """Every name in a package module's __all__, mapped to its module, and
+    every public method or property of such a class, "module.Class.name"
+    mapped to the name."""
+    names, members = {}, {}
     for path in sorted((SRC / "cascade_gamma").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        body = ast.parse(path.read_text()).body
+        for node in body:
             if isinstance(node, ast.Assign) and any(
                     isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
                 names.update(dict.fromkeys(ast.literal_eval(node.value), path.stem))
-    return names
+        for node in body:
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                members.update({f"{path.stem}.{node.name}.{item.name}": item.name
+                                for item in node.body if isinstance(item, ast.FunctionDef)
+                                and not item.name.startswith("_")})
+    return names, members
 
 
-def _used_names() -> set[str]:
-    """The names loaded as variables or read as attributes outside the tests.
+def _used_names() -> tuple[set[str], set[str]]:
+    """The names loaded as variables, and those read as attributes, outside the tests.
 
     A definition (def, class or assignment) and an __all__ entry (a
     string) are not uses, so a name that is only defined and exported
     is missing here.
     """
-    used = set()
+    variables, attributes = set(), set()
     for folder in ("src", "scripts", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
             if "tests" in path.relative_to(ROOT).parts:
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                    used.add(node.id)
+                    variables.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-    return used
+                    attributes.add(node.attr)
+    return variables, attributes
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    used = _used_names()
-    test_only = [f"{module}.{name}" for name, module in _public_names().items() if name not in used]
+    (names, members), (variables, attributes) = _public_names(), _used_names()
+    test_only = [f"{module}.{name}" for name, module in names.items()
+                 if name not in variables | attributes]
+    test_only += [member for member, name in members.items() if name not in attributes]
     assert not test_only, f"public names that only tests use: {test_only}"
+    # The members are found: the records' properties and methods among them.
+    assert {"simulate.SimSummary.merge", "discrete.CascadePmf.total_mass"} <= set(members)
 
 
 def test_output_digest_drops_top_level_keys_of_json_outputs():

@@ -9,7 +9,9 @@ statistical reference is the per-step walk below, which retires one
 atom per step and lives only in this file.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
@@ -29,7 +31,7 @@ from cascade_gamma import (
     moments,
     run_campaign,
 )
-from cascade_gamma import simulate
+from cascade_gamma import cli, simulate
 from cascade_gamma.simulate import CHUNK_TRIALS, HIST_BINS, HIST_EDGES, HIST_HI, _chunk_mass, _rng_stream
 
 P_FINITE_06 = 0.49243218436184857  # exp(-decay gap) at p = 0.6, bisection oracle
@@ -313,10 +315,9 @@ def test_sim_config_integers_take_numpy_integers_only(name):
 
 def test_sim_config_validation():
     good = SimConfig(mode="continuous", p=0.3, trials=10, seed=1)
-    assert good.m is None and good.delta is None
+    assert good.m is None
     disc = SimConfig(mode="walk", p=0.3, trials=10, seed=1, m=10)
-    assert disc.delta == 0.1
-    assert disc.discretization() == DiscretizationParams(0.3, 10)
+    assert disc.m == 10
     with pytest.raises(DomainError):
         SimConfig(mode="lattice", p=0.3, trials=10, seed=1)
     with pytest.raises(DomainError):
@@ -411,17 +412,29 @@ def test_summary_small_count_edge_cases():
     assert one.mean is not None
 
 
+def _simulate_json(*argv: str) -> str:
+    """The JSON payload that cli.main writes for simulate with argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["simulate", *argv]) == 0
+    return out.getvalue()
+
+
 def test_summary_json_dict_round_trip_fields():
-    config = SimConfig(mode="walk", p=0.3, trials=500, seed=9, m=10)
-    summary = run_campaign(config)
-    payload = summary.to_json_dict()
-    assert payload["config"]["mode"] == "walk"
-    assert payload["config"]["m"] == 10
-    assert payload["config"]["delta"] == 0.1
-    assert payload["trials"] == 500
-    assert payload["n_finite"] == summary.n_finite
-    # Plain lists and numbers, so the dict goes through json.dumps.
-    assert json.loads(json.dumps(payload)) == payload
+    # The CLI's JSON payload of a summary: the config echo, the counts
+    # and the histogram, read back as the summary's own fields.
+    summary = run_campaign(SimConfig(mode="walk", p=0.3, trials=500, seed=9, m=10))
+    payload = json.loads(_simulate_json("--mode", "walk", "--p", "0.3", "--trials", "500",
+                                        "--seed", "9", "--m", "10"))
+    assert payload["config"] == {"mode": "walk", "p": 0.3, "m": 10, "delta": 0.1, "trials": 500,
+                                 "seed": 9, "cap": 1e6, "epsilon": 1e-9, "workers": 1}
+    assert (payload["trials"], payload["n_finite"], payload["n_censored"]) == (
+        500, summary.n_finite, summary.n_censored)
+    assert (payload["mean"], payload["variance"], payload["se_mean"]) == (
+        summary.mean, summary.variance, summary.se_mean)
+    assert (payload["sum_z"], payload["sum_z_sq"]) == (float(summary.sum_z), float(summary.sum_z_sq))
+    assert payload["finite_fraction"] == summary.finite_fraction
+    assert payload["histogram"]["counts"] == summary.bin_counts.tolist()
     assert len(payload["histogram"]["counts"]) == HIST_BINS
     assert sum(payload["histogram"]["counts"]) + payload["histogram"]["overflow"] == summary.n_finite
 
@@ -435,11 +448,7 @@ def test_campaign_workers_do_not_change_the_result():
     serial = run_campaign(config1)
     parallel = run_campaign(config3)
     assert _summaries_equal(serial, parallel)
-    a = serial.to_json_dict()
-    b = parallel.to_json_dict()
-    assert a["config"].pop("workers") == 1
-    assert b["config"].pop("workers") == 3
-    assert a == b
+    assert (serial.config.workers, parallel.config.workers) == (1, 3)
 
 
 def test_campaign_threads_share_chunks_and_end_with_the_call():
@@ -472,14 +481,14 @@ def test_campaign_raises_a_worker_failure(monkeypatch):
 
 
 def test_walk_and_discrete_campaigns_are_identical():
-    # One engine serves both modes, so equal seeds give equal summaries.
-    for extra in (dict(p=0.3), dict(p=0.6, cap=20.0)):
-        base = dict(trials=20_000, m=10, seed=424242, **extra)
-        branch = run_campaign(SimConfig(mode="discrete", **base)).to_json_dict()
-        walk = run_campaign(SimConfig(mode="walk", **base)).to_json_dict()
-        assert branch["config"].pop("mode") == "discrete"
-        assert walk["config"].pop("mode") == "walk"
-        assert walk == branch
+    # One engine serves both modes, so equal seeds give equal payloads
+    # but for the mode echoed.
+    for extra in (("--p", "0.3"), ("--p", "0.6", "--cap", "20")):
+        base = ("--trials", "20000", "--m", "10", "--seed", "424242", *extra)
+        branch = _simulate_json("--mode", "discrete", *base)
+        walk = _simulate_json("--mode", "walk", *base)
+        assert walk.count('"mode": "walk"') == 1
+        assert walk.replace('"mode": "walk"', '"mode": "discrete"') == branch
 
 
 def test_campaign_supercritical_finite_fraction():
