@@ -237,7 +237,7 @@ def _cmd_pmf(ns) -> int:
     from . import discrete
 
     params = discrete.DiscretizationParams(ns.p, ns.m)
-    table = discrete.cascade_pmf_table(params, params.m, n_max=ns.n_max)
+    table = discrete.cascade_pmf_table(params, n_max=ns.n_max)
     scalars = {"p": params.p, "m": params.m, "delta": params.delta, "r_star": params.r_star,
                "q_star": params.q_star, "tail_bound": table.tail_bound,
                "truncated": table.truncated}

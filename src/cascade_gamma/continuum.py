@@ -71,23 +71,21 @@ TABLE_ROW_CAP = 2_000_000
 class ModelParams(Record):
     """Offspring scale p > 0 for Gamma(2, p) generations.
 
-    The shape is fixed at k = 2: each unit of current population
-    contributes a Gamma(2, p) block to the next generation, so the
-    per-unit offspring mean is 2p and criticality sits at p = 1/2.
+    The shape is fixed at k = 2, so it is no field: each unit of current
+    population contributes a Gamma(2, p) block to the next generation,
+    the per-unit offspring mean is 2p and criticality sits at p = 1/2.
     """
 
-    __slots__ = ("p", "k")
+    __slots__ = ("p",)
 
-    def __init__(self, p: float, k: int = 2):
-        if k != 2:
-            raise DomainError(f"only the shape k = 2 model is implemented, got k = {k!r}")
+    def __init__(self, p: float):
         try:
             value = float(p)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"p must be a positive real, got {p!r}") from exc
         if not (math.isfinite(value) and value > 0.0):
             raise DomainError(f"p must be a positive real, got {p!r}")
-        super().__init__(value, k)
+        super().__init__(value)
 
     @property
     def subcritical(self) -> bool:
@@ -106,23 +104,20 @@ class Moments(Record):
 
 
 class ExtinctionReport(Record):
-    """Probability that the cascade is finite.
+    """Probability that the cascade is finite, for the p the caller holds.
 
     decay_gap is the nonnegative root x* of x = 2 ln(1 + p x); the
     finite-cascade probability is exp(-x*).  Subcritical and critical
-    cascades die out surely, so there decay_gap = 0 and prob_finite = 1.
+    cascades die out surely, so extinction gives them decay_gap = 0 and
+    prob_finite = 1.
     """
 
-    __slots__ = ("p", "decay_gap")
+    __slots__ = ("decay_gap",)
 
-    def __init__(self, p: float, decay_gap: float):
-        if not (math.isfinite(p) and p > 0.0):
-            raise DomainError(f"p must be a positive real, got {p!r}")
+    def __init__(self, decay_gap: float):
         if not decay_gap >= 0.0:
             raise DomainError(f"decay_gap must be >= 0, got {decay_gap!r}")
-        if decay_gap > 0.0 and p <= _CRITICAL_P:
-            raise DomainError(f"decay_gap must be 0 at p = {p!r} <= 1/2, got {decay_gap!r}")
-        super().__init__(p, decay_gap)
+        super().__init__(decay_gap)
 
     @property
     def log_prob_finite(self) -> float:
@@ -150,10 +145,9 @@ class NormalizationCheck(Record):
 
 
 class DensityTable(Record):
-    __slots__ = ("params", "x", "density", "asymptotic")
+    __slots__ = ("x", "density", "asymptotic")
 
-    def __init__(self, params: ModelParams, x: np.ndarray, density: np.ndarray,
-                 asymptotic: np.ndarray):
+    def __init__(self, x: np.ndarray, density: np.ndarray, asymptotic: np.ndarray):
         if not (len(x) == len(density) == len(asymptotic)):
             raise DomainError("table columns must share one length")
         if np.any(np.diff(x) <= 0.0):
@@ -161,7 +155,7 @@ class DensityTable(Record):
         for column in (density, asymptotic):
             if np.any(~np.isfinite(column)) or np.any(column < 0.0):
                 raise DomainError("density columns must be finite and nonnegative")
-        super().__init__(params, x, density, asymptotic)
+        super().__init__(x, density, asymptotic)
 
 
 def _on_support(x, message: str) -> np.ndarray:
@@ -289,9 +283,9 @@ def extinction(params: ModelParams) -> ExtinctionReport:
 
     p = params.p
     if p <= _CRITICAL_P:
-        return ExtinctionReport(p=p, decay_gap=0.0)
+        return ExtinctionReport(decay_gap=0.0)
     r = numerics.lambert_w_m1(0.5 * _tail_constants(params)[1])
-    return ExtinctionReport(p=p, decay_gap=2.0 * (math.expm1(r) + (p - 0.5) / p))
+    return ExtinctionReport(decay_gap=2.0 * (math.expm1(r) + (p - 0.5) / p))
 
 
 def extinction_gap_root(params: ModelParams) -> float:
@@ -462,5 +456,4 @@ def density_table(params: ModelParams, x_min: float, x_max: float, steps: int) -
     if over.any():
         raise DomainError(f"the asymptote exceeds the largest double at x = {float(grid[over][0])!r} "
                           f"for p = {params.p!r}")
-    return DensityTable(params=params, x=grid, density=density(params, grid),
-                        asymptotic=asymptotic)
+    return DensityTable(x=grid, density=density(params, grid), asymptotic=asymptotic)

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _GRID_NUDGE = 1e-9  # guards floor() at grid points that are exact multiples
+# The untabulated mass below which a pmf table stops and is not truncated.
+_TABLE_TAIL_MASS = 1e-10
 
 
 def _integer(value, name: str) -> int:
@@ -92,17 +94,16 @@ class DiscretizationParams(Record):
 
 
 class CascadePmf(Record):
-    """Cascade-size pmf table over consecutive counts n = m_start, m_start+1, ...
+    """Cascade-size pmf table over consecutive counts n = m, m+1, ..., from params.m founders.
 
     tail_bound dominates the mass beyond the last tabulated count
     (geometric-ratio argument); truncated marks tables whose bound is
     still above 1e-10, whether they stopped at the row cap or at n_max.
     """
 
-    __slots__ = ("params", "m_start", "probabilities", "tail_bound", "truncated")
+    __slots__ = ("params", "probabilities", "tail_bound")
 
-    def __init__(self, params: DiscretizationParams, m_start: int, probabilities: np.ndarray,
-                 tail_bound: float, truncated: bool):
+    def __init__(self, params: DiscretizationParams, probabilities: np.ndarray, tail_bound: float):
         probs = np.asarray(probabilities, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise DomainError("probabilities must be a nonempty 1-d array")
@@ -110,11 +111,15 @@ class CascadePmf(Record):
             raise DomainError("probabilities must be finite and nonnegative")
         if not (math.isfinite(tail_bound) and tail_bound >= 0.0):
             raise DomainError(f"tail_bound must be >= 0, got {tail_bound!r}")
-        super().__init__(params, m_start, probs, tail_bound, truncated)
+        super().__init__(params, probs, tail_bound)
+
+    @property
+    def truncated(self) -> bool:
+        return not self.tail_bound <= _TABLE_TAIL_MASS
 
     @property
     def n_values(self) -> np.ndarray:
-        return np.arange(self.m_start, self.m_start + self.probabilities.size)
+        return np.arange(self.params.m, self.params.m + self.probabilities.size)
 
     @property
     def total_mass(self) -> float:
@@ -180,51 +185,50 @@ def _log_tail_ratio_limit(params: DiscretizationParams) -> float:
 
 _TABLE_BLOCK = 4096
 _EPS = 2.0**-52
-_TABLE_TAIL_MASS = 1e-10
 
 
 def cascade_pmf_table(
     params: DiscretizationParams,
-    m_start: int,
     n_max: int | None = None,
     # perfbench/tracer.py reads this default and len() of the table to count cap hits.
     max_rows: int = TABLE_ROW_CAP,
 ) -> CascadePmf:
-    """Tabulate P{T = n} for n = m_start .. n_last, at most max_rows rows.
+    """Tabulate P{T = n} from m = params.m founders for n = m .. n_last, at most max_rows rows.
 
     With n_max given the table runs exactly to n_max, and an n_max that
     asks for more than max_rows rows is a DomainError, as is a last
-    count n_max, or m_start + max_rows - 1, above 2**63 - 1.  Otherwise it
+    count n_max, or m + max_rows - 1, above 2**63 - 1.  Otherwise it
     grows in blocks until the certified bound on the untabulated mass,
     last pmf value times rho / (1 - rho) with rho the larger of the
     observed and limiting ratios, drops below 1e-10 or max_rows is
-    reached.  truncated reports whether the bound still exceeded 1e-10
-    when tabulation stopped (always the case at criticality, where the
-    ratio tends to one and the tail is a power law); a bound that does
-    not exist, as for a one-row table, is reported as 1 - mass.
+    reached.  A bound that does not exist, as for a one-row table, is
+    reported as 1 - mass; the table is truncated while its bound is above
+    1e-10, which is always the case at criticality, where the ratio
+    tends to one and the tail is a power law.
 
-    The table then checks itself against alpha^m_start, the chance that
-    the cascade is finite, which martingale_alpha finds without the pmf
-    formula.  It raises ToleranceError unless mass - tol <= alpha^m_start
+    The table then checks itself against alpha^m, the chance that the
+    cascade is finite, which martingale_alpha finds without the pmf
+    formula.  It raises ToleranceError unless mass - tol <= alpha^m
     <= mass + tail_bound + tol, and at once for a row whose log is above
     0 (a row above one, whose exp() could overflow).  tol =
-    8 eps (rows + m_start) is the table's own rounding: each row's log
-    forms a count n (1 + r*) - m_start from terms of at least m_start, at
-    a few eps m_start, and the sum adds eps per row.  Measured misses stay
-    below 3 eps (rows + m_start) up to m_start = 2e5 where r* < 1; where
-    r* is large, as for p just above 1/m, the formula cancels far more.
+    8 eps (rows + m) is the table's own rounding: each row's log forms a
+    count n (1 + r*) - m from terms of at least m, at a few eps m, and
+    the sum adds eps per row.  Measured misses stay below 3 eps (rows + m)
+    up to m = 2e5 where r* < 1; where r* is large, as for p just above
+    1/m, the formula cancels far more.
     """
     if max_rows < 2:
         raise DomainError(f"max_rows must be >= 2, got {max_rows!r}")
+    m = params.m
     rows = max_rows
     if n_max is not None:
-        rows = _integer(n_max, "n_max") - m_start + 1
+        rows = _integer(n_max, "n_max") - m + 1
         if rows < 1:
-            raise DomainError(f"n_max must be >= m_start = {m_start}, got {n_max}")
+            raise DomainError(f"n_max must be >= m = {m}, got {n_max}")
         if rows > max_rows:
             raise DomainError(f"n_max = {n_max} asks for {rows} rows, over the cap of {max_rows}")
-    if m_start + rows > 2**63:
-        raise DomainError(f"the table's last count {m_start + rows - 1} exceeds 2**63 - 1")
+    if m + rows > 2**63:
+        raise DomainError(f"the table's last count {m + rows - 1} exceeds 2**63 - 1")
 
     rho_limit = math.exp(min(_log_tail_ratio_limit(params), 0.0))
 
@@ -234,14 +238,14 @@ def cascade_pmf_table(
 
     blocks: list[np.ndarray] = []
     last_two = (-math.inf, -math.inf)
-    n_next, n_end = m_start, m_start + rows
+    n_next, n_end = m, m + rows
     block = _TABLE_BLOCK
     while n_next < n_end:
         ns = np.arange(n_next, min(n_next + block, n_end), dtype=np.int64)
-        logs = cascade_log_pmf(params, m_start, ns)
+        logs = cascade_log_pmf(params, m, ns)
         if logs.max() > 0.0:  # tested before exp(), which may overflow there
             row = int(np.argmax(logs))
-            raise ToleranceError(f"pmf table misses alpha^{m_start} <= 1: row n = {n_next + row} "
+            raise ToleranceError(f"pmf table misses alpha^{m} <= 1: row n = {n_next + row} "
                                  f"has log-probability {float(logs[row])!r} > 0")
         blocks.append(np.exp(logs))
         last_two = (last_two + tuple(logs[-2:].tolist()))[-2:]
@@ -253,16 +257,15 @@ def cascade_pmf_table(
 
     probs = np.concatenate(blocks)
     mass = float(probs.sum())
-    truncated = not bound <= _TABLE_TAIL_MASS
     if math.isinf(bound):
         # Report something conservative yet finite: all unseen mass.
         bound = max(0.0, 1.0 - mass)
-    table = CascadePmf(params, m_start, probs, bound, truncated)
-    alpha_m = martingale_alpha(params) ** m_start
-    tol = 8.0 * _EPS * (probs.size + m_start)
+    table = CascadePmf(params, probs, bound)
+    alpha_m = martingale_alpha(params) ** m
+    tol = 8.0 * _EPS * (probs.size + m)
     if not mass - tol <= alpha_m <= mass + bound + tol:
-        raise ToleranceError(f"pmf table misses alpha^{m_start}: mass = {mass!r}, "
-                             f"tail bound = {bound!r}, alpha^{m_start} = {alpha_m!r}")
+        raise ToleranceError(f"pmf table misses alpha^{m}: mass = {mass!r}, "
+                             f"tail bound = {bound!r}, alpha^{m} = {alpha_m!r}")
     return table
 
 

@@ -163,22 +163,20 @@ class SimSummary(Record):
     p, where the variance is 2 p^2 / (1 - 2p)^3 against a mean near one.
     The histogram counts atoms of mass in
     0.05-wide bins on [1, 50] with a single overflow bucket.  Invariant:
-    trials == n_finite + n_censored and the histogram plus overflow
+    trials is n_finite + n_censored, and the histogram plus overflow
     accounts for every finite trial.
     """
 
-    __slots__ = ("config", "trials", "n_finite", "n_censored", "sum_z", "sum_z_sq",
-                 "bin_counts", "overflow")
+    __slots__ = ("config", "n_finite", "n_censored", "sum_z", "sum_z_sq", "bin_counts",
+                 "overflow")
 
     # Identity equality: a summary equals only itself.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, config: SimConfig, trials: int, n_finite: int, n_censored: int,
-                 sum_z: Fraction, sum_z_sq: Fraction, bin_counts: np.ndarray, overflow: int):
-        if trials != n_finite + n_censored:
-            raise DomainError("trials must equal n_finite + n_censored")
-        if min(trials, n_finite, n_censored, overflow) < 0:
+    def __init__(self, config: SimConfig, n_finite: int, n_censored: int, sum_z: Fraction,
+                 sum_z_sq: Fraction, bin_counts: np.ndarray, overflow: int):
+        if min(n_finite, n_censored, overflow) < 0:
             raise DomainError("summary counters must be nonnegative")
         counts = np.asarray(bin_counts, dtype=np.int64)
         if counts.shape != (HIST_BINS,):
@@ -187,7 +185,11 @@ class SimSummary(Record):
             raise DomainError("bin_counts must be nonnegative")
         if int(counts.sum()) + overflow != n_finite:
             raise DomainError("histogram does not account for every finite trial")
-        super().__init__(config, trials, n_finite, n_censored, sum_z, sum_z_sq, counts, overflow)
+        super().__init__(config, n_finite, n_censored, sum_z, sum_z_sq, counts, overflow)
+
+    @property
+    def trials(self) -> int:
+        return self.n_finite + self.n_censored
 
     @property
     def finite_fraction(self) -> float:
@@ -222,7 +224,6 @@ class SimSummary(Record):
             raise DomainError("cannot merge summaries from different configs")
         return SimSummary(
             config=self.config,
-            trials=self.trials + other.trials,
             n_finite=self.n_finite + other.n_finite,
             n_censored=self.n_censored + other.n_censored,
             sum_z=self.sum_z + other.sum_z,
@@ -266,7 +267,6 @@ def _run_chunk(task: tuple[SimConfig, int, int]) -> SimSummary:
     in_range = z_finite <= HIST_HI
     return SimSummary(
         config=config,
-        trials=size,
         n_finite=int(z_finite.size),
         n_censored=int(np.count_nonzero(censored)),
         sum_z=Fraction(float(z_finite.sum())),

@@ -61,7 +61,6 @@ EXTINCTION_ORACLES = {
 
 def test_model_params_validation():
     params = ModelParams(0.3)
-    assert params.k == 2
     assert params.p == 0.3
     assert params.subcritical
     assert not ModelParams(0.5).subcritical
@@ -72,7 +71,7 @@ def test_model_params_validation():
     with pytest.raises(DomainError):
         ModelParams(math.inf)
     with pytest.raises(DomainError):
-        ModelParams(0.3, k=3)
+        ModelParams(math.nan)
 
 
 def test_moments_type_validation():
@@ -82,26 +81,18 @@ def test_moments_type_validation():
 
 
 def test_extinction_report_validation():
-    report = ExtinctionReport(p=0.6, decay_gap=0.7)
+    report = ExtinctionReport(decay_gap=0.7)
     assert report.log_prob_finite == -0.7
     assert report.prob_finite == math.exp(-0.7)
     for gap in (-0.1, -5e-324, math.nan):
         with pytest.raises(DomainError):
-            ExtinctionReport(p=0.6, decay_gap=gap)
+            ExtinctionReport(decay_gap=gap)
     # prob_finite is 0 only where exp(-gap) underflows.
-    assert ExtinctionReport(p=1e300, decay_gap=1396.0).prob_finite == 0.0
+    assert ExtinctionReport(decay_gap=1396.0).prob_finite == 0.0
     # A gap of 0 has the log +0.0, which the CLI writes as 0.0, not -0.0.
     for p in (0.3, 0.5):
         assert math.copysign(1.0, extinction(ModelParams(p)).log_prob_finite) == 1.0
     assert extinction(ModelParams(math.nextafter(0.5, 1.0))).decay_gap > 0.0
-
-
-@pytest.mark.parametrize("p,gap", [(math.nan, 0.7), (-1.0, 0.0), (0.0, 0.0), (math.inf, 1.0),
-                                   (0.3, 0.7), (0.5, 5e-324)])
-def test_extinction_report_rejects_a_gap_that_p_rules_out(p, gap):
-    # p must be a positive real, and only a supercritical p has a gap.
-    with pytest.raises(DomainError):
-        ExtinctionReport(p=p, decay_gap=gap)
 
 
 # ----------------------------------------------------------------- density
@@ -617,14 +608,12 @@ def test_density_table_validation():
         density_table(params, 1.0, 10.0, 1)
     with pytest.raises(DomainError):
         DensityTable(
-            params=params,
             x=np.array([1.0, 1.0]),
             density=np.array([0.0, 0.1]),
             asymptotic=np.array([0.1, 0.1]),
         )
     with pytest.raises(DomainError):
         DensityTable(
-            params=params,
             x=np.array([1.0, 2.0]),
             density=np.array([0.0, -0.1]),
             asymptotic=np.array([0.1, 0.1]),

@@ -174,11 +174,10 @@ def test_m_additivity_convolution():
 
 def test_pmf_table_subcritical_mass():
     params = DiscretizationParams(0.2, 10)
-    table = cascade_pmf_table(params, 10)
+    table = cascade_pmf_table(params)
     assert not table.truncated
     assert table.tail_bound <= 1e-10
     assert abs(table.total_mass - 1.0) <= 1e-8
-    assert table.m_start == 10
     assert table.n_values[0] == 10
     assert len(table) == table.probabilities.size
 
@@ -188,7 +187,7 @@ def test_pmf_table_supercritical_mass_approaches_alpha_power():
     # the martingale fixed point raised to the founder count.
     params = DiscretizationParams(0.6, 100)
     limit = martingale_alpha(params) ** 100
-    masses = [cascade_pmf_table(params, 100, n_max=n).total_mass for n in (400, 4000, 60_000)]
+    masses = [cascade_pmf_table(params, n_max=n).total_mass for n in (400, 4000, 60_000)]
     assert masses[0] < masses[1] < masses[2] < limit + 1e-12
     assert abs(limit - masses[-1]) <= 1e-10
     # and refining delta drives it to the continuum probability
@@ -206,7 +205,7 @@ _TABLES_THAT_MISS = [(0.1 + 1e-12, 10), (0.1 + 1e-11, 10), (0.1 + 1e-13, 10), (0
 @pytest.mark.parametrize("p, m", _TABLES_THAT_MISS)
 def test_pmf_table_that_misses_alpha_power_is_refused(p, m):
     with pytest.raises(ToleranceError, match=rf"pmf table misses alpha\^{m}"):
-        cascade_pmf_table(DiscretizationParams(p, m), m)
+        cascade_pmf_table(DiscretizationParams(p, m))
 
 
 @pytest.mark.parametrize("p, m", [(0.01, 10_000), (100.0, 10_000), (0.3, 10_000),
@@ -215,14 +214,14 @@ def test_pmf_table_check_passes_rows_that_keep_their_digits(p, m):
     # Residuals of up to 2.6 eps (rows + m) here and in a random sweep
     # up to m = 2e5, against the check's 8 eps (rows + m).
     params = DiscretizationParams(p, m)
-    table = cascade_pmf_table(params, m)
+    table = cascade_pmf_table(params)
     alpha_m = martingale_alpha(params) ** m
     assert table.total_mass <= alpha_m + 8.0 * 2.0**-52 * (len(table) + m)
 
 
 def test_pmf_table_explicit_n_max_marks_truncation():
     params = DiscretizationParams(0.3, 10)
-    table = cascade_pmf_table(params, 10, n_max=40)
+    table = cascade_pmf_table(params, n_max=40)
     assert table.truncated
     assert table.tail_bound > 1e-10
     assert table.n_values[-1] == 40
@@ -236,7 +235,7 @@ def _tail_bound_of_last_two(table):
     """
     n_last = int(table.n_values[-1])
     log_prev, log_last = cascade_log_pmf(
-        table.params, table.m_start, np.array([n_last - 1, n_last])).tolist()
+        table.params, table.params.m, np.array([n_last - 1, n_last])).tolist()
     rho_limit = math.exp(min(_log_tail_ratio_limit(table.params), 0.0))
     rho = max(math.exp(min(log_last - log_prev, 0.0)), rho_limit)
     if rho >= 1.0:
@@ -254,7 +253,7 @@ def _tail_bound_of_last_two(table):
 ])
 def test_pmf_table_stops_with_the_bound_of_its_last_two_rows(p, n_max, max_rows, rows, truncated):
     params = DiscretizationParams(p, 10)
-    table = cascade_pmf_table(params, 10, n_max=n_max, max_rows=max_rows)
+    table = cascade_pmf_table(params, n_max=n_max, max_rows=max_rows)
     assert len(table) == rows
     assert table.truncated is truncated
     ns = np.arange(10, 10 + rows)
@@ -264,11 +263,11 @@ def test_pmf_table_stops_with_the_bound_of_its_last_two_rows(p, n_max, max_rows,
 
 def test_pmf_table_n_max_beyond_max_rows_is_an_error():
     params = DiscretizationParams(0.3, 10)
-    assert len(cascade_pmf_table(params, 10, n_max=13, max_rows=4)) == 4
+    assert len(cascade_pmf_table(params, n_max=13, max_rows=4)) == 4
     with pytest.raises(DomainError, match="cap of 4"):
-        cascade_pmf_table(params, 10, n_max=14, max_rows=4)
+        cascade_pmf_table(params, n_max=14, max_rows=4)
     with pytest.raises(DomainError, match="max_rows"):
-        cascade_pmf_table(params, 10, max_rows=1)
+        cascade_pmf_table(params, max_rows=1)
 
 
 def test_pmf_table_rescaled_matches_density():
@@ -328,7 +327,7 @@ def test_integer_arguments_take_numpy_integers_only():
     calls = {
         "m": lambda value: DiscretizationParams(0.3, value).m,
         "m_start": lambda value: cascade_log_pmf(params, value, 12),
-        "n_max": lambda value: len(cascade_pmf_table(params, 1, n_max=value)),
+        "n_max": lambda value: len(cascade_pmf_table(params, n_max=value)),
     }
     for name, call in calls.items():
         for bad in (True, 2.0):
@@ -340,11 +339,9 @@ def test_integer_arguments_take_numpy_integers_only():
 def test_cascade_pmf_type_validation():
     params = DiscretizationParams(0.3, 10)
     with pytest.raises(DomainError):
-        CascadePmf(params=params, m_start=10, probabilities=np.array([0.5, -0.1]),
-                   tail_bound=0.0, truncated=False)
+        CascadePmf(params=params, probabilities=np.array([0.5, -0.1]), tail_bound=0.0)
     with pytest.raises(DomainError):
-        CascadePmf(params=params, m_start=10, probabilities=np.array([0.9]),
-                   tail_bound=-1.0, truncated=False)
+        CascadePmf(params=params, probabilities=np.array([0.9]), tail_bound=-1.0)
 
 
 # ---------------------------------------------------------------- moments

@@ -1,12 +1,13 @@
 """The package's records: construction, immutability, equality, hash, repr.
 
 Every record of the package derives from cascade_gamma._record.Record
-and keeps the behaviour it had as a frozen dataclass: the same
-constructor signature, AttributeError on assigning or deleting a field,
+and behaves as a frozen dataclass of its fields would: positional and
+keyword construction, AttributeError on assigning or deleting a field,
 equality and hash over its fields in order (with SimConfig's workers
 left out, and SimSummary equal only to itself) and the repr
 Name(field=value, ...).  The expected reprs were frozen from the
-dataclass versions.
+dataclass versions, less the fields that held a value another field,
+the caller or a constant already holds.
 """
 
 import copy
@@ -40,36 +41,33 @@ RECORDS = [
      dict(flag="--out", convert=str, default="-", required=False, help="output path"),
      "_Option(flag='--out', convert=<class 'str'>, default='-', required=False, "
      "help='output path')"),
-    (ModelParams, (0.3,), dict(p=0.3), "ModelParams(p=0.3, k=2)"),
+    (ModelParams, (0.3,), dict(p=0.3), "ModelParams(p=0.3)"),
     (Moments, (2.0, 1.0), dict(mean=2.0, variance=1.0), "Moments(mean=2.0, variance=1.0)"),
-    (ExtinctionReport, (0.7, 0.5), dict(p=0.7, decay_gap=0.5),
-     "ExtinctionReport(p=0.7, decay_gap=0.5)"),
+    (ExtinctionReport, (0.5,), dict(decay_gap=0.5), "ExtinctionReport(decay_gap=0.5)"),
     (NormalizationCheck, (80.0, _QUADRATURE), dict(x_max=80.0, quadrature=_QUADRATURE),
      "NormalizationCheck(x_max=80.0, quadrature=QuadratureResult(value=0.5, "
      "abs_error_estimate=1e-12, evaluations=15))"),
-    (DensityTable, (ModelParams(0.3), _X, _G, _ASYMPTOTE),
-     dict(params=ModelParams(0.3), x=_X, density=_G, asymptotic=_ASYMPTOTE),
-     "DensityTable(params=ModelParams(p=0.3, k=2), x=array([1., 2.]), "
-     "density=array([0.  , 0.25]), asymptotic=array([0.5  , 0.125]))"),
+    (DensityTable, (_X, _G, _ASYMPTOTE), dict(x=_X, density=_G, asymptotic=_ASYMPTOTE),
+     "DensityTable(x=array([1., 2.]), density=array([0.  , 0.25]), "
+     "asymptotic=array([0.5  , 0.125]))"),
     (Interval, (1, 3), dict(lo=1, hi=3), "Interval(lo=1.0, hi=3.0)"),
     (QuadratureResult, (0.5, 1e-12, 15), dict(value=0.5, abs_error_estimate=1e-12, evaluations=15),
      "QuadratureResult(value=0.5, abs_error_estimate=1e-12, evaluations=15)"),
     (DiscretizationParams, (0.5, 10), dict(p=0.5, m=10),
      "DiscretizationParams(p=0.5, m=10, delta=0.1, r_star=0.25, q_star=0.8)"),
-    (CascadePmf, (DiscretizationParams(0.5, 10), 10, _PMF, 0.0, False),
-     dict(params=DiscretizationParams(0.5, 10), m_start=10, probabilities=_PMF, tail_bound=0.0,
-          truncated=False),
+    (CascadePmf, (DiscretizationParams(0.5, 10), _PMF, 0.0),
+     dict(params=DiscretizationParams(0.5, 10), probabilities=_PMF, tail_bound=0.0),
      "CascadePmf(params=DiscretizationParams(p=0.5, m=10, delta=0.1, r_star=0.25, q_star=0.8), "
-     "m_start=10, probabilities=array([0.5 , 0.25]), tail_bound=0.0, truncated=False)"),
+     "probabilities=array([0.5 , 0.25]), tail_bound=0.0)"),
     (SimConfig, ("discrete", 0.3, 100, 7, 10, 1e3, 2),
      dict(mode="discrete", p=0.3, trials=100, seed=7, m=10, cap=1e3, workers=2),
      "SimConfig(mode='discrete', p=0.3, trials=100, seed=7, m=10, cap=1000.0, workers=2)"),
-    (SimSummary, (SimConfig("continuous", 0.3, 3, 7), 3, 2, 1, Fraction(5, 2), Fraction(13, 4),
+    (SimSummary, (SimConfig("continuous", 0.3, 3, 7), 2, 1, Fraction(5, 2), Fraction(13, 4),
                   _COUNTS, 0),
-     dict(config=SimConfig("continuous", 0.3, 3, 7), trials=3, n_finite=2, n_censored=1,
+     dict(config=SimConfig("continuous", 0.3, 3, 7), n_finite=2, n_censored=1,
           sum_z=Fraction(5, 2), sum_z_sq=Fraction(13, 4), bin_counts=_COUNTS, overflow=0),
      "SimSummary(config=SimConfig(mode='continuous', p=0.3, trials=3, seed=7, m=None, "
-     "cap=1000000.0, workers=1), trials=3, n_finite=2, n_censored=1, sum_z=Fraction(5, 2), "
+     "cap=1000000.0, workers=1), n_finite=2, n_censored=1, sum_z=Fraction(5, 2), "
      f"sum_z_sq=Fraction(13, 4), bin_counts={_COUNTS!r}, overflow=0)"),
 ]
 

@@ -364,13 +364,13 @@ def test_summary_invariants_are_enforced():
     config = SimConfig(mode="continuous", p=0.3, trials=3, seed=0)
     counts = np.zeros(HIST_BINS, dtype=np.int64)
     counts[0] = 2
-    SimSummary(config=config, trials=3, n_finite=2, n_censored=1,
+    SimSummary(config=config, n_finite=2, n_censored=1,
                sum_z=Fraction(3), sum_z_sq=Fraction(5), bin_counts=counts, overflow=0)
     with pytest.raises(DomainError):
-        SimSummary(config=config, trials=3, n_finite=1, n_censored=1,
+        SimSummary(config=config, n_finite=1, n_censored=1,
                    sum_z=Fraction(3), sum_z_sq=Fraction(5), bin_counts=counts, overflow=0)
     with pytest.raises(DomainError):
-        SimSummary(config=config, trials=3, n_finite=3, n_censored=0,
+        SimSummary(config=config, n_finite=3, n_censored=0,
                    sum_z=Fraction(3), sum_z_sq=Fraction(5), bin_counts=counts, overflow=0)
 
 
