@@ -256,7 +256,10 @@ def asymptotic_log_density(params: ModelParams, x):
     """
     xs = _on_support(x, "asymptote is evaluated on")
     log_c_minus_a, a = _tail_constants(params)
-    return _like(log_c_minus_a - a * (xs - 1.0) - 1.5 * np.log(xs), x)
+    # At a subnormal p, a = inf: the decay term at x = 1 is 0, not inf * 0.
+    with np.errstate(invalid="ignore"):
+        decay = np.where(xs > 1.0, a * (xs - 1.0), 0.0)
+    return _like(log_c_minus_a - decay - 1.5 * np.log(xs), x)
 
 
 def moments(params: ModelParams) -> Moments:
@@ -447,10 +450,11 @@ def density_table(params: ModelParams, x_min: float, x_max: float, steps: int) -
         raise DomainError(f"steps must be >= 2, got {steps!r}")
     if steps > TABLE_ROW_CAP:
         raise DomainError(f"steps = {steps} is over the cap of {TABLE_ROW_CAP}")
-    grid = np.linspace(x_min, x_max, steps)
+    # linspace may overflow at its last point, which it then sets to x_max.
     # Below p of about 2.8e-155, ln C - a passes ln(DBL_MAX), and the
     # asymptote overflows near x = 1; the density itself stays finite.
     with np.errstate(over="ignore"):
+        grid = np.linspace(x_min, x_max, steps)
         asymptotic = np.exp(asymptotic_log_density(params, grid))
     over = np.isinf(asymptotic)
     if over.any():

@@ -411,8 +411,13 @@ def test_verify_subnormal_p_writes_one_error_line():
 
 
 def test_density_up_to_the_largest_double_writes_no_warning():
-    done = cli_process("density", "--p", "0.3", "--x-max", "1.7976931348623157e308", "--steps", "3")
-    assert (done.returncode, done.stderr) == (0, "")
+    # At 4 steps numpy's linspace overflows at its last point, before
+    # setting it to x_max itself.
+    for steps in ("3", "4"):
+        done = cli_process("density", "--p", "0.3", "--x-max", "1.7976931348623157e308",
+                           "--steps", steps)
+        assert (done.returncode, done.stderr) == (0, ""), steps
+        assert done.stdout.splitlines()[-1].startswith("1.7976931348623157e+308,0,0")
 
 
 def test_density_where_the_asymptote_overflows_writes_one_error_line():
@@ -420,6 +425,16 @@ def test_density_where_the_asymptote_overflows_writes_one_error_line():
     assert done.returncode == 2
     [line] = done.stderr.splitlines()
     assert line.startswith("cascade-gamma density: the asymptote exceeds the largest double")
+
+
+def test_density_at_a_subnormal_p_writes_one_error_line(capsys):
+    # The decay rate is inf there; at x = 1 its term is 0, not inf * 0,
+    # so the asymptote overflows and says so, with no numpy warning.
+    code, out, err = run_cli(capsys, "density", "--p", "2e-317", "--x-min", "1", "--x-max", "3",
+                             "--steps", "5")
+    assert (code, out) == (2, "")
+    assert err == ("cascade-gamma density: the asymptote exceeds the largest double at x = 1.0 "
+                   "for p = 2e-317\n")
 
 
 @pytest.mark.parametrize("p,codes", [("1e160", {0}), ("1e300", {0}), ("1e308", {0}),
@@ -448,49 +463,77 @@ def test_root_route_just_above_criticality(capsys, p, tmp_path):
     assert json.loads(target.read_text())["passed"] is True
 
 
-_ANY_P = st.one_of(
-    st.floats(min_value=-4.0, max_value=300.0).map(lambda e: 10.0**e),
-    st.builds(lambda k, sign: 0.5 + sign * 10.0**-k, st.integers(1, 16), st.sampled_from([1, -1])),
-)
+_DBL_MAX = 1.7976931348623157e308
+# Any positive double: hypothesis's own draws, which favour the ends of
+# the range, and a log-uniform spread over every magnitude in it.
+_POSITIVE = st.one_of(st.floats(min_value=5e-324, max_value=_DBL_MAX),
+                      st.floats(min_value=-323.3, max_value=308.25).map(lambda e: 10.0**e))
+
+
+@st.composite
+def _p_and_m(draw):
+    """An atom count up to 2**63, and p over every double, near 1/2 or just above 1/m."""
+    m = draw(st.one_of(st.integers(1, 1000), st.integers(1, 2**63)))
+    p = draw(st.one_of(
+        _POSITIVE,
+        st.builds(lambda k, sign: 0.5 + sign * 10.0**-k, st.integers(1, 16), st.sampled_from([1, -1])),
+        st.integers(1, 16).map(lambda k: (1.0 / m) * (1.0 + 10.0**-k)),
+    ))
+    return p, m
 
 
 _TABLE_COLUMNS = {"density": ("x", "density", "asymptotic"), "pmf": ("pmf", "rescaled_density")}
 
 
 @settings(max_examples=40, deadline=None)
-@given(p=_ANY_P, m=st.integers(1, 1000))
-def test_every_command_ends_in_a_verdict(p, m):
-    # Any finite p > 0 ends in success (0), a usage or domain error (2)
-    # or a numerical failure (3); nothing escapes main().  A table that
-    # succeeds parses in either format and has every row it asked for,
-    # whatever zeros or subnormals its columns hold.
+@given(p_and_m=_p_and_m(), x_bounds=st.tuples(_POSITIVE, _POSITIVE), abs_tol=_POSITIVE,
+       cap=_POSITIVE, steps=st.integers(1, 50), rows=st.integers(1, 50),
+       trials=st.integers(1, 20), mode=st.sampled_from(["continuous", "discrete", "walk"]))
+def test_every_command_ends_in_a_verdict(p_and_m, x_bounds, abs_tol, cap, steps, rows, trials,
+                                         mode):
+    # Any finite p > 0, with every other option over its whole range,
+    # ends in success (0), a usage or domain error (2) or a numerical
+    # failure (3); nothing escapes main(), and the suite turns a numpy
+    # warning into an error.  A failure is one stderr line, except that
+    # verify and extinction write their payload when they exit 3.  A
+    # table that succeeds parses in either format and has every row it
+    # asked for, whatever zeros or subnormals its columns hold.
+    p, m = p_and_m
+    m_option = [] if mode == "continuous" else ["--m", str(m)]
     commands = [
-        (["verify"], None),
+        (["verify", "--abs-tol", repr(abs_tol)], None),
         (["extinction"], None),
         (["moments"], None),
         (["moments", "--m", str(m)], None),
-        (["simulate", "--mode", "discrete", "--m", str(m), "--trials", "50", "--seed", "1",
-          "--cap", "3"], None),
+        (["simulate", "--mode", mode, *m_option, "--trials", str(trials), "--seed", "1",
+          "--cap", repr(cap)], None),
     ]
+    x_min, x_max = sorted(x_bounds)
     for fmt in ("csv", "json"):
-        commands.append((["density", "--steps", "50", "--format", fmt], 50))
-        commands.append((["pmf", "--m", str(m), "--n-max", str(m + 50), "--format", fmt], 51))
-    for command, rows in commands:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        commands.append((["density", "--x-min", repr(x_min), "--x-max", repr(x_max),
+                          "--steps", str(steps), "--format", fmt], steps))
+        commands.append((["pmf", "--m", str(m), "--n-max", str(m + rows - 1), "--format", fmt],
+                         rows))
+    for command, count in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*command, "--p", repr(p)])
         assert code in (0, 2, 3), (command, p)
-        if code != 0 or rows is None:
+        if code == 3 and command[0] in ("verify", "extinction"):
+            assert json.loads(out.getvalue())["p"] == p, (command, p)
+        elif code != 0:
+            assert len(err.getvalue().splitlines()) == 1, (command, p, err.getvalue())
+        if code != 0 or count is None:
             continue
         if command[-1] == "csv":
             _, header, cells, _ = parse_csv(out.getvalue())
-            assert len(cells) == rows, (command, p)
+            assert len(cells) == count, (command, p)
             assert all(len(row) == len(header) for row in cells)
             assert all(math.isfinite(float(cell)) for row in cells for cell in row)
         else:
             payload = json.loads(out.getvalue())
             for column in _TABLE_COLUMNS[command[0]]:
-                assert len(payload[column]) == rows, (command, column, p)
+                assert len(payload[column]) == count, (command, column, p)
 
 
 # ------------------------------------------------------------ table writer
