@@ -5,8 +5,8 @@ deleted or renamed name that one of them uses fails here rather than
 on its next run.  Public names that only tests use belong in the
 tests, so the guard below fails on any name in a module's __all__ that
 nothing in src/, scripts/ or perfbench/ (tests aside) refers to, and on
-any public method or property of an exported class that nothing there
-reads as an attribute.
+any public method, property or record field (__slots__ entry) of an
+exported class that nothing there reads as an attribute.
 """
 
 import ast
@@ -84,22 +84,30 @@ def test_output_digest_lists_every_verify_job(options):
     assert second.stdout == first.stdout
 
 
+def _assigned(node, name: str):
+    """The literal value node assigns to name, or None if it is no such assignment."""
+    if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets):
+        return ast.literal_eval(node.value)
+    return None
+
+
 def _public_names() -> tuple[dict[str, str], dict[str, str]]:
     """Every name in a package module's __all__, mapped to its module, and
-    every public method or property of such a class, "module.Class.name"
-    mapped to the name."""
+    every public method, property or __slots__ field of such a class,
+    "module.Class.name" mapped to the name."""
     names, members = {}, {}
     for path in sorted((SRC / "cascade_gamma").glob("*.py")):
         body = ast.parse(path.read_text()).body
         for node in body:
-            if isinstance(node, ast.Assign) and any(
-                    isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
-                names.update(dict.fromkeys(ast.literal_eval(node.value), path.stem))
+            names.update(dict.fromkeys(_assigned(node, "__all__") or (), path.stem))
         for node in body:
             if isinstance(node, ast.ClassDef) and node.name in names:
-                members.update({f"{path.stem}.{node.name}.{item.name}": item.name
-                                for item in node.body if isinstance(item, ast.FunctionDef)
-                                and not item.name.startswith("_")})
+                for item in node.body:
+                    fields = [item.name] if isinstance(item, ast.FunctionDef) else (
+                        _assigned(item, "__slots__") or ())
+                    members.update({f"{path.stem}.{node.name}.{field}": field
+                                    for field in fields if not field.startswith("_")})
     return names, members
 
 
@@ -129,8 +137,9 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                  if name not in variables | attributes]
     test_only += [member for member, name in members.items() if name not in attributes]
     assert not test_only, f"public names that only tests use: {test_only}"
-    # The members are found: the records' properties and methods among them.
-    assert {"simulate.SimSummary.merge", "discrete.CascadePmf.total_mass"} <= set(members)
+    # The members are found: the records' properties, methods and fields among them.
+    assert {"simulate.SimSummary.merge", "discrete.CascadePmf.total_mass",
+            "discrete.CascadePmf.params", "continuum.ModelParams.p"} <= set(members)
 
 
 def test_output_digest_drops_top_level_keys_of_json_outputs():
