@@ -104,12 +104,11 @@ class Moments(Record):
 
 
 class ExtinctionReport(Record):
-    """Probability that the cascade is finite, for the p the caller holds.
+    """Probability that the cascade is finite, at the p of the caller's params.
 
     decay_gap is the nonnegative root x* of x = 2 ln(1 + p x); the
     finite-cascade probability is exp(-x*).  Subcritical and critical
-    cascades die out surely, so extinction gives them decay_gap = 0 and
-    prob_finite = 1.
+    cascades die out surely, so there decay_gap = 0 and prob_finite = 1.
     """
 
     __slots__ = ("decay_gap",)
@@ -256,8 +255,7 @@ def asymptotic_log_density(params: ModelParams, x):
     """
     xs = _on_support(x, "asymptote is evaluated on")
     log_c_minus_a, a = _tail_constants(params)
-    # At a subnormal p, a = inf: the decay term at x = 1 is 0, not inf * 0.
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # a = inf at a subnormal p; at x = 1 the term is 0
         decay = np.where(xs > 1.0, a * (xs - 1.0), 0.0)
     return _like(log_c_minus_a - decay - 1.5 * np.log(xs), x)
 

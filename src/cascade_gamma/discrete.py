@@ -43,8 +43,6 @@ __all__ = [
 ]
 
 _GRID_NUDGE = 1e-9  # guards floor() at grid points that are exact multiples
-# The untabulated mass below which a pmf table stops and is not truncated.
-_TABLE_TAIL_MASS = 1e-10
 
 
 def _integer(value, name: str) -> int:
@@ -185,6 +183,7 @@ def _log_tail_ratio_limit(params: DiscretizationParams) -> float:
 
 _TABLE_BLOCK = 4096
 _EPS = 2.0**-52
+_TABLE_TAIL_MASS = 1e-10
 
 
 def cascade_pmf_table(
@@ -202,9 +201,8 @@ def cascade_pmf_table(
     last pmf value times rho / (1 - rho) with rho the larger of the
     observed and limiting ratios, drops below 1e-10 or max_rows is
     reached.  A bound that does not exist, as for a one-row table, is
-    reported as 1 - mass; the table is truncated while its bound is above
-    1e-10, which is always the case at criticality, where the ratio
-    tends to one and the tail is a power law.
+    reported as 1 - mass.  A bound above 1e-10 marks the table truncated,
+    as always at criticality, where the ratio tends to one.
 
     The table then checks itself against alpha^m, the chance that the
     cascade is finite, which martingale_alpha finds without the pmf
