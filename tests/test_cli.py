@@ -463,10 +463,9 @@ def test_root_route_just_above_criticality(capsys, p, tmp_path):
     assert json.loads(target.read_text())["passed"] is True
 
 
-_DBL_MAX = 1.7976931348623157e308
 # Any positive double: hypothesis's own draws, which favour the ends of
 # the range, and a log-uniform spread over every magnitude in it.
-_POSITIVE = st.one_of(st.floats(min_value=5e-324, max_value=_DBL_MAX),
+_POSITIVE = st.one_of(st.floats(min_value=5e-324, max_value=sys.float_info.max),
                       st.floats(min_value=-323.3, max_value=308.25).map(lambda e: 10.0**e))
 
 
