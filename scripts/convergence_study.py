@@ -25,6 +25,7 @@ import numpy as np
 
 from cascade_gamma import (
     CascadeError,
+    CriticalityError,
     DiscretizationParams,
     ModelParams,
     density,
@@ -74,7 +75,10 @@ def offspring_gaps(p: float, ladder: list[int], grid: np.ndarray) -> list[dict]:
 
 
 def martingale_gaps(p: float, ladder: list[int]) -> list[dict]:
-    target = extinction(ModelParams(p)).decay_gap
+    params = ModelParams(p)
+    if not params.p > 0.5:
+        raise CriticalityError(f"the martingale view needs supercritical p > 1/2, got p = {p!r}")
+    target = extinction(params).decay_gap
     rows = []
     for m in ladder:
         lattice = DiscretizationParams(p, m)

@@ -4,10 +4,12 @@ compare them against the closed forms.
 
 Checks, each reported as a z-score in standard errors:
 
-  * continuous engine mean vs the exact subcritical mean 1/(1 - 2p)
-    (skipped when p >= 1/2, where the mean diverges)
+  * continuous engine mean vs the exact subcritical mean 1/(1 - 2p),
+    for p < 1/2
   * finite-cascade fraction vs exp(-decay gap) (continuous) and the
-    martingale root raised to m (discrete) in the supercritical regime
+    martingale root raised to m (discrete), for p > 1/2
+
+At p = 1/2 neither check applies, and the script refuses to run.
 
 The walk mode is not run: it shares the discrete kernel (a stride of k
 walk steps from position k is one generation draw, by the Dwass
@@ -65,6 +67,9 @@ def cross_check(args: argparse.Namespace) -> int:
     """Run both engines, print each check and return 0 when all pass, else 1."""
     params = ModelParams(args.p)
     lattice = DiscretizationParams(args.p, args.m)
+    if not (params.subcritical or args.p > 0.5):
+        raise CriticalityError(f"no check applies at p = {args.p!r}: the mean check needs "
+                               "p < 1/2 and the finite-fraction check p > 1/2")
     summaries = {}
     for mode in ("continuous", "discrete"):
         config = SimConfig(mode=mode, p=args.p,
@@ -80,16 +85,11 @@ def cross_check(args: argparse.Namespace) -> int:
 
     failures = 0
 
-    try:
-        closed = moments(params)
-    except CriticalityError:
-        closed = None
-    if closed is not None:
+    if params.subcritical:
         s = summaries["continuous"]
         failures += zline("continuous mean vs closed form",
-                          s.mean, closed.mean, s.se_mean)
-
-    if args.p > 0.5:
+                          s.mean, moments(params).mean, s.se_mean)
+    else:
         prob = extinction(params).prob_finite
         alpha_pow_m = martingale_alpha(lattice) ** args.m
         for mode, want in (("continuous", prob), ("discrete", alpha_pow_m)):

@@ -4,12 +4,12 @@ A record names its fields in __slots__, in order, and writes its own
 __init__, which validates the arguments and ends with one call to the
 base __init__, passing a value for each field in __slots__ order; the
 base stores them.  It also gives the record what a frozen dataclass
-would: equality and hash over the fields in order (the tuple _key,
-which a subclass may narrow), a repr Name(field=value, ...) over every
-field, and AttributeError on assigning or deleting any attribute.  Copy
-and pickle rebuild a record from its stored fields.  The base does this
-without the dataclasses module, whose import and code generation cost
-a cold command more than the command itself.
+would: equality and hash over the fields in order, a repr
+Name(field=value, ...) over every field, and AttributeError on
+assigning or deleting any attribute.  Copy and pickle rebuild a record
+from its stored fields.  The base does this without the dataclasses
+module, whose import and code generation cost a cold command more than
+the command itself.
 """
 
 __all__ = ["Record"]

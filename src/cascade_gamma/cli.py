@@ -246,7 +246,8 @@ def _cmd_pmf(ns) -> int:
     mass = {"cumulative_mass": table.total_mass}
     if ns.format == "csv":
         text = _csv_text(["cascade-gamma pmf", *_comments(scalars)], ["n", *columns],
-                         [table.n_values, *columns.values()], _comments(mass))
+                         [np.arange(params.m, params.m + len(table)), *columns.values()],
+                         _comments(mass))
     else:
         text = _json_text(scalars | mass | columns | {"n_start": params.m})
     _emit(text, ns.out)

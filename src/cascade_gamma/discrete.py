@@ -28,7 +28,7 @@ import operator
 from . import numerics
 from ._lazy import np
 from ._record import Record
-from .continuum import TABLE_ROW_CAP, ModelParams, Moments
+from .continuum import _CRITICAL_P, TABLE_ROW_CAP, ModelParams, Moments
 from .errors import CriticalityError, DomainError, ToleranceError
 from .numerics import Interval
 
@@ -92,16 +92,18 @@ class DiscretizationParams(Record):
 
 
 class CascadePmf(Record):
-    """Cascade-size pmf table over consecutive counts n = m, m+1, ..., from params.m founders.
+    """Cascade-size pmf table over consecutive counts n = m, m+1, ... from m founders.
 
-    tail_bound dominates the mass beyond the last tabulated count
-    (geometric-ratio argument); truncated marks tables whose bound is
-    still above 1e-10, whether they stopped at the row cap or at n_max.
+    m is that of the DiscretizationParams the table was made from, which
+    the table does not keep.  tail_bound dominates the mass beyond the
+    last tabulated count (geometric-ratio argument); truncated marks
+    tables whose bound is still above 1e-10, whether they stopped at the
+    row cap or at n_max.
     """
 
-    __slots__ = ("params", "probabilities", "tail_bound")
+    __slots__ = ("probabilities", "tail_bound")
 
-    def __init__(self, params: DiscretizationParams, probabilities: np.ndarray, tail_bound: float):
+    def __init__(self, probabilities: np.ndarray, tail_bound: float):
         probs = np.asarray(probabilities, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise DomainError("probabilities must be a nonempty 1-d array")
@@ -109,15 +111,11 @@ class CascadePmf(Record):
             raise DomainError("probabilities must be finite and nonnegative")
         if not (math.isfinite(tail_bound) and tail_bound >= 0.0):
             raise DomainError(f"tail_bound must be >= 0, got {tail_bound!r}")
-        super().__init__(params, probs, tail_bound)
+        super().__init__(probs, tail_bound)
 
     @property
     def truncated(self) -> bool:
         return not self.tail_bound <= _TABLE_TAIL_MASS
-
-    @property
-    def n_values(self) -> np.ndarray:
-        return np.arange(self.params.m, self.params.m + self.probabilities.size)
 
     @property
     def total_mass(self) -> float:
@@ -258,7 +256,7 @@ def cascade_pmf_table(
     if math.isinf(bound):
         # Report something conservative yet finite: all unseen mass.
         bound = max(0.0, 1.0 - mass)
-    table = CascadePmf(params, probs, bound)
+    table = CascadePmf(probs, bound)
     alpha_m = martingale_alpha(params) ** m
     tol = 8.0 * _EPS * (probs.size + m)
     if not mass - tol <= alpha_m <= mass + bound + tol:
@@ -277,8 +275,8 @@ def discrete_moments(params: DiscretizationParams) -> Moments:
     Subcritical only.
     """
     p = params.p
-    if not p < 0.5:
-        raise CriticalityError(f"discrete moments require p < 0.5, got p = {p!r}")
+    if not p < _CRITICAL_P:
+        raise CriticalityError(f"discrete moments require p < {_CRITICAL_P}, got p = {p!r}")
     shortfall = 1.0 - 2.0 * p
     return Moments(mean=params.delta / shortfall,
                    variance=2.0 * params.delta * p * p / shortfall**3)
@@ -302,7 +300,7 @@ def martingale_alpha(params: DiscretizationParams) -> float:
     relative precision both near criticality (t = -8e-10 at p = 0.5000001,
     m = 1000) and far above it (alpha = 1e-16 at p = 1e8, m = 1).
     """
-    if params.p <= 0.5:
+    if params.p <= _CRITICAL_P:
         return 1.0
     odds = (params.p - params.delta) / params.delta
     two_p = 2.0 * params.p

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from ._lazy import np
 from ._record import Record
-from .continuum import ModelParams
+from .continuum import _CRITICAL_P, ModelParams
 from .discrete import DiscretizationParams, _integer
 from .errors import DomainError
 
@@ -55,12 +55,12 @@ CHUNK_TRIALS = 16384
 
 HIST_LO = 1.0
 HIST_HI = 50.0
-HIST_BINS = 980  # bin width 0.05 across [1, 50]; mass beyond goes to overflow
 # Built at import, which loads a lazily bound numpy on the importing thread,
 # before run_campaign starts any pool thread (see _lazy).  Edge j is
 # (20 + j) / 20 rounded once, as the discrete engines' masses atoms / m
 # are, so a mass on an edge is that edge's double and opens its bin.
 HIST_EDGES = np.arange(20.0 * HIST_LO, 20.0 * HIST_HI + 1.0) / 20.0
+HIST_BINS = HIST_EDGES.size - 1  # 980 bins 0.05 wide; mass above HIST_HI is overflow
 
 
 _MODES = ("continuous", "discrete", "walk")
@@ -73,9 +73,8 @@ class SimConfig(Record):
     for the continuous one.  cap bounds the accumulated mass of one
     trial before it is censored; with m, max(1, 2p) cap m must stay
     below 2**62.  workers is an execution detail: it never affects the
-    drawn numbers, so it is excluded from config identity.  epsilon is
-    not a field: the continuous engine always stops a trial once a
-    generation falls to it or below.
+    drawn numbers.  epsilon is not a field: the continuous engine always
+    stops a trial once a generation falls to it or below.
     """
 
     __slots__ = ("mode", "p", "trials", "seed", "m", "cap", "workers")
@@ -114,9 +113,6 @@ class SimConfig(Record):
                 raise DomainError(f"{mode} mode needs max(1, 2p) cap m < 2**62, got p = {p!r}, "
                                   f"cap = {cap_value!r}, m = {m}")
         super().__init__(mode, p, trials, seed, m, cap_value, workers)
-
-    def _key(self) -> tuple:
-        return (self.mode, self.p, self.trials, self.seed, self.m, self.cap)
 
 
 def _rng_stream(seed: int, stream_index: int) -> np.random.Generator:
@@ -161,31 +157,33 @@ class SimSummary(Record):
     merges in chunk order anyway, so order-independence is not why: in
     floats that difference cancels once mean^2 >> variance, as at small
     p, where the variance is 2 p^2 / (1 - 2p)^3 against a mean near one.
-    The histogram counts atoms of mass in
-    0.05-wide bins on [1, 50] with a single overflow bucket.  Invariant:
-    trials is n_finite + n_censored, and the histogram plus overflow
-    accounts for every finite trial.
+    The histogram counts the finite trials' masses in the 0.05-wide
+    bins of HIST_EDGES on [1, 50], the last one closed; overflow counts
+    the rest, the masses above 50.  trials is n_finite + n_censored.
     """
 
-    __slots__ = ("config", "n_finite", "n_censored", "sum_z", "sum_z_sq", "bin_counts",
-                 "overflow")
+    __slots__ = ("n_finite", "n_censored", "sum_z", "sum_z_sq", "bin_counts")
 
     # Identity equality: a summary equals only itself.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, config: SimConfig, n_finite: int, n_censored: int, sum_z: Fraction,
-                 sum_z_sq: Fraction, bin_counts: np.ndarray, overflow: int):
-        if min(n_finite, n_censored, overflow) < 0:
+    def __init__(self, n_finite: int, n_censored: int, sum_z: Fraction, sum_z_sq: Fraction,
+                 bin_counts: np.ndarray):
+        if min(n_finite, n_censored) < 0:
             raise DomainError("summary counters must be nonnegative")
         counts = np.asarray(bin_counts, dtype=np.int64)
         if counts.shape != (HIST_BINS,):
             raise DomainError(f"bin_counts must have shape ({HIST_BINS},)")
         if counts.min(initial=0) < 0:
             raise DomainError("bin_counts must be nonnegative")
-        if int(counts.sum()) + overflow != n_finite:
-            raise DomainError("histogram does not account for every finite trial")
-        super().__init__(config, n_finite, n_censored, sum_z, sum_z_sq, counts, overflow)
+        if int(counts.sum()) > n_finite:
+            raise DomainError("histogram counts more masses than finite trials")
+        super().__init__(n_finite, n_censored, sum_z, sum_z_sq, counts)
+
+    @property
+    def overflow(self) -> int:
+        return self.n_finite - int(self.bin_counts.sum())
 
     @property
     def trials(self) -> int:
@@ -220,16 +218,12 @@ class SimSummary(Record):
         return math.sqrt(variance / self.n_finite)
 
     def merge(self, other: "SimSummary") -> "SimSummary":
-        if self.config != other.config:
-            raise DomainError("cannot merge summaries from different configs")
         return SimSummary(
-            config=self.config,
             n_finite=self.n_finite + other.n_finite,
             n_censored=self.n_censored + other.n_censored,
             sum_z=self.sum_z + other.sum_z,
             sum_z_sq=self.sum_z_sq + other.sum_z_sq,
             bin_counts=self.bin_counts + other.bin_counts,
-            overflow=self.overflow + other.overflow,
         )
 
 
@@ -243,7 +237,7 @@ def _chunk_mass(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, n
             last, z, censored = _generations(
                 np.ones(size), lambda x: gen.standard_gamma(2.0 * x) * p, config.cap,
                 config.epsilon)
-        if p < 0.5:
+        if p < _CRITICAL_P:
             finite = ~censored
             z[finite] += last[finite] * (2.0 * p / (1.0 - 2.0 * p))
         return z, censored
@@ -264,15 +258,13 @@ def _run_chunk(task: tuple[SimConfig, int, int]) -> SimSummary:
     z_finite = z[~censored]
     if z_finite.size and float(z_finite.min()) < 1.0:
         raise DomainError("engine produced a total mass below the founder mass")
-    in_range = z_finite <= HIST_HI
     return SimSummary(
-        config=config,
         n_finite=int(z_finite.size),
         n_censored=int(np.count_nonzero(censored)),
         sum_z=Fraction(float(z_finite.sum())),
         sum_z_sq=Fraction(float(np.square(z_finite).sum())),
-        bin_counts=np.histogram(z_finite[in_range], bins=HIST_EDGES)[0].astype(np.int64),
-        overflow=int(z_finite.size - np.count_nonzero(in_range)),
+        # histogram leaves out the masses above HIST_HI: they are the overflow.
+        bin_counts=np.histogram(z_finite, bins=HIST_EDGES)[0].astype(np.int64),
     )
 
 

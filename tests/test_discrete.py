@@ -178,7 +178,6 @@ def test_pmf_table_subcritical_mass():
     assert not table.truncated
     assert table.tail_bound <= 1e-10
     assert abs(table.total_mass - 1.0) <= 1e-8
-    assert table.n_values[0] == 10
     assert len(table) == table.probabilities.size
 
 
@@ -224,19 +223,18 @@ def test_pmf_table_explicit_n_max_marks_truncation():
     table = cascade_pmf_table(params, n_max=40)
     assert table.truncated
     assert table.tail_bound > 1e-10
-    assert table.n_values[-1] == 40
+    assert len(table) == 40 - 10 + 1
 
 
-def _tail_bound_of_last_two(table):
-    """The table's tail bound recomputed from cascade_log_pmf at its last two counts.
+def _tail_bound_of_last_two(params, table):
+    """The tail bound of params' table, recomputed from cascade_log_pmf at its last two counts.
 
     A bound that does not exist (ratio one, or a single row) is all
     the mass the table misses.
     """
-    n_last = int(table.n_values[-1])
-    log_prev, log_last = cascade_log_pmf(
-        table.params, table.params.m, np.array([n_last - 1, n_last])).tolist()
-    rho_limit = math.exp(min(_log_tail_ratio_limit(table.params), 0.0))
+    n_last = params.m + len(table) - 1
+    log_prev, log_last = cascade_log_pmf(params, params.m, np.array([n_last - 1, n_last])).tolist()
+    rho_limit = math.exp(min(_log_tail_ratio_limit(params), 0.0))
     rho = max(math.exp(min(log_last - log_prev, 0.0)), rho_limit)
     if rho >= 1.0:
         return max(0.0, 1.0 - table.total_mass)
@@ -258,7 +256,7 @@ def test_pmf_table_stops_with_the_bound_of_its_last_two_rows(p, n_max, max_rows,
     assert table.truncated is truncated
     ns = np.arange(10, 10 + rows)
     np.testing.assert_array_equal(table.probabilities, np.exp(cascade_log_pmf(params, 10, ns)))
-    assert table.tail_bound == pytest.approx(_tail_bound_of_last_two(table), rel=1e-12)
+    assert table.tail_bound == pytest.approx(_tail_bound_of_last_two(params, table), rel=1e-12)
 
 
 def test_pmf_table_n_max_beyond_max_rows_is_an_error():
@@ -337,11 +335,10 @@ def test_integer_arguments_take_numpy_integers_only():
 
 
 def test_cascade_pmf_type_validation():
-    params = DiscretizationParams(0.3, 10)
     with pytest.raises(DomainError):
-        CascadePmf(params=params, probabilities=np.array([0.5, -0.1]), tail_bound=0.0)
+        CascadePmf(probabilities=np.array([0.5, -0.1]), tail_bound=0.0)
     with pytest.raises(DomainError):
-        CascadePmf(params=params, probabilities=np.array([0.9]), tail_bound=-1.0)
+        CascadePmf(probabilities=np.array([0.9]), tail_bound=-1.0)
 
 
 # ---------------------------------------------------------------- moments

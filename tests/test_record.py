@@ -3,8 +3,8 @@
 Every record of the package derives from cascade_gamma._record.Record
 and behaves as a frozen dataclass of its fields would: positional and
 keyword construction, AttributeError on assigning or deleting a field,
-equality and hash over its fields in order (with SimConfig's workers
-left out, and SimSummary equal only to itself) and the repr
+equality and hash over its fields in order (SimSummary is equal only
+to itself) and the repr
 Name(field=value, ...).  The expected reprs were frozen from the
 dataclass versions, less the fields that held a value another field,
 the caller or a constant already holds.
@@ -55,20 +55,16 @@ RECORDS = [
      "QuadratureResult(value=0.5, abs_error_estimate=1e-12, evaluations=15)"),
     (DiscretizationParams, (0.5, 10), dict(p=0.5, m=10),
      "DiscretizationParams(p=0.5, m=10, delta=0.1, r_star=0.25, q_star=0.8)"),
-    (CascadePmf, (DiscretizationParams(0.5, 10), _PMF, 0.0),
-     dict(params=DiscretizationParams(0.5, 10), probabilities=_PMF, tail_bound=0.0),
-     "CascadePmf(params=DiscretizationParams(p=0.5, m=10, delta=0.1, r_star=0.25, q_star=0.8), "
-     "probabilities=array([0.5 , 0.25]), tail_bound=0.0)"),
+    (CascadePmf, (_PMF, 0.0), dict(probabilities=_PMF, tail_bound=0.0),
+     "CascadePmf(probabilities=array([0.5 , 0.25]), tail_bound=0.0)"),
     (SimConfig, ("discrete", 0.3, 100, 7, 10, 1e3, 2),
      dict(mode="discrete", p=0.3, trials=100, seed=7, m=10, cap=1e3, workers=2),
      "SimConfig(mode='discrete', p=0.3, trials=100, seed=7, m=10, cap=1000.0, workers=2)"),
-    (SimSummary, (SimConfig("continuous", 0.3, 3, 7), 2, 1, Fraction(5, 2), Fraction(13, 4),
-                  _COUNTS, 0),
-     dict(config=SimConfig("continuous", 0.3, 3, 7), n_finite=2, n_censored=1,
-          sum_z=Fraction(5, 2), sum_z_sq=Fraction(13, 4), bin_counts=_COUNTS, overflow=0),
-     "SimSummary(config=SimConfig(mode='continuous', p=0.3, trials=3, seed=7, m=None, "
-     "cap=1000000.0, workers=1), n_finite=2, n_censored=1, sum_z=Fraction(5, 2), "
-     f"sum_z_sq=Fraction(13, 4), bin_counts={_COUNTS!r}, overflow=0)"),
+    (SimSummary, (2, 1, Fraction(5, 2), Fraction(13, 4), _COUNTS),
+     dict(n_finite=2, n_censored=1, sum_z=Fraction(5, 2), sum_z_sq=Fraction(13, 4),
+          bin_counts=_COUNTS),
+     "SimSummary(n_finite=2, n_censored=1, sum_z=Fraction(5, 2), sum_z_sq=Fraction(13, 4), "
+     f"bin_counts={_COUNTS!r})"),
 ]
 
 
@@ -94,10 +90,11 @@ def test_record_semantics(cls, args, kwargs, expected):
         assert positional != expected
 
 
-def test_sim_config_equality_leaves_out_workers_and_epsilon_is_no_field():
+def test_sim_config_equality_covers_every_field_and_epsilon_is_no_field():
     one = SimConfig("discrete", 0.3, 100, 7, m=10, workers=1)
-    two = SimConfig("discrete", 0.3, 100, 7, m=10, workers=2)
-    assert one == two and hash(one) == hash(two)
+    assert one == SimConfig("discrete", 0.3, 100, 7, m=10) and hash(one) == hash(
+        SimConfig("discrete", 0.3, 100, 7, m=10))
+    assert one != SimConfig("discrete", 0.3, 100, 7, m=10, workers=2)
     assert one != SimConfig("discrete", 0.3, 100, 8, m=10, workers=1)
     assert SimConfig.epsilon == 1e-9 and "epsilon" not in repr(one)
     with pytest.raises(AttributeError):

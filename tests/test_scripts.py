@@ -29,10 +29,18 @@ SCRIPT_RUNS = [
     ("mc_cross_check.py", "--p", "0.3", "--m", "10", "--trials", "20000", "--seed", "7"),
 ]
 
-# Parameters the package rejects: m = 10 puts the lattice step 1/m above p.
+# Parameters the package rejects (m = 10 puts the lattice step 1/m above
+# p), and regions where no check of the script applies, each with the
+# line written.
+_COARSE = "need delta = 1/m < p, got m = 10 with p = 0.05"
 REJECTED_RUNS = [
-    ("convergence_study.py", "--p", "0.05", "--ladder", "10,20"),
-    ("mc_cross_check.py", "--p", "0.05", "--m", "10", "--trials", "100", "--seed", "1"),
+    (("convergence_study.py", "--p", "0.05", "--ladder", "10,20"), _COARSE),
+    (("mc_cross_check.py", "--p", "0.05", "--m", "10", "--trials", "100", "--seed", "1"), _COARSE),
+    (("convergence_study.py", "--p", "0.3", "--view", "martingale", "--ladder", "10,20"),
+     "the martingale view needs supercritical p > 1/2, got p = 0.3"),
+    (("mc_cross_check.py", "--p", "0.5", "--m", "10", "--trials", "2000", "--seed", "1"),
+     "no check applies at p = 0.5: the mean check needs p < 1/2 and the finite-fraction "
+     "check p > 1/2"),
 ]
 
 
@@ -49,12 +57,15 @@ def test_script_runs(argv):
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-@pytest.mark.parametrize("argv", REJECTED_RUNS, ids=["convergence_study", "mc_cross_check"])
-def test_script_rejects_parameters_with_one_line(argv):
-    # Exit 2 and one line naming the script, as the command line does; no traceback.
+@pytest.mark.parametrize("argv, message", REJECTED_RUNS, ids=[
+    "convergence_study", "mc_cross_check", "convergence_study-martingale-subcritical",
+    "mc_cross_check-critical"])
+def test_script_rejects_parameters_with_one_line(argv, message):
+    # Exit 2 and one line naming the script, before any table or
+    # campaign is written, as the command line does; no traceback.
     done = _run_script(argv)
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
-    assert done.stderr == f"{argv[0]}: need delta = 1/m < p, got m = 10 with p = 0.05\n"
+    assert done.stderr == f"{argv[0]}: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -139,7 +150,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not test_only, f"public names that only tests use: {test_only}"
     # The members are found: the records' properties, methods and fields among them.
     assert {"simulate.SimSummary.merge", "discrete.CascadePmf.total_mass",
-            "discrete.CascadePmf.params", "continuum.ModelParams.p"} <= set(members)
+            "discrete.CascadePmf.tail_bound", "continuum.ModelParams.p"} <= set(members)
 
 
 def test_output_digest_drops_top_level_keys_of_json_outputs():

@@ -252,6 +252,20 @@ def test_lattice_masses_fall_in_the_bin_their_edge_opens(m):
     assert counts.tolist() == np.bincount((atoms - m) * 20 // m, minlength=HIST_BINS).tolist()
 
 
+def test_masses_on_and_above_the_top_edge(monkeypatch):
+    # The last bin is closed, so a mass of exactly HIST_HI is counted in
+    # it; the masses above, by one ulp or more, are the overflow.
+    masses = np.array([1.0, 49.95, 50.0, math.nextafter(50.0, math.inf), 1e3])
+    monkeypatch.setattr(simulate, "_chunk_mass", lambda config, index, size: (
+        masses.copy(), np.zeros(size, dtype=bool)))
+    config = SimConfig(mode="continuous", p=0.3, trials=masses.size, seed=1)
+    summary = simulate._run_chunk((config, 0, masses.size))
+    assert summary.bin_counts[0] == 1 and summary.bin_counts[-1] == 2
+    assert int(summary.bin_counts.sum()) == 3 and summary.overflow == 2
+    merged = summary.merge(summary)
+    assert merged.overflow == merged.n_finite - int(merged.bin_counts.sum()) == 4
+
+
 def test_walk_law_matches_reference_walk():
     # Two-sample chi-square on the binned law at p = 0.3, m = 10, cells
     # with a pooled expected count < 10 merged.  Landed at 108.4 on 100
@@ -338,19 +352,12 @@ def test_sim_config_validation():
         SimConfig(mode="continuous", p=0.3, trials=10, seed=1, workers=0)
 
 
-def test_sim_config_identity_ignores_workers():
-    one = SimConfig(mode="continuous", p=0.3, trials=10, seed=1, workers=1)
-    eight = SimConfig(mode="continuous", p=0.3, trials=10, seed=1, workers=8)
-    assert one == eight
-
-
 # ---------------------------------------------------------------- summaries
 
 
 def _summaries_equal(a: SimSummary, b: SimSummary) -> bool:
     return (
-        a.config == b.config
-        and a.trials == b.trials
+        a.trials == b.trials
         and a.n_finite == b.n_finite
         and a.n_censored == b.n_censored
         and a.sum_z == b.sum_z
@@ -361,17 +368,20 @@ def _summaries_equal(a: SimSummary, b: SimSummary) -> bool:
 
 
 def test_summary_invariants_are_enforced():
-    config = SimConfig(mode="continuous", p=0.3, trials=3, seed=0)
     counts = np.zeros(HIST_BINS, dtype=np.int64)
     counts[0] = 2
-    SimSummary(config=config, n_finite=2, n_censored=1,
-               sum_z=Fraction(3), sum_z_sq=Fraction(5), bin_counts=counts, overflow=0)
-    with pytest.raises(DomainError):
-        SimSummary(config=config, n_finite=1, n_censored=1,
-                   sum_z=Fraction(3), sum_z_sq=Fraction(5), bin_counts=counts, overflow=0)
-    with pytest.raises(DomainError):
-        SimSummary(config=config, n_finite=3, n_censored=0,
-                   sum_z=Fraction(3), sum_z_sq=Fraction(5), bin_counts=counts, overflow=0)
+    sums = dict(sum_z=Fraction(3), sum_z_sq=Fraction(5))
+    assert SimSummary(n_finite=2, n_censored=1, bin_counts=counts, **sums).overflow == 0
+    # The finite trials the histogram leaves out are the overflow.
+    assert SimSummary(n_finite=3, n_censored=0, bin_counts=counts, **sums).overflow == 1
+    with pytest.raises(DomainError, match="more masses than finite trials"):
+        SimSummary(n_finite=1, n_censored=1, bin_counts=counts, **sums)
+    with pytest.raises(DomainError, match="nonnegative"):
+        SimSummary(n_finite=2, n_censored=-1, bin_counts=counts, **sums)
+    with pytest.raises(DomainError, match="nonnegative"):
+        SimSummary(n_finite=2, n_censored=1, bin_counts=-counts, **sums)
+    with pytest.raises(DomainError, match="shape"):
+        SimSummary(n_finite=2, n_censored=1, bin_counts=counts[1:], **sums)
 
 
 def test_summary_statistics_and_merge():
@@ -397,13 +407,6 @@ def test_summary_statistics_and_merge():
     assert _summaries_equal(forward, whole)
     assert _summaries_equal(backward, whole)
     assert forward.sum_z == backward.sum_z  # Fraction arithmetic, no rounding
-
-
-def test_summary_merge_rejects_other_configs():
-    a = run_campaign(SimConfig(mode="continuous", p=0.3, trials=100, seed=1))
-    b = run_campaign(SimConfig(mode="continuous", p=0.31, trials=100, seed=1))
-    with pytest.raises(DomainError):
-        a.merge(b)
 
 
 def test_summary_small_count_edge_cases():
@@ -448,7 +451,6 @@ def test_campaign_workers_do_not_change_the_result():
     serial = run_campaign(config1)
     parallel = run_campaign(config3)
     assert _summaries_equal(serial, parallel)
-    assert (serial.config.workers, parallel.config.workers) == (1, 3)
 
 
 def test_campaign_threads_share_chunks_and_end_with_the_call():
