@@ -9,7 +9,9 @@ Checks, each reported as a z-score in standard errors:
   * finite-cascade fraction vs exp(-decay gap) (continuous) and the
     martingale root raised to m (discrete), for p > 1/2
 
-At p = 1/2 neither check applies, and the script refuses to run.
+At p = 1/2 neither check applies, and the script refuses to run; it
+also refuses a mean check whose campaign has no standard error, fewer
+than 2 finite trials.
 
 The walk mode is not run: it shares the discrete kernel (a stride of k
 walk steps from position k is one generation draw, by the Dwass
@@ -29,6 +31,7 @@ from cascade_gamma import (
     CascadeError,
     CriticalityError,
     DiscretizationParams,
+    DomainError,
     ModelParams,
     SimConfig,
     extinction,
@@ -70,14 +73,20 @@ def cross_check(args: argparse.Namespace) -> int:
     if not (params.subcritical or args.p > 0.5):
         raise CriticalityError(f"no check applies at p = {args.p!r}: the mean check needs "
                                "p < 1/2 and the finite-fraction check p > 1/2")
-    summaries = {}
-    for mode in ("continuous", "discrete"):
-        config = SimConfig(mode=mode, p=args.p,
-                           m=None if mode == "continuous" else args.m,
-                           trials=args.trials, seed=args.seed, cap=args.cap,
-                           workers=args.workers)
-        s = summaries[mode] = run_campaign(config)
-        mean = "n/a" if s.mean is None else f"{s.mean:.6f} +- {s.se_mean:.6f}"
+    summaries = {
+        mode: run_campaign(SimConfig(mode=mode, p=args.p,
+                                     m=None if mode == "continuous" else args.m,
+                                     trials=args.trials, seed=args.seed, cap=args.cap,
+                                     workers=args.workers))
+        for mode in ("continuous", "discrete")
+    }
+    continuous = summaries["continuous"]
+    if params.subcritical and continuous.se_mean is None:
+        raise DomainError(f"the mean check needs a standard error, which takes 2 finite "
+                          f"trials; the continuous campaign has {continuous.n_finite}")
+    for mode, s in summaries.items():
+        se = "n/a" if s.se_mean is None else f"{s.se_mean:.6f}"
+        mean = "n/a" if s.mean is None else f"{s.mean:.6f} +- {se}"
         print(f"[{mode:<10}] finite mean = {mean}, "
               f"finite fraction = {s.finite_fraction:.6f}, "
               f"censored = {s.n_censored}")

@@ -16,11 +16,10 @@ whose items JSON writes as they stand and _comments writes as
 JSON payloads use sorted keys and an indent of 2, with floats written as
 their shortest round-trip repr ('Infinity' and 'NaN' for the non-finite
 ones): _json_text writes each run of scalar items by json's C encoder
-and each array as tables are written.  Tables are formatted in blocks of
-rows and streamed to the output: floattext.cells writes each column of a
-block as a zero-padded byte matrix, with Python's own bytes for every
-cell, and _joined reads the rows out of the cells and separators laid
-side by side.  Outputs are byte-reproducible for identical invocations.
+and each array as tables are written.  Tables are streamed to the
+output in blocks of rows, which floattext.lines writes with Python's
+own bytes for every cell; a one-row table is written by _cell in
+Python.  Outputs are byte-reproducible for identical invocations.
 
 Every command takes --config, --p, --format and --out, which
 _build_parser adds; _COMMANDS declares only each command's own options
@@ -32,9 +31,11 @@ name to that command's parser alone, as the top-level parser would;
 that one runs only to report an argv that names no command or leaves
 arguments over.
 
-discrete and simulate are imported by the commands that use them, and
-numpy on its first use (cascade_gamma._lazy), so moments and
-extinction, --help and usage errors finish without loading numpy.
+discrete and simulate are imported by the commands that use them,
+floattext by the writers of tables of more than one row, and numpy on
+its first use (cascade_gamma._lazy), so moments and extinction, --help
+and usage errors finish without loading numpy, and scalar output
+without building floattext's tables.
 """
 
 from __future__ import annotations
@@ -98,57 +99,30 @@ class _Option(Record):
         return self.flag[2:].replace("-", "_")
 
 
-# Rows formatted at once: enough that the per-block cost vanishes, few
-# enough that a block's byte matrices stay under 1 MB.
-_BLOCK_ROWS = 4096
-
-
-def _joined(columns: list[np.ndarray], style: str, ends: list[bytes]) -> str:
-    """Row i of the text: element i of each column, each followed by its end.
-
-    floattext.cells writes each column in style ("csv" or "json") as a
-    zero-padded byte matrix.  The matrices and the ends are laid side by
-    side in one matrix, read out row by row without the zeros.
-    """
-    # Imported here, by CSV and JSON arrays only: compiling the module and
-    # building its tables takes milliseconds that other JSON output skips.
-    from . import floattext
-
-    texts = [floattext.cells(column, style)[0] for column in columns]
-    full = np.empty((len(texts[0]), sum(t.shape[1] + len(e) for t, e in zip(texts, ends))),
-                    np.uint8)
-    at = 0
-    for text, end in zip(texts, ends):
-        full[:, at:at + text.shape[1]] = text
-        at += text.shape[1]
-        full[:, at:at + len(end)] = np.frombuffer(end, np.uint8)
-        at += len(end)
-    return full[full != 0].tobytes().decode()
-
-
 def _csv_text(comments: list[str], header: list[str], columns,
               trailer: Iterable[str] = ()) -> Iterator[str]:
     """A CSV table in pieces: '#' comments, header, rows, '#' trailer lines.
 
-    columns[j][i] is the cell in row i, column j.  Integer columns are
-    written as '%d', float columns as '%.17g' (equal to format(v, '.17g')
-    for every float) and any other column as text, by floattext.cells;
-    a one-row table, as the scalar commands write, by the same rule in
-    Python, which leaves numpy unloaded.  Cells are written unquoted.
+    columns[j][i] is the cell in row i, column j, and there is at least
+    one row.  Integer columns are written as '%d' and float columns as
+    '%.17g' (equal to format(v, '.17g') for every float), by
+    floattext.lines; a one-row table, as the scalar commands write, by
+    _cell, which leaves numpy unloaded.  Cells are written unquoted.
     """
     yield "".join(f"# {line}\n" for line in comments) + ",".join(header) + "\n"
     if len(columns[0]) == 1:
-        yield ",".join(_cell(column[0]) for column in columns) + "\n"
+        yield ",".join(_cell(column[0]) for column in columns)
     else:
-        columns = [np.asarray(column) for column in columns]
-        ends = [b","] * (len(columns) - 1) + [b"\n"]
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            yield _joined([column[start:start + _BLOCK_ROWS] for column in columns], "csv", ends)
-    yield "".join(f"# {line}\n" for line in trailer)
+        from . import floattext
+
+        yield from floattext.lines([np.asarray(column) for column in columns], "csv",
+                                   [","] * (len(columns) - 1) + ["\n"])
+    yield "\n" + "".join(f"# {line}\n" for line in trailer)
 
 
 def _cell(value) -> str:
-    """value as floattext.cells writes it in a CSV column of its type."""
+    """value as floattext.lines writes it in a CSV column of its type, or
+    str(value) for any other type, such as verify's quoted error."""
     if isinstance(value, float):
         return "%.17g" % value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -174,8 +148,8 @@ def _json_text(payload: dict, depth: int = 1) -> Iterator[str]:
     items.  The keys are walked in sorted order.  Each run of consecutive
     scalar items is one call of _items_encoder with the braces stripped,
     so a flat payload is one C-encoder call; a dict recurses one level
-    deeper; an array is written block by block by floattext.cells, items
-    as json.dumps writes them.
+    deeper; an array is written by floattext.lines, items as json.dumps
+    writes them.
     """
     indent = "\n" + "  " * depth
     lead = "{" + indent
@@ -194,11 +168,11 @@ def _json_text(payload: dict, depth: int = 1) -> Iterator[str]:
             elif not len(value):
                 yield "[]"
             else:
-                values, item = np.asarray(value), "," + indent + "  "
+                from . import floattext
+
+                item = "," + indent + "  "
                 yield "[" + item[1:]
-                for start in range(0, len(values), _BLOCK_ROWS):
-                    block = _joined([values[start:start + _BLOCK_ROWS]], "json", [item.encode()])
-                    yield block if start + _BLOCK_ROWS < len(values) else block[:-len(item)]
+                yield from floattext.lines([np.asarray(value)], "json", [item])
                 yield indent + "]"
     yield (indent[:-2] + "}" if payload else "{}") + ("\n" if depth == 1 else "")
 

@@ -1,11 +1,11 @@
-"""Exact decimal text of a numpy column, a whole block at once.
+"""Exact decimal text of a table's numpy columns, a block of rows at once.
 
-`cells(values, style)` returns the text of every element of a 1-d array
-as one left-aligned row of a uint8 matrix, plus the row lengths.  The
-text is byte for byte what Python writes for the element:
+`lines(columns, style, ends)` yields the text of a table's rows, one
+string per block of rows: element i of each column, then that column's
+end.  A column is a 1-d float or integer array, and each element's
+text is byte for byte what Python writes for it:
 
-- style "csv": floats as '%.17g' % v, integers as '%d' % v, anything
-  else as str(v);
+- style "csv": floats as '%.17g' % v, integers as '%d' % v;
 - style "json": each element as json.dumps writes it, so floats as
   repr(v) ('Infinity', '-Infinity' and 'NaN' for the non-finite ones)
   and integers as repr(v).
@@ -38,10 +38,15 @@ to 17 digits take the same digits and layouts.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["cells"]
+__all__ = ["lines"]
+
+# Rows formatted at once: enough that the per-block cost vanishes, few
+# enough that a block's byte matrices stay under 1 MB.
+_BLOCK_ROWS = 4096
 
 # The widest float or int64 text, e.g. '-2.2250738585072014e-308'.
 _WIDTH = 24
@@ -174,8 +179,9 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     shape = (3, 1, _KCLASSES * 18)
     layout = np.concatenate([source.reshape(*shape, -1), negative.reshape(*shape, -1)], 1)
     lengths = np.concatenate([length.reshape(shape), length.reshape(shape) + 1], 1)
-    # Indices as np.take wants them, so a block's are one gather and one add.
-    return layout.reshape(-1, _WIDTH).astype(np.intp), lengths.ravel().astype(np.int64)
+    # Every index is below 32; _render widens a block's to intp as it adds
+    # the row offsets.
+    return layout.reshape(-1, _WIDTH), lengths.ravel().astype(np.int64)
 
 
 _LAYOUT, _LENGTH = _layouts()
@@ -197,19 +203,34 @@ def _float_keys() -> list[np.ndarray]:
 _FLOAT_KEYS = _float_keys()
 
 
-def cells(values, style: str) -> tuple[np.ndarray, np.ndarray]:
-    """(text, lengths) of a 1-d block: element i's text is text[i, :lengths[i]].
+def lines(columns: list[np.ndarray], style: str, ends: list[str]) -> Iterator[str]:
+    """The rows of a table, as one string per block of rows.
 
-    style is "csv" or "json" (see the module docstring).  The text is
-    UTF-8, padded with zero bytes to the longest element's length; only
-    a str element can hold a zero byte itself.  Work space is a few
-    hundred bytes per element, so pass blocks of thousands.
+    Row i is element i of each column, each followed by its end; the
+    last row leaves its last end off.  The columns are float or integer
+    arrays of one length, written in style "csv" or "json" (see the
+    module docstring), and no end holds a zero byte.
     """
-    values = np.asarray(values)
-    kind = values.dtype.kind
-    if kind not in "fi" or not len(values):
-        return _python_cells(values, style)
-    if kind == "f":
+    ends = [np.frombuffer(end.encode(), np.uint8) for end in ends]
+    rows = len(columns[0])
+    for start in range(0, rows, _BLOCK_ROWS):
+        texts = [_cells(column[start:start + _BLOCK_ROWS], style) for column in columns]
+        # Cells and ends side by side, read out row by row without the
+        # zeros that pad each cell to its column's widest.
+        full = np.hstack([part for text, end in zip(texts, ends)
+                          for part in (text, np.broadcast_to(end, (len(text), end.size)))])
+        if start + _BLOCK_ROWS >= rows:
+            full[-1, full.shape[1] - ends[-1].size:] = 0
+        yield full[full != 0].tobytes().decode()
+
+
+def _cells(values: np.ndarray, style: str) -> np.ndarray:
+    """The text of each element of a nonempty 1-d block, one zero-padded row each.
+
+    Work space is a few hundred bytes per element, so pass blocks of
+    thousands.
+    """
+    if values.dtype.kind == "f":
         values = values.astype(np.float64, copy=False)
         rows, keys, slow = _float_fields(values, _REPR if style == "json" else _G17)
     else:
@@ -221,11 +242,11 @@ def cells(values, style: str) -> tuple[np.ndarray, np.ndarray]:
     if slow.size:
         text[slow] = 0
         text[slow, :fallback.shape[1]] = fallback
-    return text, lengths
+    return text
 
 
 def _python_cells(values: np.ndarray, style: str) -> tuple[np.ndarray, np.ndarray]:
-    """Python's own text of each element, as cells() returns it."""
+    """Python's own text of each element, zero-padded rows, and the text lengths."""
     if style == "json":
         write = json.dumps
     elif values.dtype.kind == "f":
@@ -234,8 +255,7 @@ def _python_cells(values: np.ndarray, style: str) -> tuple[np.ndarray, np.ndarra
         write = str
     encoded = [write(value).encode() for value in values.tolist()]
     lengths = np.array([len(item) for item in encoded], dtype=np.int64)
-    width = max(lengths.max(initial=0), 1)
-    text = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
+    text = np.array(encoded).view(np.uint8).reshape(len(encoded), -1)
     return text, lengths
 
 
@@ -445,6 +465,5 @@ def _render(rows: np.ndarray, keys: np.ndarray, width: int) -> np.ndarray:
     # np.take copies whole layout rows faster than a slice of them, unless
     # the slice is much shorter, as for integers.
     layout = _LAYOUT if 2 * width > _WIDTH else _LAYOUT[:, :width]
-    index = layout.take(keys, axis=0)
-    index += np.arange(0, rows.size, 32)[:, None]
+    index = np.add(layout.take(keys, axis=0), np.arange(0, rows.size, 32)[:, None], dtype=np.intp)
     return rows.ravel().take(index)[:, :width]

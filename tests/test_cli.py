@@ -30,7 +30,7 @@ from cascade_gamma import (
     density,
     extinction,
 )
-from cascade_gamma import cli, continuum, discrete, simulate
+from cascade_gamma import cli, continuum, discrete, floattext, simulate
 from cascade_gamma.cli import _build_parser, _csv_text, _json_text, main
 
 DECAY_GAP_06 = 0.7083985245782692
@@ -537,7 +537,7 @@ def test_every_command_ends_in_a_verdict(p_and_m, x_bounds, abs_tol, cap, steps,
 
 # ------------------------------------------------------------ table writer
 #
-# The writers format blocks of rows through floattext.cells; the JSON one
+# The writers format blocks of rows through floattext.lines; the JSON one
 # writes each run of scalar items with json's C encoder and recurses into
 # dicts.  The reference below writes cell by cell: csv.writer over
 # format(v, ".17g") cells, and json.dumps(indent=2) over Python lists.
@@ -569,7 +569,7 @@ _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, all
 _KEYS = st.text(alphabet="abxyz_", min_size=1, max_size=6)
 # The writer's block size and tiny ones, so that short (cheap) tables
 # also cross block edges; the bytes must not depend on it.
-_BLOCKS = st.sampled_from([cli._BLOCK_ROWS, 1, 2, 3])
+_BLOCKS = st.sampled_from([floattext._BLOCK_ROWS, 1, 2, 3])
 
 
 def _column(pool, rows, dtype):
@@ -620,14 +620,14 @@ def _assert_json_matches(payload):
     rows=st.integers(1, 40),
     counts=st.lists(st.integers(0, 2**53), min_size=1, max_size=20),
     floats=st.lists(_FLOATS, min_size=1, max_size=20),
-    flags=st.lists(st.sampled_from(["true", "false"]), min_size=1, max_size=3),
+    flags=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=3),
     comments=st.lists(st.text(alphabet="abc =.-0123456789", max_size=12), max_size=3),
     with_flag=st.booleans(),
 )
 def test_csv_writer_matches_the_per_cell_writer(block, rows, counts, floats, flags, comments,
                                                 with_flag):
-    flag = _column(flags, rows, str) if with_flag else None
-    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+    flag = _column(flags, rows, np.int64) if with_flag else None
+    with mock.patch.object(floattext, "_BLOCK_ROWS", block):
         _assert_csv_matches(comments, _column(counts, rows, np.int64),
                             _column(floats, rows, np.float64),
                             _column(floats[::-1], rows, np.float64), flag)
@@ -656,7 +656,7 @@ def test_json_writer_matches_the_indent_encoder(scalars, arrays, block):
     # scalar items, so that runs of scalars are broken anywhere.
     payload = {**scalars, **{key: _array(values, np.float64, as_list)
                              for key, (values, as_list) in arrays.items()}}
-    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+    with mock.patch.object(floattext, "_BLOCK_ROWS", block):
         _assert_json_matches(payload)
 
 
@@ -676,7 +676,7 @@ def test_json_writer_nests_arrays(scalars, inner, counts, floats, as_list, block
                "h": {**inner, "counts": _array(counts, np.int64, as_list),
                      "deep": {"v": 1, "w": _array(floats, np.float64, as_list), "z": {}}}}
     before = json.dumps(_as_lists(payload), sort_keys=True)
-    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+    with mock.patch.object(floattext, "_BLOCK_ROWS", block):
         _assert_json_matches(payload)
     assert json.dumps(_as_lists(payload), sort_keys=True) == before
 
@@ -794,7 +794,7 @@ _UNDERFLOWING_JOBS = [
 @given(block=_BLOCKS.map(lambda rows: rows * 997))
 def test_underflowing_tables_are_written_as_python_writes_them(argv, fmt, block):
     out = io.StringIO()
-    with mock.patch.object(cli, "_BLOCK_ROWS", block), contextlib.redirect_stdout(out):
+    with mock.patch.object(floattext, "_BLOCK_ROWS", block), contextlib.redirect_stdout(out):
         assert main([*argv, "--format", fmt]) == 0
     text = out.getvalue()
     if fmt == "csv":

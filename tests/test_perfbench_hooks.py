@@ -126,7 +126,7 @@ def test_table_cells_stay_on_the_vector_path(monkeypatch):
     ties and decisions within 1e-9 of a boundary.
     """
     workloads = _load("workloads", monkeypatch)
-    written = mock.patch.object(floattext, "cells", wraps=floattext.cells)
+    written = mock.patch.object(floattext, "_cells", wraps=floattext._cells)
     fallback = mock.patch.object(floattext, "_python_cells", wraps=floattext._python_cells)
     with written as cells, fallback as python_cells, contextlib.redirect_stdout(io.StringIO()):
         for job in workloads.generate("tables", 1):

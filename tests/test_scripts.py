@@ -27,11 +27,12 @@ SCRIPT_RUNS = [
     ("convergence_study.py", "--p", "0.3", "--view", "offspring", "--ladder", "10,20"),
     ("convergence_study.py", "--p", "0.6", "--view", "martingale", "--ladder", "10,20"),
     ("mc_cross_check.py", "--p", "0.3", "--m", "10", "--trials", "20000", "--seed", "7"),
+    ("mc_cross_check.py", "--p", "0.6", "--m", "10", "--trials", "20000", "--seed", "7"),
 ]
 
 # Parameters the package rejects (m = 10 puts the lattice step 1/m above
-# p), and regions where no check of the script applies, each with the
-# line written.
+# p), regions where no check of the script applies, and campaigns with
+# too few finite trials for a standard error, each with the line written.
 _COARSE = "need delta = 1/m < p, got m = 10 with p = 0.05"
 REJECTED_RUNS = [
     (("convergence_study.py", "--p", "0.05", "--ladder", "10,20"), _COARSE),
@@ -41,6 +42,13 @@ REJECTED_RUNS = [
     (("mc_cross_check.py", "--p", "0.5", "--m", "10", "--trials", "2000", "--seed", "1"),
      "no check applies at p = 0.5: the mean check needs p < 1/2 and the finite-fraction "
      "check p > 1/2"),
+    (("mc_cross_check.py", "--p", "0.3", "--m", "10", "--trials", "1", "--seed", "1"),
+     "the mean check needs a standard error, which takes 2 finite trials; the continuous "
+     "campaign has 1"),
+    (("mc_cross_check.py", "--p", "0.3", "--m", "10", "--trials", "3", "--cap", "1.05",
+      "--seed", "1"),
+     "the mean check needs a standard error, which takes 2 finite trials; the continuous "
+     "campaign has 0"),
 ]
 
 
@@ -51,7 +59,8 @@ def _run_script(argv):
                           capture_output=True, text=True, timeout=120, check=False)
 
 
-@pytest.mark.parametrize("argv", SCRIPT_RUNS, ids=["density", "offspring", "martingale", "mc_cross_check"])
+@pytest.mark.parametrize("argv", SCRIPT_RUNS, ids=["density", "offspring", "martingale", "mc_cross_check",
+                                                   "mc_cross_check-supercritical"])
 def test_script_runs(argv):
     done = _run_script(argv)
     assert done.returncode == 0, done.stdout + done.stderr
@@ -59,7 +68,7 @@ def test_script_runs(argv):
 
 @pytest.mark.parametrize("argv, message", REJECTED_RUNS, ids=[
     "convergence_study", "mc_cross_check", "convergence_study-martingale-subcritical",
-    "mc_cross_check-critical"])
+    "mc_cross_check-critical", "mc_cross_check-one-trial", "mc_cross_check-none-finite"])
 def test_script_rejects_parameters_with_one_line(argv, message):
     # Exit 2 and one line naming the script, before any table or
     # campaign is written, as the command line does; no traceback.
