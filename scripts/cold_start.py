@@ -7,8 +7,11 @@ put a src/ directory on the path, import cascade_gamma.cli, run one
 command with its output discarded and print 'ready'.  The time from
 starting the interpreter to reading that line is the sample; the
 interpreter's exit is not timed.  The commands are `moments --p 0.25`
-in JSON and CSV, `moments --p 0.25 --m 10`, `extinction --p 0.7` and
-`--help`.
+in JSON and CSV, `moments --p 0.25 --m 10`, `extinction --p 0.7`,
+`moments --p=0.25` and `--help`.  The CLI parses the first four from
+its option tables; it hands `--p=0.25`, as every argv that is not
+`--flag value` pairs, and `--help` to argparse, so the cold cost of
+both parse paths shows.
 
 Every given src/ directory is copied to a temporary directory first,
 with its bytecode compiled there (compileall), and the interpreters run
@@ -44,6 +47,7 @@ COMMANDS = (
     ("moments", "--p", "0.25", "--format", "csv"),
     ("moments", "--p", "0.25", "--m", "10"),
     ("extinction", "--p", "0.7"),
+    ("moments", "--p=0.25"),
     ("--help",),
 )
 

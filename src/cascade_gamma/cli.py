@@ -21,15 +21,18 @@ output in blocks of rows, which floattext.lines writes with Python's
 own bytes for every cell; a one-row table is written by _cell in
 Python.  Outputs are byte-reproducible for identical invocations.
 
-Every command takes --config, --p, --format and --out, which
-_build_parser adds; _COMMANDS declares only each command's own options
-and its default format.  An option's dest is its flag without the
+Every command takes --config, --p, --format and --out; _COMMANDS
+declares only each command's own options and its default format, and
+_TABLES adds the rest.  An option's dest is its flag without the
 dashes, "_" for "-", so a --config file of `key = value` lines names
 every option by its long name without the dashes; setting the same
-option in both places is an error.  main hands what follows a command
-name to that command's parser alone, as the top-level parser would;
-that one runs only to report an argv that names no command or leaves
-arguments over.
+option in both places is an error.  main parses an argv of a command
+name and exact `--flag value` pairs of its options from those tables
+alone (_parse_direct), into the attributes argparse would give it.
+Every other argv, help and every usage error among them, goes to the
+top-level argparse parser, which _build_parser declares from the same
+tables; argparse is imported only then, and is the one source of usage
+text, messages and their exit codes.
 
 discrete and simulate are imported by the commands that use them,
 floattext by the writers of tables of more than one row, and numpy on
@@ -40,7 +43,6 @@ without building floattext's tables.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
@@ -48,6 +50,7 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import continuum
 from ._lazy import np
@@ -403,7 +406,7 @@ _VERIFY_FLOATS = (
 )
 
 
-# Each command's own options and default format; _build_parser adds the rest.
+# Each command's own options and default format; _TABLES adds the rest.
 _COMMANDS: dict[str, dict] = {
     "density": {
         "help": "tabulate the exact density and its tail asymptote",
@@ -465,32 +468,66 @@ _COMMANDS: dict[str, dict] = {
 }
 
 
-# Built once per process: parsing leaves the parser unchanged, and building
-# its ~40 actions would cost a few milliseconds on every main() call.
-# Returns the top-level parser and, per command, its own parser and its
-# options by dest, in help order: --p, its own, --format and --out.
+# Shared by every command and listed first; a config file cannot set it.
+_CONFIG = _Option("--config", str, help="read options from a key = value file")
+
+
+# Per command, its options by dest in help order: --p, its own, --format and --out.
+_TABLES: dict[str, dict[str, _Option]] = {
+    name: {opt.dest: opt for opt in (
+        _Option("--p", _real, required=True, help="offspring scale p > 0"),
+        *entry["options"],
+        _Option("--format", _choice("csv", "json"), default=entry["format"],
+                help=f"output format (default {entry['format']})"),
+        _Option("--out", str, default="-", help="output path, or - for stdout"))}
+    for name, entry in _COMMANDS.items()
+}
+
+
+def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace _build_parser().parse_args(argv) gives, or None.
+
+    Parses argv only when argv[0] names a command and the rest are exact
+    `--flag value` pairs of its options and --config, no value starting
+    with "-" and every value taken by its converter.  A flag given twice
+    takes its last value, and every option the argv leaves unset is
+    None, as argparse has it.  Any other argv, help included, is None:
+    argparse alone writes usage, messages and exit codes.
+    """
+    table = _TABLES.get(argv[0]) if argv else None
+    if table is None or len(argv) % 2 == 0:
+        return None
+    values = dict.fromkeys(("config", *table))
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        dest = flag[2:].replace("-", "_")
+        opt = _CONFIG if dest == "config" else table.get(dest)
+        if opt is None or opt.flag != flag or text.startswith("-"):
+            return None
+        try:
+            values[dest] = opt.convert(text)
+        except (TypeError, ValueError):
+            return None
+    return SimpleNamespace(**values, handler=_COMMANDS[argv[0]]["handler"], command=argv[0])
+
+
+# Built once per process, for the argvs _parse_direct declines: parsing
+# leaves the parser unchanged, and building it costs milliseconds.
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cascade-gamma",
         description="cascade-size distribution of a branching process with Gamma(2, p) generations",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, entry in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=entry["help"])
-        sub.add_argument("--config", metavar="FILE", help="read options from a key = value file")
-        table: dict[str, _Option] = {}
-        for opt in (_Option("--p", _real, required=True, help="offspring scale p > 0"),
-                    *entry["options"],
-                    _Option("--format", _choice("csv", "json"), default=entry["format"],
-                            help=f"output format (default {entry['format']})"),
-                    _Option("--out", str, default="-", help="output path, or - for stdout")):
+        sub.add_argument(_CONFIG.flag, metavar="FILE", help=_CONFIG.help)
+        for opt in _TABLES[name].values():
             sub.add_argument(opt.flag, dest=opt.dest, type=opt.convert, help=opt.help)
-            table[opt.dest] = opt
         sub.set_defaults(handler=entry["handler"], command=name)
-        commands[name] = sub, table
-    return parser, commands
+    return parser
 
 
 def _apply_config(ns, table: dict[str, _Option]) -> None:
@@ -531,18 +568,13 @@ def _fill_defaults(ns, table: dict[str, _Option]) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser()
-    try:
-        # The command's parser alone, as the top-level one would call it;
-        # that one reports a missing command and arguments left over.
-        ns = None
-        if argv and argv[0] in commands:
-            ns, rest = commands[argv[0]][0].parse_known_args(argv[1:])
-        if ns is None or rest:
-            ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    table = commands[ns.command][1]
+    ns = _parse_direct(argv)
+    if ns is None:
+        try:
+            ns = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+    table = _TABLES[ns.command]
     try:
         _apply_config(ns, table)
         _fill_defaults(ns, table)

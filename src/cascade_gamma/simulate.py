@@ -134,18 +134,15 @@ def _generations(start, offspring, cap, floor):
     alive = start
     total = start.copy()
     censored = np.zeros(start.size, dtype=bool)
-    active = np.ones(start.size, dtype=bool)
-    while True:
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
+    idx = np.arange(start.size)  # the live trials, ascending
+    while idx.size:
         born = offspring(alive[idx])
         alive[idx] = born
         grown = total[idx] + born
         total[idx] = grown
         over = grown > cap
         censored[idx[over]] = True
-        active[idx] = ~over & (born > floor)
+        idx = idx[~over & (born > floor)]
     return alive, total, censored
 
 

@@ -942,7 +942,8 @@ _DEFAULT_FORMATS = {"density": "csv", "pmf": "csv", "moments": "json", "extincti
 
 @pytest.mark.parametrize("command", _DEFAULT_FORMATS)
 def test_every_command_has_the_shared_options_and_config_keys_reach_every_dest(tmp_path, command):
-    sub, table = _build_parser()[1][command]
+    sub = _build_parser()._subparsers._group_actions[0].choices[command]
+    table = cli._TABLES[command]
     flags = [action.option_strings[-1] for action in sub._actions][1:]  # -h, --help first
     assert flags == ["--config", *(opt.flag for opt in table.values())]
     assert flags[1] == "--p" and flags[-2:] == ["--format", "--out"]
@@ -955,22 +956,16 @@ def test_every_command_has_the_shared_options_and_config_keys_reach_every_dest(t
              for opt in table.values()}
     config = tmp_path / "every.cfg"
     config.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
-    ns = sub.parse_args(["--config", str(config)])
+    ns = cli._parse_direct([command, "--config", str(config)])
+    assert vars(ns) == vars(_build_parser().parse_args([command, "--config", str(config)]))
     cli._apply_config(ns, table)
     assert set(vars(ns)) == {"config", "handler", "command", *table}
     for opt in table.values():
         assert getattr(ns, opt.dest) == opt.convert(lines[opt.flag[2:]]), opt.flag
 
 
-class _NoDispatch(dict):
-    """The commands of _build_parser, with no argv[0] found among them."""
-
-    def __contains__(self, name):
-        return False
-
-
-# Argvs for every way the parse can end: a run, a usage error at either
-# parser, help at either parser, leftovers, abbreviations and "--".
+# Argvs for every way the parse can end: a direct parse, a run through
+# argparse, usage errors, help, leftovers, abbreviations and "--".
 DISPATCH_ARGVS = [
     ("moments", "--p", "0.25"),
     ("moments", "--p=0.25", "--format=csv"),
@@ -1001,19 +996,99 @@ DISPATCH_ARGVS = [
     ("--p", "0.25"),
     ("-x", "moments"),
     ("Moments", "--p", "0.25"),
+    ("verify", "--p", "0.6", "--abs-tol", "1e-7", "--format", "csv"),
+    ("moments", "--p", "0.25", "--m", "10", "--format", "csv"),
+    ("moments", "--p", "-0.25"),
+    ("moments", "--p", "0.25", "--out", "-"),
+    ("moments", "--p", "0.25", "--p", "0.3"),
+    ("moments", "--p", "0.25", "--m", "1e0"),
+    ("extinction", "--p", "0.7", "--config", ""),
 ]
 
 
 @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_dispatch_matches_the_top_level_parse(capsys, argv):
-    # main hands argv[1:] to the command's parser; with that turned off it
-    # parses every argv at the top level.  Codes and bytes must agree.
+    # main parses a well-formed argv from the option tables; with that
+    # turned off it parses every argv with argparse.  Codes and bytes must agree.
     dispatched = run_cli(capsys, *argv)
-    parser, commands = _build_parser()
-    with mock.patch.object(cli, "_build_parser", return_value=(parser, _NoDispatch(commands))):
+    with mock.patch.object(cli, "_parse_direct", return_value=None):
         full = run_cli(capsys, *argv)
     assert dispatched == full
     assert full[0] in (0, 2) and full[1] + full[2]
+
+
+_FLAGS = sorted({"--config", *(opt.flag for table in cli._TABLES.values() for opt in table.values())})
+_VALUES = st.one_of(
+    st.floats().map(repr),  # real, negative and non-finite
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["", "-", "--", "-h", "--p", "-1", "1e0", "0x10", " 7", "csv", "json", "xml",
+                     "continuous", "discrete", "walk", "out.csv"]),
+    st.text(max_size=4),
+)
+_TOKENS = st.one_of(
+    st.sampled_from([*cli._COMMANDS, "Moments", "-h", "--help", "--", "-x"]),
+    st.sampled_from(_FLAGS),
+    st.builds(lambda flag, size: flag[:size], st.sampled_from(_FLAGS), st.integers(3, 6)),
+    st.builds("{}={}".format, st.sampled_from(_FLAGS), _VALUES),
+    _VALUES,
+)
+
+
+def _taken(opt):
+    """Texts the converter of opt takes."""
+    if opt.convert is cli._real:
+        return st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    if opt.convert is cli._integer:
+        return st.integers(-10**20, 10**20).map(str)
+    if opt.convert is str:
+        return st.sampled_from(["out.csv", "", "a b", "x=1"])
+    return st.sampled_from(opt.convert.__name__.split("|"))
+
+
+@st.composite
+def _argvs(draw):
+    """A command name and `--flag value` pairs of its options, most flags
+    spelled right and most values taken, or, as often, any tokens in any order."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "Moments", "-h", "--"]))
+    options = [cli._CONFIG, *cli._TABLES.get(command, {}).values()]
+    if draw(st.booleans()):
+        argv = [command]
+        for opt in draw(st.lists(st.sampled_from(options), max_size=6)):
+            # Mostly the flag itself; else "_" for "-", other dashes or an abbreviation.
+            flag = draw(st.sampled_from([opt.flag] * 8 + ["--" + opt.dest, "++" + opt.flag[2:],
+                                                          opt.flag[1:], opt.flag[:3]]))
+            argv += [flag, draw(st.one_of(_taken(opt), _taken(opt), _taken(opt), _VALUES))]
+        return argv
+    argv = [command]
+    for flag, value in draw(st.lists(st.tuples(st.sampled_from(_FLAGS), _VALUES), max_size=5)):
+        argv += [flag, value]
+    for index, token in draw(st.lists(st.tuples(st.integers(0, 12), _TOKENS), max_size=2)):
+        argv.insert(index, token)
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+@example(["verify", "--p", "0.6", "--abs-tol", "1e-7", "--format", "csv", "--out", "v.csv"])
+@example(["simulate", "--mode", "walk", "--p", "0.3", "--m", "10", "--trials", "5", "--seed", "1",
+          "--cap", "50", "--workers", "2", "--hist-out", "h.csv", "--config", ""])
+@example(["moments", "--p", "-0.25"])
+@example(["moments", "--p", "0.25", "--out", "-"])
+@example(["moments", "--p", "0.25", "--p", "0.3"])
+@example(["moments", "--p", "0.25", "--out", "-h"])
+@example(["density", "--out", "--p", "--p", "0.3"])
+@example(["density", "--p", "0.3", "--x_min", "2"])
+def test_direct_parse_gives_what_argparse_gives(argv):
+    # Where the direct parse accepts, argparse gives the same attributes,
+    # so where argparse fails (full is None) the direct parse declines.
+    direct = cli._parse_direct(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            full = vars(_build_parser().parse_args(argv))
+    except SystemExit:
+        full = None
+    if direct is not None:
+        assert vars(direct) == full
 
 
 def test_invalid_values(capsys):

@@ -57,6 +57,7 @@ SCALAR = [
     (("extinction", "--p", "0.7"), 0),
     (("--help",), 0),
     (("moments",), 2),  # usage error: --p missing
+    (("moments", "--p=0.25"), 0),  # parsed by argparse
 ]
 
 
@@ -80,6 +81,7 @@ def test_scalar_commands_never_load_dataclasses_or_inspect(argv, code):
     ("moments", "--p", "0.25", "--format", "csv"),
     ("moments", "--p", "0.25", "--m", "10", "--format", "csv"),
     ("extinction", "--p", "0.7", "--format", "csv"),
+    ("moments", "--p=0.25", "--format=csv"),  # parsed by argparse
 ])
 def test_one_row_csv_never_loads_numpy(capsys, argv):
     code, out, at_import, after, _ = cold(*argv)
@@ -102,21 +104,38 @@ def test_cold_commands_write_the_in_process_bytes(capsys, argv):
     assert (code, out) == (main(list(argv)), capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_moments_never_loads_numerics(fmt):
-    # continuum binds numerics in the functions that call it, none of
-    # which moments reaches, so a cold moments never compiles it.
+def loaded(module, *argv):
+    """(exit code, whether module was loaded) after a fresh run of argv."""
     check = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from cascade_gamma import cli\n"
-        "code = cli.main(sys.argv[2:])\n"
-        "print('cascade_gamma.numerics' in sys.modules, file=sys.stderr)\n"
+        "code = cli.main(sys.argv[3:])\n"
+        "print(sys.argv[2] in sys.modules, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    done = subprocess.run([sys.executable, "-c", check, SRC, "moments", "--p", "0.25", "--format", fmt],
+    done = subprocess.run([sys.executable, "-c", check, SRC, module, *argv],
                           capture_output=True, text=True, timeout=120, check=False)
-    assert (done.returncode, done.stderr) == (0, "False\n")
+    assert done.stderr in ("True\n", "False\n"), done.stderr
+    return done.returncode, done.stderr == "True\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_moments_never_loads_numerics(fmt):
+    # continuum binds numerics in the functions that call it, none of
+    # which moments reaches, so a cold moments never compiles it.
+    assert loaded("cascade_gamma.numerics", "moments", "--p", "0.25", "--format", fmt) == (0, False)
+
+
+@pytest.mark.parametrize("argv, imported", [
+    (("moments", "--p", "0.25"), False),
+    (("extinction", "--p", "0.7"), False),
+    (("moments", "--p=0.25"), True),  # declined by the direct parse
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value))
+def test_well_formed_argvs_never_import_argparse(argv, imported):
+    # main parses `--flag value` pairs from the option tables; argparse,
+    # about a tenth of a cold start, is imported only for other argvs.
+    assert loaded("argparse", *argv) == (0, imported)
 
 
 def test_cold_start_script_times_every_command():
@@ -125,7 +144,8 @@ def test_cold_start_script_times_every_command():
     assert done.returncode == 0, done.stderr
     rows = [line.rsplit(None, 4) for line in done.stdout.splitlines()[2:]]
     assert [row[0] for row in rows] == ["moments --p 0.25", "moments --p 0.25 --format csv",
-                                        "moments --p 0.25 --m 10", "extinction --p 0.7", "--help"]
+                                        "moments --p 0.25 --m 10", "extinction --p 0.7",
+                                        "moments --p=0.25", "--help"]
     for _, median, q1, q3, src in rows:
         assert 0.0 < float(q1) == float(median) == float(q3) and src == SRC
 

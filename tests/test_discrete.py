@@ -116,6 +116,43 @@ def test_cascade_atom_is_founders_only_probability():
     assert math.exp(got) == pytest.approx(1.0 / 27.0, rel=1e-13)
 
 
+def _mp_log_pmf(p: float, m: int, n: int) -> float:
+    """ln P{T = n} from m founders, at 60 digits: the module's formula at
+    the double p and the exact delta = 1/m."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        pm, delta = mpmath.mpf(p), mpmath.mpf(1) / m
+        r, q = 2 * delta * pm / (pm - delta), (pm - delta) / pm
+        return float(
+            mpmath.log(m) - mpmath.log(n) + mpmath.loggamma(n * (1 + r) - m)
+            - mpmath.loggamma(n * r) - mpmath.loggamma(n - m + 1)
+            + r * n * mpmath.log(1 - q) + (n - m) * mpmath.log(q)
+        )
+
+
+@st.composite
+def _pmf_points(draw):
+    """(p, m, extra atoms n - m) in the region of cascade_log_pmf's contract."""
+    lo, hi = draw(st.sampled_from([(0.2, 0.45), (0.55, 2.0)]))
+    m = draw(st.integers(math.ceil(1.01 / hi), 1000))
+    p = draw(st.floats(max(lo, 1.01 / m), hi))
+    return p, m, draw(st.lists(st.integers(0, 10**4), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pmf_points())
+def test_cascade_log_pmf_against_mpmath(point):
+    # The five log-gamma terms are of size n ln n and cancel to ln P;
+    # in this region the error stays below 1e-11 of max(1, |ln P|).
+    p, m, extra = point
+    n = m + np.array(extra)
+    got = cascade_log_pmf(DiscretizationParams(p, m), m, n)
+    for count, value in zip(n.tolist(), got.tolist()):
+        expected = _mp_log_pmf(p, m, count)
+        assert abs(value - expected) <= 1e-11 * max(1.0, abs(expected)), (p, m, count)
+
+
 def test_cascade_below_founders_is_impossible():
     params = DiscretizationParams(0.3, 10)
     assert cascade_log_pmf(params, 10, 9) == -math.inf
