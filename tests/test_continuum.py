@@ -7,6 +7,7 @@ bisection before the library was written.
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from cascade_gamma import (
     verify_normalization,
 )
 from cascade_gamma.continuum import (
+    _FINE_TOL,
+    _FINER_TOL,
     _support_breaks,
     _support_integrand,
     _support_moment,
@@ -509,17 +512,29 @@ def test_failing_quadratures_fail_fast(monkeypatch, run):
     assert numerics._MAX_PANELS - 3 < panels <= numerics._MAX_PANELS
 
 
+# Tolerances on both sides of each threshold at which the seed edges change.
+_EDGE_TOLERANCES = [math.nextafter(threshold, toward) for threshold in (_FINE_TOL, _FINER_TOL)
+                    for toward in (0.0, threshold, math.inf)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(
-    st.floats(min_value=-305.0, max_value=300.0).map(lambda e: 10.0**e),
-    st.builds(lambda k, sign: 0.5 + sign * 10.0**-k, st.integers(1, 15), st.sampled_from((-1, 1))),
-))
-@example(1e-300)
-def test_support_breaks_ascend_strictly_inside_the_unit_interval(p):
+@given(
+    st.one_of(
+        st.floats(min_value=-305.0, max_value=300.0).map(lambda e: 10.0**e),
+        st.builds(lambda k, sign: 0.5 + sign * 10.0**-k, st.integers(1, 15), st.sampled_from((-1, 1))),
+    ),
+    st.one_of(st.floats(min_value=5e-324, max_value=sys.float_info.max), st.sampled_from(_EDGE_TOLERANCES)),
+)
+@example(1e-300, 1e-12)
+@example(1e-300, 1.0)
+@example(3.0, 1e-9)
+def test_support_breaks_ascend_strictly_inside_the_unit_interval(p, abs_tol):
     # The octaves towards the cutoff and those towards v = 1 must not
-    # meet: at p = 1e-300 the last cutoff point is one ulp below 1.
+    # meet: at p = 1e-300 the last cutoff point is one ulp below 1.  At a
+    # tolerance under _FINE_TOL the two sets interleave, and the split
+    # cutoff octaves must stay below 1 too.
     params = ModelParams(p)
-    edges = [0.0, *_support_breaks(params, _tail_constants(params)[1]), 1.0]
+    edges = [0.0, *_support_breaks(params, _tail_constants(params)[1], abs_tol), 1.0]
     assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
 
 
@@ -531,19 +546,25 @@ CALL_COUNT_GRID = [(10.0 ** (-2.0 + 5.0 * i / 23), 10.0**-j) for i in range(24) 
 
 def test_verify_mostly_ends_in_its_first_integrand_call(monkeypatch):
     # A round of the quadrature costs far more than its nodes, so the seed
-    # panels are many.  Over the 140 runs of this grid the integrand was
-    # called 259 times with seed octaves towards the cutoff alone and 177
-    # times with octaves towards v = 1 as well.
-    calls = []
+    # panels are many, and finer at a tight tolerance.  Over the 140 runs
+    # of this grid the integrand was called 259 times with seed octaves
+    # towards the cutoff alone, 177 times (26 325 evaluations) with
+    # octaves towards v = 1 as well and the same edges at every
+    # tolerance, and 143 times (22 875 evaluations) with the edges sized
+    # from abs_tol: 137 of the 140 runs end in their first call.
+    calls, evaluations = [], []
     integrate = numerics.integrate_adaptive
 
     def counted(f, *args, **kwargs):
-        return integrate(lambda x: calls.append(x.size) or f(x), *args, **kwargs)
+        result = integrate(lambda x: calls.append(x.size) or f(x), *args, **kwargs)
+        evaluations.append(result.evaluations)
+        return result
 
     monkeypatch.setattr(numerics, "integrate_adaptive", counted)
     for p, abs_tol in CALL_COUNT_GRID:
         verify_normalization(ModelParams(p), abs_tol)
-    assert len(calls) <= 0.75 * 259
+    assert len(calls) <= 150
+    assert sum(evaluations) <= 24_000
 
 
 @pytest.mark.parametrize("p", [0.5, 0.5 + 1e-8, 0.5 - 1e-8])

@@ -557,12 +557,12 @@ def _support(p, k=0):
     return lambda v: _support_integrand(params, _tail_constants(params), k, v)
 
 
-def _support_breaks(p):
+def _support_breaks(p, abs_tol):
     from cascade_gamma import ModelParams
     from cascade_gamma.continuum import _support_breaks, _tail_constants
 
     params = ModelParams(p)
-    return _support_breaks(params, _tail_constants(params)[1])
+    return _support_breaks(params, _tail_constants(params)[1], abs_tol)
 
 
 def _nan_in_both_halves(x):
@@ -588,10 +588,12 @@ SPLIT_CALL_CASES = [
     for p in (0.01, 0.3, 0.5, 0.6, 5.0, 1e3)
     for tol in (1e-6, 1e-10)
 ] + [
-    pytest.param(_support(p), Interval(0.0, 1.0), {"abs_tol": tol, "breaks": _support_breaks(p)},
+    pytest.param(_support(p), Interval(0.0, 1.0), {"abs_tol": tol, "breaks": _support_breaks(p, tol)},
                  id=f"support-seeded-p{p}-tol{tol}")
     for p in (0.01, 0.3, 0.5 - 1e-7, 0.5 + 1e-6, 2.0)
-    for tol in (1e-6, 1e-10)
+    # The seed edges are sized so that these end in one call up to 1e-10;
+    # at 1e-12 each takes a second call.
+    for tol in (1e-6, 1e-10, 1e-12)
 ]
 
 
