@@ -115,8 +115,11 @@ def emit(rows: list[dict], csv_path: str | None) -> None:
 
 
 def m_ladder(text: str) -> list[int]:
-    """A comma-separated list of m values, at least one."""
-    return [int(v) for v in text.split(",")]
+    """A comma-separated list of m values, at least one, strictly increasing."""
+    ladder = [int(v) for v in text.split(",")]
+    if any(coarse >= fine for coarse, fine in zip(ladder, ladder[1:])):
+        raise ValueError(text)
+    return ladder
 
 
 def positive_int(text: str) -> int:
@@ -132,7 +135,7 @@ def main() -> int:
     parser.add_argument("--view", choices=("density", "offspring", "martingale"),
                         default="density")
     parser.add_argument("--ladder", type=m_ladder, default="10,20,50,100",
-                        help="comma-separated m values, coarse to fine")
+                        help="comma-separated m values, coarse to fine (strictly increasing)")
     parser.add_argument("--x-min", type=float, default=1.5)
     parser.add_argument("--x-max", type=float, default=20.0)
     parser.add_argument("--points", type=positive_int, default=38, help="grid points (>= 1)")

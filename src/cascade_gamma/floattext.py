@@ -10,29 +10,30 @@ text is byte for byte what Python writes for it:
   repr(v) ('Infinity', '-Infinity' and 'NaN' for the non-finite ones)
   and integers as repr(v).
 
-A float x is scaled to a 17-digit integer V = |x|·10^(16−k), with
-k = ⌊log10 |x|⌋ checked against V itself, as a double-double: Dekker's
-exact product of |x| with hi, plus |x|·lo, for a table of
-10^j = hi + lo.  A nonzero |x| below 1e-290, subnormals included, is
-first scaled by 2^256, which is exact, and multiplied by a second
-section of the table, 10^j·2^−256 = hi + lo, so every factor and
-product stays in the normal range.  V is then good to about 1e-14, so
-its integer part D and its fraction decide '%.17g' (round half even)
+Floats from 5e-324 to 1e290, +0.0 and integers from 0 to 10^17 − 1
+take the vector path.  A float x is scaled to a 17-digit integer
+V = x·10^(16−k), with k = ⌊log10 x⌋ checked against V itself, as a
+double-double: Dekker's exact product of x with hi, plus x·lo, for a
+table of 10^j = hi + lo.  A nonzero x below 1e-290, subnormals
+included, is first scaled by 2^256, which is exact, and multiplied by a
+second section of the table, 10^j·2^−256 = hi + lo, so every factor
+and product stays in the normal range.  V is then good to about 1e-14,
+so its integer part D and its fraction decide '%.17g' (round half even)
 and repr (the fewest digits whose decimal lies strictly inside the
 rounding interval of x, and of those the nearest) wherever that
 decision is more than 1e-9 from a boundary.  A subnormal's rounding
 interval can be 10^16 units of D wide, so its half-gaps are
-double-doubles too.  The rest go to Python's own formatter: the
-elements within 1e-9 of a boundary, exact ties among them, the
-non-finite ones and those above 1e290, where the table and the
-products would overflow.  A bound of repr's interval that lies on a
-grid coarser than the guard (as for large whole numbers) is settled
-exactly instead.
+double-doubles too.  Every other element goes to Python's own
+formatter: negative values and −0.0, the non-finite ones, those above
+1e290, where the table and the products would overflow, and every
+decision within 1e-9 of a boundary, with no exact settlement (exact
+ties, and repr's interval bounds that fall on an integer, as for large
+whole numbers).
 
 Digits come from a table of all 4-digit groups, and each (notation,
-sign, k, digit count) has one precomputed layout that places the
-digits, the point, the padding zeros and the exponent.  Integers of up
-to 17 digits take the same digits and layouts.
+k, digit count) has one precomputed layout that places the digits, the
+point, the padding zeros and the exponent.  Integers take the same
+digits and layouts.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ _DIGITS4, _TRAILING4 = _groups()
 
 # A rendered element's source row: 32 bytes, the 17 digits of D at
 # [3, 20), the exponent's sign and 3 digits, constant bytes, and zeros.
-_D0, _ESIGN, _EXP3, _MINUS, _DOT, _ZERO, _E, _NUL = 3, 20, 21, 24, 25, 26, 27, 28
-_CONST = np.frombuffer(b"-.0e", np.uint32)[0]
+_D0, _ESIGN, _EXP3, _DOT, _ZERO, _E, _NUL = 3, 20, 21, 24, 25, 26, 27
+_CONST = np.frombuffer(b".0e\0", np.uint32)[0]
 
 
 def _exponents() -> np.ndarray:
@@ -131,7 +132,7 @@ def _exponents() -> np.ndarray:
 
 _EXPONENT = _exponents()
 
-# Layouts, indexed by ((style * 2 + negative) * 23 + kclass) * 18 + n with
+# Layouts, indexed by (style * 23 + kclass) * 18 + n with
 # style 0 '%.17g', 1 repr, 2 integer; kclass k + 4 for fixed notation
 # (k in [-4, 16]), 21 for an exponent of 2 digits and 22 for one of 3; n
 # the count of significant digits.  Each row holds _WIDTH indices into the
@@ -173,30 +174,25 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     source = np.concatenate([floats, floats, integer])
     length = np.concatenate([g17_len, repr_len, integer_len])
     # Past the length, and for impossible keys (n = 0, say), any valid index.
-    source = np.where(p < length, np.clip(source, 0, _E), _NUL).astype(np.uint8)
-    # A negative text is '-' and the positive text.
-    negative = np.concatenate([np.full((len(source), 1), _MINUS, np.uint8), source[:, :-1]], 1)
-    shape = (3, 1, _KCLASSES * 18)
-    layout = np.concatenate([source.reshape(*shape, -1), negative.reshape(*shape, -1)], 1)
-    lengths = np.concatenate([length.reshape(shape), length.reshape(shape) + 1], 1)
     # Every index is below 32; _render widens a block's to intp as it adds
     # the row offsets.
-    return layout.reshape(-1, _WIDTH), lengths.ravel().astype(np.int64)
+    source = np.where(p < length, np.clip(source, 0, _E), _NUL).astype(np.uint8)
+    return source, length.ravel().astype(np.int64)
 
 
 _LAYOUT, _LENGTH = _layouts()
 
 
 def _float_keys() -> list[np.ndarray]:
-    """Per float style, the layout key of each k in [-330, 330] for a
-    positive float, less its digit count n."""
+    """Per float style, the layout key of each k in [-330, 330], less the
+    digit count n."""
     k = np.arange(-330, 331)
     keys = []
     # '%.17g' writes k in [-4, 17) in fixed notation, repr k in [-4, 16).
     for style, end in ((_G17, 17), (_REPR, 16)):
         fixed = (k >= -4) & (k < end)
         kclass = np.where(fixed, k + 4, 21 + (np.abs(k) >= 100))
-        keys.append((style * 2 * _KCLASSES + kclass) * 18)
+        keys.append((style * _KCLASSES + kclass) * 18)
     return keys
 
 
@@ -209,7 +205,10 @@ def lines(columns: list[np.ndarray], style: str, ends: list[str]) -> Iterator[st
     Row i is element i of each column, each followed by its end; the
     last row leaves its last end off.  The columns are float or integer
     arrays of one length, written in style "csv" or "json" (see the
-    module docstring), and no end holds a zero byte.
+    module docstring), and no end holds a zero byte.  Python's own
+    formatter writes, cell by cell, the negative values and −0.0, the
+    non-finite ones, floats above 1e290, integers from 10^17, and every
+    decision within 1e-9 of a boundary; the rest take the vector path.
     """
     ends = [np.frombuffer(end.encode(), np.uint8) for end in ends]
     rows = len(columns[0])
@@ -261,34 +260,34 @@ def _python_cells(values: np.ndarray, style: str) -> tuple[np.ndarray, np.ndarra
 
 def _integer_fields(values: np.ndarray):
     v = values.astype(np.int64, copy=False)
-    fast = (v > -_E17) & (v < _E17)
-    d = np.abs(np.where(fast, v, 0))
+    fast = (v >= 0) & (v < _E17)
+    d = np.where(fast, v, 0)
     n = np.searchsorted(_POW10, d, side="right") + 1
-    keys = ((_INT * 2 + (v < 0)) * _KCLASSES) * 18 + n
+    keys = _INT * _KCLASSES * 18 + n
     return _digit_rows(d, np.zeros_like(d))[0], keys, np.flatnonzero(~fast)
 
 
 def _float_fields(x: np.ndarray, style: int):
     """Source rows, layout keys and the indices left to Python, for floats."""
-    ax = np.abs(x)
     digits = _shortest if style == _REPR else _rounded
-    regular = (ax >= _LEAST) & (ax <= _MOST)
+    regular = (x >= _LEAST) & (x <= _MOST)
     if regular.all():
-        d, k, slow = digits(ax)
+        d, k, slow = digits(x)
     else:
         d = np.zeros(len(x), np.int64)
         k = np.zeros(len(x), np.int64)
-        tiny = (ax < _LEAST) & (ax != 0)
-        slow = ~(regular | tiny) & (ax != 0)  # nan included
+        tiny = (x > 0) & (x < _LEAST)
+        # All but +0.0, whose bits are all zero: negatives, -0.0 and nan.
+        slow = ~(regular | tiny) & (x.view(np.int64) != 0)
         for subset, scaled in ((regular, False), (tiny, True)):
             where = np.flatnonzero(subset)
             if where.size:
-                d[where], k[where], near = digits(ax[where], scaled)
+                d[where], k[where], near = digits(x[where], scaled)
                 slow[where[near]] = True
         slow = np.flatnonzero(slow)
     rows, groups = _digit_rows(d, k)
     n = _significant(groups)
-    keys = _FLOAT_KEYS[style].take(k + 330) + np.signbit(x) * (_KCLASSES * 18) + n
+    keys = _FLOAT_KEYS[style].take(k + 330) + n
     return rows, keys, slow
 
 
@@ -363,7 +362,7 @@ def _shortest(x: np.ndarray, tiny: bool = False):
         high = frac + up
         lo = d + np.floor(low).astype(np.int64) + 1
         hi = d + np.ceil(high).astype(np.int64) - 1
-    near = _bounds_on_integers(x, d, k, low, high, lo, hi)
+    near = (np.abs(low - np.rint(low)) < _GUARD) | (np.abs(high - np.rint(high)) < _GUARD)
     # count integers hold a multiple of 10^s, s = ⌊log10 count⌋, and at
     # most one of 10^(s+1), which then has the most trailing zeros.  A
     # normal x has count <= 23: its interval is under 2^-52·V < 23 wide.
@@ -386,36 +385,6 @@ def _shortest(x: np.ndarray, tiny: bool = False):
     near |= count < 1
     digits = np.where(has_unique, unique, nearest)
     return _carry(digits, k) + (np.flatnonzero(near),)
-
-
-def _bounds_on_integers(a, d, k, low, high, lo, hi) -> np.ndarray:
-    """Settles the bounds within the guard of an integer; True where it cannot.
-
-    Where the bounds lie on a grid coarser than the guard, a bound that
-    close to an integer is that integer.  It belongs to the interval when the
-    mantissa of a is even, as reading a decimal back rounds half even.
-    With 16 − k in [0, 22], 10^(16−k) and so V are exact, and the bounds
-    are multiples of spacing(a)·2^(16−k)/4.  With 16 − k in [−8, −1], a
-    and its half-gaps are whole numbers, and the bounds are multiples of
-    10^(16−k).
-    """
-    near_low = np.abs(low - np.rint(low)) < _GUARD
-    near_high = np.abs(high - np.rint(high)) < _GUARD
-    near = near_low | near_high
-    at = np.flatnonzero(near)
-    if not at.size:
-        return near
-    jj = 16 - k[at]
-    exact = (jj >= 0) & (jj <= 22)
-    grid = np.spacing(a[at]) * np.exp2(np.clip(jj, 0, 22)) * 0.25
-    at = at[np.where(exact, grid >= 4 * _GUARD, (jj < 0) & (jj >= -8))]
-    inside = (a[at].view(np.int64) & 1) == 0
-    for near_bound, bound, ends, step in ((near_low, low, lo, 1), (near_high, high, hi, -1)):
-        fix = near_bound[at]
-        ends[at[fix]] = d[at[fix]] + np.rint(bound[at[fix]]).astype(np.int64) \
-            + step * ~inside[fix]
-    near[at] = False
-    return near
 
 
 def _carry(d: np.ndarray, k: np.ndarray):

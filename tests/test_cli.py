@@ -102,6 +102,12 @@ def test_density_rejects_bad_grid(capsys):
     assert "x_min" in err
     code, _, _ = run_cli(capsys, "density", "--p", "0.4", "--steps", "1")
     assert code == 2
+    # Three points on two adjacent doubles: linspace repeats one.
+    code, out, err = run_cli(capsys, "density", "--p", "0.3", "--x-min", "1",
+                             "--x-max", "1.0000000000000002", "--steps", "3")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert all(name in err for name in ("x_min", "x_max", "steps")), err
 
 
 # --------------------------------------------------------------------- pmf

@@ -627,6 +627,9 @@ def test_density_table_validation():
         density_table(params, 2.0, 2.0, 10)
     with pytest.raises(DomainError):
         density_table(params, 1.0, 10.0, 1)
+    # linspace puts three points on two adjacent doubles.
+    with pytest.raises(DomainError, match="x_min = 1.0, x_max = 1.0000000000000002 and steps = 3"):
+        density_table(params, 1.0, 1.0000000000000002, 3)
     with pytest.raises(DomainError):
         DensityTable(
             x=np.array([1.0, 1.0]),

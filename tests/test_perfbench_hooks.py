@@ -121,17 +121,22 @@ def test_microbench_calls_bind_to_the_package(monkeypatch):
 def test_table_cells_stay_on_the_vector_path(monkeypatch):
     """The seed-1 `tables` jobs hand almost no cell to Python's formatter.
 
-    Before tails below 1e-290 were scaled by 2^256, 8,746 of the cells
-    these jobs write went to Python, one by one.  What is left is exact
-    ties and decisions within 1e-9 of a boundary.
+    Each job runs in both formats, so every column is written both as
+    '%.17g' and as repr.  Before tails below 1e-290 were scaled by 2^256,
+    8,746 of the cells these jobs write in their own formats went to
+    Python, one by one.  What is left is negative values, exact ties and
+    decisions within 1e-9 of a boundary.
     """
     workloads = _load("workloads", monkeypatch)
     written = mock.patch.object(floattext, "_cells", wraps=floattext._cells)
     fallback = mock.patch.object(floattext, "_python_cells", wraps=floattext._python_cells)
-    with written as cells, fallback as python_cells, contextlib.redirect_stdout(io.StringIO()):
-        for job in workloads.generate("tables", 1):
-            assert cli.main(list(job.argv)) == 0, job.argv
-    total = sum(len(call.args[0]) for call in cells.call_args_list)
-    slow = sum(len(call.args[0]) for call in python_cells.call_args_list)
-    assert total > 10**5
-    assert slow < 1e-4 * total, (slow, total)
+    for fmt in ("csv", "json"):
+        with written as cells, fallback as python_cells, contextlib.redirect_stdout(io.StringIO()):
+            for job in workloads.generate("tables", 1):
+                at = job.argv.index("--format") + 1
+                argv = [*job.argv[:at], fmt, *job.argv[at + 1:]]
+                assert cli.main(argv) == 0, argv
+        total = sum(len(call.args[0]) for call in cells.call_args_list)
+        slow = sum(len(call.args[0]) for call in python_cells.call_args_list)
+        assert total > 10**5
+        assert slow < 1e-4 * total, (fmt, slow, total)

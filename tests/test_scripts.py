@@ -80,10 +80,13 @@ def test_script_rejects_parameters_with_one_line(argv, message):
 @pytest.mark.parametrize("argv", [
     ("convergence_study.py", "--p", "0.3", "--ladder", "10,abc"),
     ("convergence_study.py", "--p", "0.3", "--ladder", ""),
+    ("convergence_study.py", "--p", "0.3", "--ladder", "20,10"),
+    ("convergence_study.py", "--p", "0.3", "--ladder", "10,10"),
     ("convergence_study.py", "--p", "0.3", "--points", "0"),
     ("output_digest.py", "--drop", "", "verify", "1"),
     ("output_digest.py", "--drop", "integral,,x_max", "verify", "1"),
-], ids=["ladder-not-int", "ladder-empty", "points-zero", "drop-empty", "drop-empty-key"])
+], ids=["ladder-not-int", "ladder-empty", "ladder-descending", "ladder-repeated", "points-zero",
+        "drop-empty", "drop-empty-key"])
 def test_script_rejects_malformed_arguments_with_a_usage_line(argv):
     done = _run_script(argv)
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
