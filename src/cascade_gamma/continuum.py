@@ -490,15 +490,14 @@ def density_table(params: ModelParams, x_min: float, x_max: float, steps: int) -
     if steps > TABLE_ROW_CAP:
         raise DomainError(f"steps = {steps} is over the cap of {TABLE_ROW_CAP}")
     # linspace may overflow at its last point, which it then sets to x_max.
-    with np.errstate(over="ignore"):
-        grid = np.linspace(x_min, x_max, steps)
-    if np.any(np.diff(grid) <= 0.0):
-        raise DomainError(f"x_min = {x_min!r}, x_max = {x_max!r} and steps = {steps} repeat "
-                          "a grid point; take fewer steps or a wider range")
     # Below p of about 2.8e-155, ln C - a passes ln(DBL_MAX), and the
     # asymptote overflows near x = 1; the density itself stays finite.
     with np.errstate(over="ignore"):
+        grid = np.linspace(x_min, x_max, steps)
         asymptotic = np.exp(asymptotic_log_density(params, grid))
+    if np.any(np.diff(grid) <= 0.0):
+        raise DomainError(f"x_min = {x_min!r}, x_max = {x_max!r} and steps = {steps} repeat "
+                          "a grid point; take fewer steps or a wider range")
     over = np.isinf(asymptotic)
     if over.any():
         raise DomainError(f"the asymptote exceeds the largest double at x = {float(grid[over][0])!r} "

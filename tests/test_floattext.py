@@ -151,9 +151,11 @@ def test_the_fast_path_stays_the_path(style):
     inside = values <= 1e290
     # From 1e13 to 1e25 x·10^(16−k) and the bounds of its rounding
     # interval are sums of few binary or decimal places, so ties and
-    # bounds that fall on an integer are common there (76 of the 1,997
-    # here in csv, 349 in json), and each goes to Python.
-    usual = inside & ((values < 1e13) | (values > 1e25))
+    # bounds that fall on an integer are common there.  csv meets the
+    # bound with its 76 such values of the 1,997; json, whose repr bounds
+    # on an integer go to Python unsettled, sends 349, so json is held to
+    # it outside that band only.
+    usual = inside if style == "csv" else inside & ((values < 1e13) | (values > 1e25))
     assert _fallbacks(values[usual], style) < 1e-3 * usual.sum()
     assert _fallbacks(values[~inside], style) == (~inside).sum()
     _assert_same(values, style)
