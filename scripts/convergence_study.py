@@ -136,11 +136,13 @@ def main() -> int:
                         default="density")
     parser.add_argument("--ladder", type=m_ladder, default="10,20,50,100",
                         help="comma-separated m values, coarse to fine (strictly increasing)")
-    parser.add_argument("--x-min", type=float, default=1.5)
-    parser.add_argument("--x-max", type=float, default=20.0)
+    parser.add_argument("--x-min", type=float, default=1.5, help="grid start (<= --x-max)")
+    parser.add_argument("--x-max", type=float, default=20.0, help="grid end")
     parser.add_argument("--points", type=positive_int, default=38, help="grid points (>= 1)")
     parser.add_argument("--csv", default=None, help="also write the table here")
     args = parser.parse_args()
+    if args.x_min > args.x_max:
+        parser.error(f"--x-min {args.x_min!r} is above --x-max {args.x_max!r}")
 
     try:
         if args.view == "martingale":

@@ -4,14 +4,14 @@ compare them against the closed forms.
 
 Checks, each reported as a z-score in standard errors:
 
-  * continuous engine mean vs the exact subcritical mean 1/(1 - 2p),
-    for p < 1/2
+  * continuous and discrete engine means vs the exact subcritical mean
+    1/(1 - 2p), for p < 1/2; the lattice keeps that mean at every delta
   * finite-cascade fraction vs exp(-decay gap) (continuous) and the
     martingale root raised to m (discrete), for p > 1/2
 
 At p = 1/2 neither check applies, and the script refuses to run; it
-also refuses a mean check whose campaign has no standard error, fewer
-than 2 finite trials.
+also refuses the mean checks when either campaign has no standard
+error, fewer than 2 finite trials.
 
 The walk mode is not run: it shares the discrete kernel (a stride of k
 walk steps from position k is one generation draw, by the Dwass
@@ -80,10 +80,10 @@ def cross_check(args: argparse.Namespace) -> int:
                                      workers=args.workers))
         for mode in ("continuous", "discrete")
     }
-    continuous = summaries["continuous"]
-    if params.subcritical and continuous.se_mean is None:
-        raise DomainError(f"the mean check needs a standard error, which takes 2 finite "
-                          f"trials; the continuous campaign has {continuous.n_finite}")
+    for mode, s in summaries.items():
+        if params.subcritical and s.se_mean is None:
+            raise DomainError(f"the mean check needs a standard error, which takes 2 finite "
+                              f"trials; the {mode} campaign has {s.n_finite}")
     for mode, s in summaries.items():
         se = "n/a" if s.se_mean is None else f"{s.se_mean:.6f}"
         mean = "n/a" if s.mean is None else f"{s.mean:.6f} +- {se}"
@@ -95,9 +95,9 @@ def cross_check(args: argparse.Namespace) -> int:
     failures = 0
 
     if params.subcritical:
-        s = summaries["continuous"]
-        failures += zline("continuous mean vs closed form",
-                          s.mean, moments(params).mean, s.se_mean)
+        want = moments(params).mean
+        for mode, s in summaries.items():
+            failures += zline(f"{mode} mean vs closed form", s.mean, want, s.se_mean)
     else:
         prob = extinction(params).prob_finite
         alpha_pow_m = martingale_alpha(lattice) ** args.m

@@ -21,18 +21,18 @@ output in blocks of rows, which floattext.lines writes with Python's
 own bytes for every cell; a one-row table is written by _cell in
 Python.  Outputs are byte-reproducible for identical invocations.
 
-Every command takes --config, --p, --format and --out; _COMMANDS
-declares only each command's own options and its default format, and
-_TABLES adds the rest.  An option's dest is its flag without the
-dashes, "_" for "-", so a --config file of `key = value` lines names
-every option by its long name without the dashes; setting the same
-option in both places is an error.  main parses an argv of a command
-name and exact `--flag value` pairs of its options from those tables
-alone (_parse_direct), into the attributes argparse would give it.
-Every other argv, help and every usage error among them, goes to the
-top-level argparse parser, which _build_parser declares from the same
-tables; argparse is imported only then, and is the one source of usage
-text, messages and their exit codes.
+Every command takes --config, --p, --format and --out.  Each command's
+entry in _COMMANDS holds its handler, its help line and every option
+but --config, keyed by flag; an option's dest is its flag without the
+dashes, "_" for "-".  A --config file of `key = value` lines names
+every option by its flag without the dashes ("_" reads as "-");
+setting the same option in both places is an error.  main parses an
+argv of a command name and exact `--flag value` pairs of its options
+from that entry alone (_parse_direct), into the attributes argparse
+would give it.  Every other argv, help and every usage error among
+them, goes to the top-level argparse parser, which _build_parser
+declares from the same entries; argparse is imported only then, and is
+the one source of usage text, messages and their exit codes.
 
 discrete and simulate are imported by the commands that use them,
 floattext by the writers of tables of more than one row, and numpy on
@@ -88,18 +88,15 @@ def _choice(*options: str) -> Callable[[str], str]:
 
 
 class _Option(Record):
-    """A command option: its --flag, the converter of its text, and the value it takes unset."""
+    """A command option: its --flag, the converter of its text, the value it
+    takes unset, and its dest, the namespace attribute it sets: the flag's
+    name with "_" for "-"."""
 
-    __slots__ = ("flag", "convert", "default", "required", "help")
+    __slots__ = ("flag", "convert", "default", "required", "help", "dest")
 
     def __init__(self, flag: str, convert: Callable[[str], object], default: object = None,
                  required: bool = False, help: str = ""):
-        super().__init__(flag, convert, default, required, help)
-
-    @property
-    def dest(self) -> str:
-        """The namespace attribute: the flag's name with "_" for "-", as a config key reads."""
-        return self.flag[2:].replace("-", "_")
+        super().__init__(flag, convert, default, required, help, flag[2:].replace("-", "_"))
 
 
 def _csv_text(comments: list[str], header: list[str], columns,
@@ -406,82 +403,60 @@ _VERIFY_FLOATS = (
 )
 
 
-# Each command's own options and default format; _TABLES adds the rest.
-_COMMANDS: dict[str, dict] = {
-    "density": {
-        "help": "tabulate the exact density and its tail asymptote",
-        "handler": _cmd_density,
-        "format": "csv",
-        "options": [
-            _Option("--x-min", _real, default=1.0, help="grid start (>= 1)"),
-            _Option("--x-max", _real, default=20.0, help="grid end"),
-            _Option("--steps", _integer, default=200, help="grid points (>= 2)"),
-        ],
-    },
-    "pmf": {
-        "help": "tabulate the atomized cascade-size pmf",
-        "handler": _cmd_pmf,
-        "format": "csv",
-        "options": [
-            _Option("--m", _integer, required=True, help="atoms per unit mass (1/m < p)"),
-            _Option("--n-max", _integer, help="last count to tabulate (default: auto)"),
-        ],
-    },
-    "moments": {
-        "help": "subcritical mean and variance (optionally the finite-delta ones)",
-        "handler": _cmd_moments,
-        "format": "json",
-        "options": [
-            _Option("--m", _integer, help="also report the atomized moments for this m"),
-        ],
-    },
-    "extinction": {
-        "help": "finite-cascade probability by two independent routes",
-        "handler": _cmd_extinction,
-        "format": "json",
-        "options": [],
-    },
-    "simulate": {
-        "help": "run a Monte Carlo campaign",
-        "handler": _cmd_simulate,
-        "format": "json",
-        "options": [
-            _Option("--mode", _choice("continuous", "discrete", "walk"), required=True,
-                    help="engine; walk and discrete share one kernel (Dwass identity), "
-                         "so equal seeds give equal numbers"),
-            _Option("--trials", _integer, required=True, help="number of trials"),
-            _Option("--seed", _integer, required=True, help="64-bit campaign seed"),
-            _Option("--m", _integer, help="atoms per unit mass (discrete/walk)"),
-            _Option("--cap", _real, help="censoring cap on total mass"),
-            _Option("--workers", _integer, help="worker thread count"),
-            _Option("--hist-out", str, help="also write the histogram CSV here"),
-        ],
-    },
-    "verify": {
-        "help": "integrate the density and compare with the extinction routes",
-        "handler": _cmd_verify,
-        "format": "json",
-        "options": [
-            _Option("--abs-tol", _real, default=1e-6, help="residual tolerance"),
-        ],
-    },
-}
-
-
-# Shared by every command and listed first; a config file cannot set it.
-_CONFIG = _Option("--config", str, help="read options from a key = value file")
-
-
-# Per command, its options by dest in help order: --p, its own, --format and --out.
-_TABLES: dict[str, dict[str, _Option]] = {
-    name: {opt.dest: opt for opt in (
+def _command(handler: Callable, help: str, fmt: str, *own: _Option) -> dict:
+    """A command's entry: its handler, its help line, its options by flag
+    in help order (--p, its own, --format with default fmt, then --out),
+    and the dests the direct parse starts unset, "config" first."""
+    options = {opt.flag: opt for opt in (
         _Option("--p", _real, required=True, help="offspring scale p > 0"),
-        *entry["options"],
-        _Option("--format", _choice("csv", "json"), default=entry["format"],
-                help=f"output format (default {entry['format']})"),
+        *own,
+        _Option("--format", _choice("csv", "json"), default=fmt,
+                help=f"output format (default {fmt})"),
         _Option("--out", str, default="-", help="output path, or - for stdout"))}
-    for name, entry in _COMMANDS.items()
+    dests = ("config", *(opt.dest for opt in options.values()))
+    return {"handler": handler, "help": help, "options": options, "dests": dests}
+
+
+_COMMANDS: dict[str, dict] = {
+    "density": _command(
+        _cmd_density, "tabulate the exact density and its tail asymptote", "csv",
+        _Option("--x-min", _real, default=1.0, help="grid start (>= 1)"),
+        _Option("--x-max", _real, default=20.0, help="grid end"),
+        _Option("--steps", _integer, default=200, help="grid points (>= 2)"),
+    ),
+    "pmf": _command(
+        _cmd_pmf, "tabulate the atomized cascade-size pmf", "csv",
+        _Option("--m", _integer, required=True, help="atoms per unit mass (1/m < p)"),
+        _Option("--n-max", _integer, help="last count to tabulate (default: auto)"),
+    ),
+    "moments": _command(
+        _cmd_moments, "subcritical mean and variance (optionally the finite-delta ones)", "json",
+        _Option("--m", _integer, help="also report the atomized moments for this m"),
+    ),
+    "extinction": _command(
+        _cmd_extinction, "finite-cascade probability by two independent routes", "json",
+    ),
+    "simulate": _command(
+        _cmd_simulate, "run a Monte Carlo campaign", "json",
+        _Option("--mode", _choice("continuous", "discrete", "walk"), required=True,
+                help="engine; walk and discrete share one kernel (Dwass identity), "
+                     "so equal seeds give equal numbers"),
+        _Option("--trials", _integer, required=True, help="number of trials"),
+        _Option("--seed", _integer, required=True, help="64-bit campaign seed"),
+        _Option("--m", _integer, help="atoms per unit mass (discrete/walk)"),
+        _Option("--cap", _real, help="censoring cap on total mass"),
+        _Option("--workers", _integer, help="worker thread count"),
+        _Option("--hist-out", str, help="also write the histogram CSV here"),
+    ),
+    "verify": _command(
+        _cmd_verify, "integrate the density and compare with the extinction routes", "json",
+        _Option("--abs-tol", _real, default=1e-6, help="residual tolerance"),
+    ),
 }
+
+
+# Shared by every command and listed first, but in no entry: a config file cannot set it.
+_CONFIG = _Option("--config", str, help="read options from a key = value file")
 
 
 def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
@@ -494,20 +469,20 @@ def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
     None, as argparse has it.  Any other argv, help included, is None:
     argparse alone writes usage, messages and exit codes.
     """
-    table = _TABLES.get(argv[0]) if argv else None
-    if table is None or len(argv) % 2 == 0:
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None or len(argv) % 2 == 0:
         return None
-    values = dict.fromkeys(("config", *table))
+    options = entry["options"]
+    values = dict.fromkeys(entry["dests"])
     for flag, text in zip(argv[1::2], argv[2::2]):
-        dest = flag[2:].replace("-", "_")
-        opt = _CONFIG if dest == "config" else table.get(dest)
-        if opt is None or opt.flag != flag or text.startswith("-"):
+        opt = _CONFIG if flag == "--config" else options.get(flag)
+        if opt is None or text.startswith("-"):
             return None
         try:
-            values[dest] = opt.convert(text)
+            values[opt.dest] = opt.convert(text)
         except (TypeError, ValueError):
             return None
-    return SimpleNamespace(**values, handler=_COMMANDS[argv[0]]["handler"], command=argv[0])
+    return SimpleNamespace(**values, command=argv[0])
 
 
 # Built once per process, for the argvs _parse_direct declines: parsing
@@ -524,13 +499,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, entry in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=entry["help"])
         sub.add_argument(_CONFIG.flag, metavar="FILE", help=_CONFIG.help)
-        for opt in _TABLES[name].values():
+        for opt in entry["options"].values():
             sub.add_argument(opt.flag, dest=opt.dest, type=opt.convert, help=opt.help)
-        sub.set_defaults(handler=entry["handler"], command=name)
     return parser
 
 
-def _apply_config(ns, table: dict[str, _Option]) -> None:
+def _apply_config(ns, options: dict[str, _Option]) -> None:
     if ns.config is None:
         return
     try:
@@ -545,25 +519,25 @@ def _apply_config(ns, table: dict[str, _Option]) -> None:
         if not sep:
             raise DomainError(f"{ns.config}:{lineno}: expected key = value")
         key, value = key.strip(), value.strip()
-        dest = key.replace("-", "_")
-        if dest not in table:
+        opt = options.get("--" + key.replace("_", "-"))
+        if opt is None:
             raise DomainError(f"{ns.config}:{lineno}: unknown option {key!r}")
-        if getattr(ns, dest) is not None:
+        if getattr(ns, opt.dest) is not None:
             raise DomainError(f"option --{key} is set more than once (command line or config)")
         try:
-            setattr(ns, dest, table[dest].convert(value))
+            setattr(ns, opt.dest, opt.convert(value))
         except (TypeError, ValueError) as exc:
             raise DomainError(
                 f"{ns.config}:{lineno}: bad value {value!r} for {key!r}: {exc}"
             ) from exc
 
 
-def _fill_defaults(ns, table: dict[str, _Option]) -> None:
-    for dest, opt in table.items():
-        if getattr(ns, dest) is None:
+def _fill_defaults(ns, options: dict[str, _Option]) -> None:
+    for opt in options.values():
+        if getattr(ns, opt.dest) is None:
             if opt.required:
                 raise DomainError(f"missing required option {opt.flag}")
-            setattr(ns, dest, opt.default)
+            setattr(ns, opt.dest, opt.default)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -574,11 +548,11 @@ def main(argv: list[str] | None = None) -> int:
             ns = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-    table = _TABLES[ns.command]
+    entry = _COMMANDS[ns.command]
     try:
-        _apply_config(ns, table)
-        _fill_defaults(ns, table)
-        return ns.handler(ns)
+        _apply_config(ns, entry["options"])
+        _fill_defaults(ns, entry["options"])
+        return entry["handler"](ns)
     except (DomainError, CriticalityError, OSError) as exc:
         error, code = exc, 2
     except CascadeError as exc:

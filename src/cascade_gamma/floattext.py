@@ -134,9 +134,10 @@ _EXPONENT = _exponents()
 
 # Layouts, indexed by (style * 23 + kclass) * 18 + n with
 # style 0 '%.17g', 1 repr, 2 integer; kclass k + 4 for fixed notation
-# (k in [-4, 16]), 21 for an exponent of 2 digits and 22 for one of 3; n
-# the count of significant digits.  Each row holds _WIDTH indices into the
-# source row, those past the text's length (_LENGTH) at a zero byte.
+# (k in [-4, 16]), 21 for an exponent of 2 digits and 22 for one of 3,
+# and 0 for every integer; n the count of significant digits.  Each row
+# holds _WIDTH indices into the source row, those past the text's length
+# (_LENGTH) at a zero byte.
 _G17, _REPR, _INT = 0, 1, 2
 _KCLASSES = 23
 
@@ -165,14 +166,12 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     sci = np.where(p < mant, np.where(p == 1, _DOT, digit - (p > 0)),
                    np.where(p == mant, _E, np.where(p == mant + 1, _ESIGN,
                                                     _EXP3 + p - mant - 1 - exp3)))
-    # Keyed by kclass, then n; integers are the last n of the 17 digits.
+    # Floats keyed by kclass, then n; integers by n alone, the last n of the 17 digits.
     floats = np.concatenate([fixed, sci])
     g17_len = np.concatenate([fixed_len, mant + 4 + exp3])
     repr_len = g17_len + np.concatenate([point_zero, 0 * exp3])
-    integer = np.broadcast_to(digit + 17 - n, (_KCLASSES, 18, _WIDTH)).reshape(-1, _WIDTH)
-    integer_len = np.broadcast_to(n, (_KCLASSES, 18, 1)).reshape(-1, 1)
-    source = np.concatenate([floats, floats, integer])
-    length = np.concatenate([g17_len, repr_len, integer_len])
+    source = np.concatenate([floats, floats, digit + 17 - n])
+    length = np.concatenate([g17_len, repr_len, n])
     # Past the length, and for impossible keys (n = 0, say), any valid index.
     # Every index is below 32; _render widens a block's to intp as it adds
     # the row offsets.

@@ -954,13 +954,14 @@ _DEFAULT_FORMATS = {"density": "csv", "pmf": "csv", "moments": "json", "extincti
 @pytest.mark.parametrize("command", _DEFAULT_FORMATS)
 def test_every_command_has_the_shared_options_and_config_keys_reach_every_dest(tmp_path, command):
     sub = _build_parser()._subparsers._group_actions[0].choices[command]
-    table = cli._TABLES[command]
+    table = cli._COMMANDS[command]["options"]
     flags = [action.option_strings[-1] for action in sub._actions][1:]  # -h, --help first
-    assert flags == ["--config", *(opt.flag for opt in table.values())]
+    assert flags == ["--config", *table]
     assert flags[1] == "--p" and flags[-2:] == ["--format", "--out"]
     assert len(set(flags)) == len(flags)
-    assert table["p"].required and table["out"].default == "-"
-    assert table["format"].default == _DEFAULT_FORMATS[command]
+    assert all(opt.flag == flag for flag, opt in table.items())
+    assert table["--p"].required and table["--out"].default == "-"
+    assert table["--format"].default == _DEFAULT_FORMATS[command]
     # A config file names each option by its flag; the value lands on ns.<dest>.
     texts = {cli._real: "5", cli._integer: "7", str: "h.csv"}
     lines = {opt.flag[2:]: texts.get(opt.convert, opt.convert.__name__.split("|")[0])
@@ -970,7 +971,7 @@ def test_every_command_has_the_shared_options_and_config_keys_reach_every_dest(t
     ns = cli._parse_direct([command, "--config", str(config)])
     assert vars(ns) == vars(_build_parser().parse_args([command, "--config", str(config)]))
     cli._apply_config(ns, table)
-    assert set(vars(ns)) == {"config", "handler", "command", *table}
+    assert set(vars(ns)) == {"config", "command", *(opt.dest for opt in table.values())}
     for opt in table.values():
         assert getattr(ns, opt.dest) == opt.convert(lines[opt.flag[2:]]), opt.flag
 
@@ -1028,7 +1029,8 @@ def test_dispatch_matches_the_top_level_parse(capsys, argv):
     assert full[0] in (0, 2) and full[1] + full[2]
 
 
-_FLAGS = sorted({"--config", *(opt.flag for table in cli._TABLES.values() for opt in table.values())})
+_FLAGS = sorted({"--config",
+                 *(flag for entry in cli._COMMANDS.values() for flag in entry["options"])})
 _VALUES = st.one_of(
     st.floats().map(repr),  # real, negative and non-finite
     st.integers(-10**20, 10**20).map(str),
@@ -1061,7 +1063,7 @@ def _argvs(draw):
     """A command name and `--flag value` pairs of its options, most flags
     spelled right and most values taken, or, as often, any tokens in any order."""
     command = draw(st.sampled_from([*cli._COMMANDS, "Moments", "-h", "--"]))
-    options = [cli._CONFIG, *cli._TABLES.get(command, {}).values()]
+    options = [cli._CONFIG, *cli._COMMANDS.get(command, {"options": {}})["options"].values()]
     if draw(st.booleans()):
         argv = [command]
         for opt in draw(st.lists(st.sampled_from(options), max_size=6)):

@@ -140,3 +140,27 @@ def test_table_cells_stay_on_the_vector_path(monkeypatch):
         slow = sum(len(call.args[0]) for call in python_cells.call_args_list)
         assert total > 10**5
         assert slow < 1e-4 * total, (fmt, slow, total)
+
+
+def test_known_defect_regions_of_verify_pass(monkeypatch):
+    """Every untimed known-defect job of the verify workload passes its check.
+
+    These are p in [1e-4, 1e-2) and 1/2 +- 10^-k for k = 3 to 12, where
+    runs once overflowed, missed their tolerance or split the extinction
+    routes; run.py only reports their failures, so a regression shows here.
+    """
+    workloads = _load("workloads", monkeypatch)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # validators imports it by name
+    validators = _load("validators", monkeypatch)
+    failed = []
+    for seed in range(1, 11):
+        jobs = workloads.known_defects("verify", seed)
+        assert len(jobs) == 13
+        for job in jobs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(list(job.argv))
+            reason = validators.check(job, code, out.getvalue(), None)
+            if reason is not None:
+                failed.append((job.argv, reason))
+    assert not failed

@@ -40,7 +40,7 @@ RECORDS = [
     (_Option, ("--out", str, "-", False, "output path"),
      dict(flag="--out", convert=str, default="-", required=False, help="output path"),
      "_Option(flag='--out', convert=<class 'str'>, default='-', required=False, "
-     "help='output path')"),
+     "help='output path', dest='out')"),
     (ModelParams, (0.3,), dict(p=0.3), "ModelParams(p=0.3)"),
     (Moments, (2.0, 1.0), dict(mean=2.0, variance=1.0), "Moments(mean=2.0, variance=1.0)"),
     (ExtinctionReport, (0.5,), dict(decay_gap=0.5), "ExtinctionReport(decay_gap=0.5)"),

@@ -22,12 +22,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+# Each script run, with the labels of the check lines it must print.
 SCRIPT_RUNS = [
-    ("convergence_study.py", "--p", "0.3", "--view", "density", "--ladder", "10,20"),
-    ("convergence_study.py", "--p", "0.3", "--view", "offspring", "--ladder", "10,20"),
-    ("convergence_study.py", "--p", "0.6", "--view", "martingale", "--ladder", "10,20"),
-    ("mc_cross_check.py", "--p", "0.3", "--m", "10", "--trials", "20000", "--seed", "7"),
-    ("mc_cross_check.py", "--p", "0.6", "--m", "10", "--trials", "20000", "--seed", "7"),
+    (("convergence_study.py", "--p", "0.3", "--view", "density", "--ladder", "10,20"), ()),
+    (("convergence_study.py", "--p", "0.3", "--view", "offspring", "--ladder", "10,20"), ()),
+    (("convergence_study.py", "--p", "0.6", "--view", "martingale", "--ladder", "10,20"), ()),
+    (("mc_cross_check.py", "--p", "0.3", "--m", "10", "--trials", "20000", "--seed", "7"),
+     ("continuous mean vs closed form", "discrete mean vs closed form")),
+    (("mc_cross_check.py", "--p", "0.6", "--m", "10", "--trials", "20000", "--seed", "7"),
+     ("continuous finite fraction", "discrete finite fraction")),
 ]
 
 # Parameters the package rejects (m = 10 puts the lattice step 1/m above
@@ -49,6 +52,10 @@ REJECTED_RUNS = [
       "--seed", "1"),
      "the mean check needs a standard error, which takes 2 finite trials; the continuous "
      "campaign has 0"),
+    (("mc_cross_check.py", "--p", "0.3", "--m", "10", "--trials", "3", "--cap", "1.5",
+      "--seed", "1"),
+     "the mean check needs a standard error, which takes 2 finite trials; the discrete "
+     "campaign has 1"),
 ]
 
 
@@ -59,16 +66,19 @@ def _run_script(argv):
                           capture_output=True, text=True, timeout=120, check=False)
 
 
-@pytest.mark.parametrize("argv", SCRIPT_RUNS, ids=["density", "offspring", "martingale", "mc_cross_check",
-                                                   "mc_cross_check-supercritical"])
-def test_script_runs(argv):
+@pytest.mark.parametrize("argv, checks", SCRIPT_RUNS, ids=[
+    "density", "offspring", "martingale", "mc_cross_check", "mc_cross_check-supercritical"])
+def test_script_runs(argv, checks):
     done = _run_script(argv)
     assert done.returncode == 0, done.stdout + done.stderr
+    for label in checks:
+        assert re.search(rf"^{label} +got .* z = ", done.stdout, re.MULTILINE), (label, done.stdout)
 
 
 @pytest.mark.parametrize("argv, message", REJECTED_RUNS, ids=[
     "convergence_study", "mc_cross_check", "convergence_study-martingale-subcritical",
-    "mc_cross_check-critical", "mc_cross_check-one-trial", "mc_cross_check-none-finite"])
+    "mc_cross_check-critical", "mc_cross_check-one-trial", "mc_cross_check-none-finite",
+    "mc_cross_check-discrete-one-finite"])
 def test_script_rejects_parameters_with_one_line(argv, message):
     # Exit 2 and one line naming the script, before any table or
     # campaign is written, as the command line does; no traceback.
@@ -83,10 +93,11 @@ def test_script_rejects_parameters_with_one_line(argv, message):
     ("convergence_study.py", "--p", "0.3", "--ladder", "20,10"),
     ("convergence_study.py", "--p", "0.3", "--ladder", "10,10"),
     ("convergence_study.py", "--p", "0.3", "--points", "0"),
+    ("convergence_study.py", "--p", "0.3", "--x-min", "30", "--x-max", "20"),
     ("output_digest.py", "--drop", "", "verify", "1"),
     ("output_digest.py", "--drop", "integral,,x_max", "verify", "1"),
 ], ids=["ladder-not-int", "ladder-empty", "ladder-descending", "ladder-repeated", "points-zero",
-        "drop-empty", "drop-empty-key"])
+        "grid-descending", "drop-empty", "drop-empty-key"])
 def test_script_rejects_malformed_arguments_with_a_usage_line(argv):
     done = _run_script(argv)
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
