@@ -31,6 +31,7 @@ up to the largest double, where tests check it at 700 digits.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -408,6 +409,14 @@ def _support_breaks(params: ModelParams, a: float, abs_tol: float) -> list[float
     return sorted(set(edges).union(edge for edge in _TOP_EDGES[:octaves] if edge > min(top, 0.5)))
 
 
+@functools.cache
+def _unit_interval():
+    """The support quadrature's interval [0, 1] in v, made once."""
+    from . import numerics
+
+    return numerics.Interval(0.0, 1.0)
+
+
 def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[QuadratureResult, float]:
     """The integral of x^k g(x) over [1, inf), as one quadrature on v in (0, 1].
 
@@ -437,7 +446,7 @@ def _support_moment(params: ModelParams, k: int, abs_tol: float) -> tuple[Quadra
         return _support_integrand(params, constants, k, v)
 
     quadrature = numerics.integrate_adaptive(
-        integrand, numerics.Interval(0.0, 1.0), abs_tol=abs_tol,
+        integrand, _unit_interval(), abs_tol=abs_tol,
         breaks=_support_breaks(params, constants[1], abs_tol))
     return quadrature, 1.0 + _support_excess(params, smallest_v)
 

@@ -28,9 +28,10 @@ gamma kernels map an ndarray elementwise, and integrate_adaptive works
 in rounds (the design of quadgk: Shampine 2008, "Vectorized adaptive
 quadrature in MATLAB").  It calls its integrand once with the nodes of
 all its seed panels, then once per round with the nodes of every panel
-that round refines, each time as one ascending float64 array.  The
-root solvers stay scalar, since each of their steps depends on the one
-before.
+that round refines, each time as one ascending float64 array, and
+keeps the panels' ends, values and error estimates in float64 arrays
+from the seed call to the result.  The root solvers stay scalar, since
+each of their steps depends on the one before.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def log_gamma(z):
     work = np.asarray(z, dtype=np.float64).reshape(-1)
     if work.size and not (work.min() > 0.0 and work.max() < math.inf):
         bad = work[~((work > 0.0) & (work < math.inf))][0]
-        raise DomainError(f"log_gamma requires z > 0 and finite, got {bad!r}")
+        raise DomainError(f"log_gamma requires z > 0 and finite, got {float(bad)!r}")
     out = (work - 0.5) * np.log(work) - work + _HALF_LOG_TWO_PI + _remainder(work)
     return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
@@ -281,18 +282,16 @@ _EPS = 2.220446049250313e-16
 _MAX_PANELS = 10_000
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], pairs) -> list[tuple[float, float, float, float]]:
-    """The 15-point Kronrod panels of pairs from one call of f.
+def _gk15(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The 15-point Kronrod values and error estimates of panels [lo, hi], from one call of f.
 
-    pairs holds disjoint (lo, hi) panels in ascending order, so f gets
-    the nodes of every panel concatenated in ascending order.  Each
-    panel sums its own 15 weighted values, so it gets the same bits as a
-    call on its nodes alone.  Returns one (lo, hi, value, error
-    estimate) row per panel; the first panel with a value that is not
-    finite raises DomainError naming its first bad node.
+    lo and hi are float64 arrays that hold disjoint panels in ascending
+    order, so f gets the nodes of every panel concatenated in ascending
+    order.  Each panel sums its own 15 weighted values, so it gets the
+    same bits as a call on its nodes alone.  The first panel with a
+    value that is not finite raises DomainError naming its first bad node.
     """
     abscissae, weights = _gk_tables()
-    lo, hi = np.array(pairs, dtype=np.float64).T
     half = 0.5 * (hi - lo)
     nodes = ((0.5 * (lo + hi))[:, None] + half[:, None] * abscissae).reshape(-1)
     values = np.asarray(f(nodes), dtype=np.float64).reshape(-1, 15)
@@ -311,8 +310,7 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], pairs) -> list[tuple[float, flo
             f"integrand returned {float(values[i, bad])!r} at node {float(nodes[15 * i + bad])!r}")
     value, diff = sums * half
     # Honest floor: a panel can never certify better than a few ulps.
-    err = np.maximum(np.abs(diff), 50.0 * _EPS * np.abs(value))
-    return list(zip(lo.tolist(), hi.tolist(), value.tolist(), err.tolist()))
+    return value, np.maximum(np.abs(diff), 50.0 * _EPS * np.abs(value))
 
 
 def integrate_adaptive(
@@ -335,15 +333,16 @@ def integrate_adaptive(
     summed error estimate exceeds abs_tol, each round cuts every panel
     whose estimate exceeds its share abs_tol * width / (hi - lo), and at
     least the worst one, into 4 by two levels of midpoints, and calls f
-    once with the nodes of all the new panels.  So a quadrature costs
-    one call plus one per round, and 15 evaluations per seed panel plus
-    60 per panel cut.
+    once with the nodes of all the new panels, which take the cut
+    panel's place in the float64 arrays of ends, values and error
+    estimates.  So a quadrature costs one call plus one per round, and
+    15 evaluations per seed panel plus 60 per panel cut.
 
     A round that would take the count past _MAX_PANELS cuts only the
-    worst of its panels that fit.  Raises ToleranceError, carrying the
-    QuadratureResult of the panels so far, when not one more panel fits
-    or a panel to cut has no room for its quarter points.  Deterministic
-    for a given integrand.
+    worst of its panels that fit, the leftmost on a tie.  Raises
+    ToleranceError, carrying the QuadratureResult of the panels so far,
+    when not one more panel fits or a panel to cut has no room for its
+    quarter points.  Deterministic for a given integrand.
 
     The error estimate is that of each panel's own Gauss and Kronrod
     sums, so a seed panel that spans many periods of an oscillating
@@ -356,49 +355,41 @@ def integrate_adaptive(
         raise DomainError(f"abs_tol must be positive and finite, got {abs_tol!r}")
     if interval.hi - interval.lo == math.inf:
         raise DomainError(f"interval width must be finite, got [{interval.lo!r}, {interval.hi!r}]")
-    edges = [interval.lo, *map(float, breaks), interval.hi]
-    if not all(a < b for a, b in zip(edges, edges[1:])):
+    edges = np.array([interval.lo, *map(float, breaks), interval.hi])
+    lo, hi = edges[:-1], edges[1:]
+    if not (lo < hi).all():
         raise DomainError(f"breaks must ascend strictly inside [{interval.lo!r}, {interval.hi!r}]")
-    # One (lo, hi, value, error estimate) per panel, ascending.
-    panels = _gk15(f, list(zip(edges, edges[1:])))
-    evaluations = 15 * len(panels)
+    value, err = _gk15(f, lo, hi)
+    evaluations = 15 * lo.size
     share = abs_tol / (interval.hi - interval.lo)
 
-    while math.fsum(q[3] for q in panels) > abs_tol:
-        cut = [q[3] > share * (q[1] - q[0]) for q in panels]
-        if not any(cut):
-            cut[max(range(len(panels)), key=lambda i: panels[i][3])] = True
-        room = (_MAX_PANELS - len(panels)) // 3  # cuts that keep the count within the limit
+    while (error := math.fsum(err.tolist())) > abs_tol:
+        cut = err > share * (hi - lo)
+        if not cut.any():
+            cut[err.argmax()] = True  # the leftmost of equal maxima
+        room = (_MAX_PANELS - lo.size) // 3  # cuts that keep the count within the limit
         if room <= 0:
-            result = _collect(panels, evaluations)
-            raise ToleranceError(
-                f"quadrature error estimate {result.abs_error_estimate:.3e} exceeds "
-                f"abs_tol {abs_tol:.3e} after {len(panels)} panels",
-                result=result,
-            )
-        if sum(cut) > room:  # the last round cuts only the worst that fit
-            worst = set(sorted((i for i, c in enumerate(cut) if c), key=lambda i: -panels[i][3])[:room])
-            cut = [i in worst for i in range(len(panels))]
-        # The (lo, hi) of the 4 quarters of each cut panel, left to right.
-        pairs = []
-        for (lo, hi, _, _), cut_q in zip(panels, cut):
-            if cut_q:
-                mid = 0.5 * (lo + hi)
-                quarters = (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)
-                if not all(a < b for a, b in zip(quarters, quarters[1:])):
-                    raise ToleranceError(f"panel [{lo!r}, {hi!r}] cannot be split further",
-                                         result=_collect(panels, evaluations))
-                pairs += zip(quarters, quarters[1:])
-        evaluations += 15 * len(pairs)
-        new = iter(_gk15(f, pairs))  # each cut panel gives way to its 4 quarters, in place
-        panels = [q for old, cut_q in zip(panels, cut)
-                  for q in ((next(new), next(new), next(new), next(new)) if cut_q else (old,))]
+            raise ToleranceError(f"quadrature error estimate {error:.3e} exceeds abs_tol {abs_tol:.3e} "
+                                 f"after {lo.size} panels",
+                                 result=QuadratureResult(math.fsum(value.tolist()), error, evaluations))
+        cut_at = cut.nonzero()[0]
+        if cut_at.size > room:  # the last round cuts only the worst that fit, leftmost first on a tie
+            cut[cut_at[np.argsort(-err[cut_at], kind="stable")[room:]]] = False
+        # Row i holds the 5 edges of the 4 quarters of the i-th cut panel.
+        a, b = lo[cut], hi[cut]
+        mid = 0.5 * (a + b)
+        quarters = np.stack([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b], axis=1)
+        new_lo, new_hi = quarters[:, :-1].reshape(-1), quarters[:, 1:].reshape(-1)
+        if not (new_lo < new_hi).all():
+            i = int((new_lo < new_hi).argmin()) // 4
+            raise ToleranceError(f"panel [{float(a[i])!r}, {float(b[i])!r}] cannot be split further",
+                                 result=QuadratureResult(math.fsum(value.tolist()), error, evaluations))
+        evaluations += 15 * new_lo.size
+        new_value, new_err = _gk15(f, new_lo, new_hi)
+        # Each cut panel gives way to its 4 quarters: repeat it 4 times, then overwrite the copies.
+        counts = 1 + 3 * cut
+        fresh = np.repeat(cut, counts)
+        lo, hi, value, err = (np.repeat(old, counts) for old in (lo, hi, value, err))
+        lo[fresh], hi[fresh], value[fresh], err[fresh] = new_lo, new_hi, new_value, new_err
 
-    return _collect(panels, evaluations)
-
-
-def _collect(panels: list, evaluations: int) -> QuadratureResult:
-    """The panels' values and error estimates, each summed exactly rounded."""
-    return QuadratureResult(value=math.fsum(q[2] for q in panels),
-                            abs_error_estimate=math.fsum(q[3] for q in panels),
-                            evaluations=evaluations)
+    return QuadratureResult(math.fsum(value.tolist()), error, evaluations)

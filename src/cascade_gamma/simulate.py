@@ -277,9 +277,9 @@ def run_campaign(config: SimConfig) -> SimSummary:
     if config.workers == 1 or len(tasks) == 1:
         parts = [_run_chunk(task) for task in tasks]
     else:
-        # The engines spend their time in numpy's samplers, which release
-        # the interpreter lock, so threads overlap chunks without the fork,
-        # pickling and teardown that a worker process costs per campaign.
+        # Threads skip the fork, pickling and teardown a worker process costs
+        # per campaign, but the engines' Python glue holds the interpreter lock:
+        # on a 2-core VM, 2 workers run no faster than 1 (pool_speedup 0.96-0.99).
         with ThreadPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             parts = list(pool.map(_run_chunk, tasks))
     summary = parts[0]

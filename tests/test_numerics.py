@@ -156,6 +156,17 @@ def test_log_gamma_domain_errors():
             log_gamma(bad)
 
 
+def test_log_gamma_domain_error_names_the_value_as_a_float():
+    # numpy 2 writes a float64 scalar's repr as np.float64(...); the
+    # message shows the plain float for a scalar and an array alike.
+    with pytest.raises(DomainError) as info:
+        log_gamma(-1.0)
+    assert str(info.value) == "log_gamma requires z > 0 and finite, got -1.0"
+    with pytest.raises(DomainError) as info:
+        log_gamma(np.array([2.0, 0.0, -1.0]))
+    assert str(info.value) == "log_gamma requires z > 0 and finite, got 0.0"
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(min_value=1e-3, max_value=1e6))
 def test_log_gamma_recurrence(z):
@@ -360,6 +371,15 @@ def test_integrate_unattainable_tolerance_carries_best_estimate():
     assert partial.abs_error_estimate > 1e-18
 
 
+def _gk15_rows(f, pairs):
+    """_gk15 on the (lo, hi) panels of pairs, as one (lo, hi, value, error) row per panel."""
+    from cascade_gamma.numerics import _gk15
+
+    lo, hi = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    value, err = _gk15(f, lo, hi)
+    return list(zip(lo.tolist(), hi.tolist(), value.tolist(), err.tolist()))
+
+
 def _poly_integral(coeffs, lo, hi):
     """Exact integral of sum c_k x^k over [lo, hi], in rationals."""
     from fractions import Fraction
@@ -374,28 +394,26 @@ def test_gk15_panel_is_exact_to_degree_22(degree):
     # Kronrod 15 integrates degree 3*7 + 1 = 22 exactly and its embedded
     # Gauss 7 degree 13, so up to 13 the two sums agree to rounding and
     # the error estimate sits at the 50-ulp floor.
-    from cascade_gamma.numerics import _EPS, _gk15
+    from cascade_gamma.numerics import _EPS
 
     coeffs = [1.0 + 0.25 * k for k in range(degree + 1)]
     f = lambda x: np.polynomial.polynomial.polyval(x, coeffs)  # noqa: E731
     lo, mid, hi = 0.3, 1.1, 1.7
-    [(_, _, value, err)] = _gk15(f, [(lo, hi)])
+    [(_, _, value, err)] = _gk15_rows(f, [(lo, hi)])
     exact = _poly_integral(coeffs, lo, hi)
     assert abs(value - exact) <= 1e-14 * abs(exact)
     if degree <= 13:
         assert err == 50.0 * _EPS * abs(value)
     # Two panels from one call give the bits of two separate calls.
-    assert _gk15(f, [(lo, mid), (mid, hi)]) == _gk15(f, [(lo, mid)]) + _gk15(f, [(mid, hi)])
+    assert _gk15_rows(f, [(lo, mid), (mid, hi)]) == _gk15_rows(f, [(lo, mid)]) + _gk15_rows(f, [(mid, hi)])
 
 
 def test_gk15_gives_each_panel_the_bits_of_its_own_call():
-    from cascade_gamma.numerics import _gk15
-
     rng = np.random.default_rng(7)
     f = lambda x: np.exp(-x) * np.cos(40.0 * x) + x**3  # noqa: E731
     edges = np.sort(rng.uniform(-3.0, 3.0, 65))
     pairs = list(zip(edges[:-1], edges[1:]))
-    assert _gk15(f, pairs) == [row for pair in pairs for row in _gk15(f, [pair])]
+    assert _gk15_rows(f, pairs) == [row for pair in pairs for row in _gk15_rows(f, [pair])]
 
 
 def test_integrand_is_called_once_per_round_with_its_nodes():
@@ -472,12 +490,12 @@ def test_integrate_meets_its_tolerance(lo, width, c, omega, log_tol):
 
 
 def test_gk15_nodes_are_centre_plus_minus_half_node():
-    from cascade_gamma.numerics import _GK_NODES, _gk15
+    from cascade_gamma.numerics import _GK_NODES
 
     def nodes(*edges):
         seen = []
         pairs = list(zip(edges, edges[1:]))
-        panels = _gk15(lambda x: seen.append(x.copy()) or np.zeros_like(x), pairs)
+        panels = _gk15_rows(lambda x: seen.append(x.copy()) or np.zeros_like(x), pairs)
         assert panels == [(lo, hi, 0.0, 0.0) for lo, hi in pairs]
         return seen[0].tolist()
 
@@ -495,10 +513,10 @@ def _one_call_per_panel(f, interval, abs_tol=1e-10, breaks=()):
     """integrate_adaptive with one call of f per panel: the reference for
     the rounds, which evaluate all the new panels of a round in one call.
     """
-    from cascade_gamma.numerics import _MAX_PANELS, _gk15
+    from cascade_gamma.numerics import _MAX_PANELS
 
     def panel(lo, hi):
-        [row] = _gk15(f, [(lo, hi)])
+        [row] = _gk15_rows(f, [(lo, hi)])
         return row
 
     def quarters(lo, hi):
@@ -577,6 +595,8 @@ SPLIT_CALL_CASES = [
                  Interval(0.0, 1.0), {"abs_tol": 1e-12}, id="polynomial-degree-40"),
     pytest.param(lambda x: np.exp(-x), Interval(0.0, 50.0), {"abs_tol": 1e-10}, id="exp"),
     pytest.param(lambda x: np.exp(-x), Interval(0.0, 50.0), {"abs_tol": 1e-18}, id="max-panels"),
+    pytest.param(np.ones_like, Interval(0.0, 1.0), {"abs_tol": 1e-300, "breaks": (0.25, 0.5, 0.75)},
+                 id="max-panels-tied"),
     pytest.param(lambda x: np.sin(1e6 * x), Interval(1.0, 1.0 + 12 * 2.0 ** -52),
                  {"abs_tol": 1e-300}, id="cannot-be-split"),
     pytest.param(_nan_in_both_halves, Interval(0.0, 2.0), {"abs_tol": 1e-10}, id="nan-in-both-halves"),
@@ -602,6 +622,25 @@ def test_split_in_one_call_gives_the_bits_of_one_call_per_panel(f, interval, opt
     got = _outcome(integrate_adaptive, f, interval, **options)
     want = _outcome(_one_call_per_panel, f, interval, **options)
     assert got == want
+
+
+def test_the_last_round_cuts_the_leftmost_of_tied_panels():
+    # A constant on 4 equal seed panels: every panel of a round has the
+    # same error estimate, so each round cuts all of them until the
+    # 4096-panel round, where 1968 cuts fit within _MAX_PANELS.  Those
+    # must be the leftmost 1968 of the 4096 tied panels.
+    from cascade_gamma.numerics import _MAX_PANELS
+
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return np.ones_like(x)
+
+    with pytest.raises(ToleranceError, match=f"after {_MAX_PANELS} panels"):
+        integrate_adaptive(f, Interval(0.0, 1.0), abs_tol=1e-300, breaks=(0.25, 0.5, 0.75))
+    assert [x.size // 15 for x in calls] == [4, 16, 64, 256, 1024, 4096, 7872]
+    assert calls[-1].max() < 1968 / 4096
 
 
 def test_integrate_rejects_non_finite_integrand():
