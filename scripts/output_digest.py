@@ -41,6 +41,13 @@ from cascade_gamma import cli  # noqa: E402
 import workloads  # noqa: E402
 
 
+def listing(workload: str, seed: int, fmt: str | None = None,
+            drop: frozenset[str] = frozenset()):
+    """The digest line of each job of a workload at a seed: timed jobs, then known-defect ones."""
+    for job in workloads.generate(workload, seed) + workloads.known_defects(workload, seed):
+        yield digest(with_format(job.argv, fmt), drop)
+
+
 def digest(argv: tuple[str, ...], drop: frozenset[str] = frozenset()) -> str:
     """'sha256 exit argv' for one job, with the top-level keys in drop removed from a JSON object."""
     out = io.StringIO()
@@ -91,9 +98,8 @@ def main() -> int:
                         help="top-level keys to remove from JSON outputs before digesting them")
     ns = parser.parse_args()
     for seed in ns.seeds:
-        jobs = workloads.generate(ns.workload, seed) + workloads.known_defects(ns.workload, seed)
-        for job in jobs:
-            print(digest(with_format(job.argv, ns.format), ns.drop), flush=True)
+        for line in listing(ns.workload, seed, ns.format, ns.drop):
+            print(line, flush=True)
     return 0
 
 

